@@ -29,7 +29,6 @@ from .polygon import (
     PiecewiseLinear,
     alpha_beta,
     build_polygon,
-    classify_vertices,
     leftmost_side_check,
     leftmost_vertical_length,
     mc,
@@ -71,7 +70,6 @@ __all__ = [
     "alpha_beta",
     "appearance_times",
     "build_polygon",
-    "classify_vertices",
     "dual_graph_components",
     "format_exact",
     "inertia",

@@ -28,7 +28,6 @@ from .lattice import inertia, pair
 from .polygon import (
     alpha_beta,
     build_polygon,
-    classify_vertices,
     leftmost_side_check,
     leftmost_vertical_length,
     mc,
@@ -76,8 +75,8 @@ def _polygon_payload(model, doc) -> tuple[dict, object]:
     candidates = docio.parse_candidates(doc, model)
     profile = walk_ray(model, divisor, target, candidates)
     alpha, beta = alpha_beta(model, profile, spec)
-    polygon = classify_vertices(build_polygon(alpha, beta), profile)
-    slopes = side_slopes(model, profile, spec)
+    polygon = build_polygon(alpha, beta)
+    slopes = side_slopes(model, profile, spec, alpha, beta)
     predictions = predict_interior_vertices(model, profile, spec)
     right = rightmost_count(model, profile, divisor, target)
     bounds = vertex_bound_check(model, polygon, profile, spec)

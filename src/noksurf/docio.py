@@ -80,8 +80,11 @@ def parse_surface(doc: dict) -> SurfaceModel:
         rows.append(
             [parse_int(x, f"surface.matrix[{i}][{j}]") for j, x in enumerate(row)]
         )
+    declared = surf.get("curves", [])
+    if not isinstance(declared, list):
+        raise InputError("surface.curves: must be a list of curve objects")
     curves = []
-    for i, cv in enumerate(surf.get("curves", [])):
+    for i, cv in enumerate(declared):
         where = f"surface.curves[{i}]"
         if not isinstance(cv, dict):
             raise InputError(f"{where}: must be an object")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .errors import InputError, SearchFailure, TheoremViolation
+from .errors import InputError, ModelError, SearchFailure, TheoremViolation
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -23,7 +23,7 @@ from .lattice import (
     is_negative_definite,
     pair,
 )
-from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, classify_vertices, mc, mv
+from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, mc, mv
 from .qext import QExt
 from .raywalk import RayProfile, walk_ray
 from .zariski import zariski_decompose
@@ -50,11 +50,9 @@ def _walk_matches(
     model: SurfaceModel, divisor, flag_class, config: list[str]
 ) -> RayProfile | None:
     """Replay the ray and accept only the exact ordered chamber story."""
-    from .errors import InputError as _IE, ModelError as _ME
-
     try:
         profile = walk_ray(model, divisor, flag_class, model.labels())
-    except (_IE, _ME):
+    except (InputError, ModelError):
         return None
     times = [profile.appearance.get(l) for l in config]
     if None in times or len(profile.appearance) != len(config):
@@ -317,8 +315,7 @@ def realize_vertex_count(
     spec = FlagSpec(flag_class, local)
 
     profile = walk_ray(model, divisor, flag_class, model.labels())
-    alpha, beta = alpha_beta(model, profile, spec)
-    polygon = classify_vertices(build_polygon(alpha, beta), profile)
+    polygon = build_polygon(*alpha_beta(model, profile, spec))
     if len(polygon.vertices) != v:
         raise TheoremViolation(
             f"realization produced {len(polygon.vertices)} vertices instead of {v} "

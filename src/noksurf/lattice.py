@@ -148,9 +148,6 @@ class SurfaceModel:
                 return i
         raise InputError(f"unknown curve label {label!r}")
 
-    def witness_class(self) -> DivisorClass:
-        return DivisorClass(self.ample_witness)
-
 
 def pair(model: SurfaceModel, u, v):
     """Intersection product u.v through the model's bilinear form."""

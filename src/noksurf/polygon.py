@@ -9,7 +9,7 @@ all lie among nu, the wall times, and mu.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -23,7 +23,7 @@ from .lattice import (
     pair,
 )
 from .qext import QExt, as_exact
-from .raywalk import RayProfile, resolve_flag, segment_positive_part
+from .raywalk import RayProfile, resolve_flag
 from .zariski import zariski_decompose
 
 
@@ -138,9 +138,8 @@ def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
     for seg in profile.segments:
         a0 = sum((seg.coeffs[l][0] * flag.mult(l) for l in seg.support), Fraction(0))
         a1 = sum((seg.coeffs[l][1] * flag.mult(l) for l in seg.support), Fraction(0))
-        p0, p1 = segment_positive_part(model, profile, seg)
-        b0 = a0 + pair(model, p0, cls)
-        b1 = a1 + pair(model, p1, cls)
+        b0 = a0 + pair(model, seg.p0, cls)
+        b1 = a1 + pair(model, seg.p1, cls)
         lo, hi = seg.t_lo, seg.t_hi
         alo, ahi = a0 + a1 * lo, as_exact(a0 + a1 * hi)
         blo, bhi = b0 + b1 * lo, as_exact(b0 + b1 * hi)
@@ -168,12 +167,15 @@ def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
 
 @dataclass(frozen=True)
 class OkPolygon:
-    """Counterclockwise vertex cycle with boundary provenance per vertex."""
+    """Counterclockwise vertex cycle with boundary provenance per vertex.
+
+    Each tag is {leftmost|interior|rightmost}-{lower|upper|degenerate}.
+    """
 
     vertices: tuple  # of (t, s) pairs, exact coordinates
     on_lower: tuple
     on_upper: tuple
-    tags: tuple | None = None
+    tags: tuple
 
     def __len__(self):
         return len(self.vertices)
@@ -199,10 +201,12 @@ def _collapse_chain(points):
 
 
 def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
-    """Assemble the region between alpha and beta into a convex ccw polygon.
+    """Assemble the region between alpha and beta into a convex tagged ccw polygon.
 
     Vertices run left to right along alpha, then right to left along beta;
-    collinear points are removed and zero-length sides collapsed.
+    collinear points are removed and zero-length sides collapsed.  Each
+    vertex is tagged by its position against nu and mu (the ends of alpha's
+    domain) and by the boundary chains it lies on.
     """
     bps = sorted(set(alpha.breakpoints) | set(beta.breakpoints))
     avals = [alpha.value_at(t) for t in bps]
@@ -255,10 +259,17 @@ def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
         if _cross(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) <= 0:
             raise InternalError("polygon is not strictly convex counterclockwise")
 
+    t_nu, t_mu = alpha.breakpoints[0], alpha.breakpoints[-1]
+    tags = []
+    for (t, _s), (low, up) in zip(pts, flags):
+        position = "leftmost" if t == t_nu else "rightmost" if t == t_mu else "interior"
+        level = "degenerate" if low and up else "lower" if low else "upper"
+        tags.append(f"{position}-{level}")
     return OkPolygon(
         vertices=tuple(pts),
         on_lower=tuple(f[0] for f in flags),
         on_upper=tuple(f[1] for f in flags),
+        tags=tuple(tags),
     )
 
 
@@ -272,29 +283,6 @@ def polygon_area2(polygon: OkPolygon):
     if isinstance(total, QExt):
         raise InternalError("polygon area came out irrational")
     return total
-
-
-def classify_vertices(polygon: OkPolygon, profile: RayProfile) -> OkPolygon:
-    """Tag each vertex {leftmost|interior|rightmost}-{lower|upper|degenerate}."""
-    t_lo, t_hi = profile.nu, profile.mu
-    tags = []
-    for (t, _s), low, up in zip(polygon.vertices, polygon.on_lower, polygon.on_upper):
-        if t == t_lo:
-            position = "leftmost"
-        elif t == t_hi:
-            position = "rightmost"
-        else:
-            position = "interior"
-        if low and up:
-            level = "degenerate"
-        elif low:
-            level = "lower"
-        elif up:
-            level = "upper"
-        else:
-            raise InternalError("vertex belongs to neither boundary chain")
-        tags.append(f"{position}-{level}")
-    return replace(polygon, tags=tuple(tags))
 
 
 # -- predictions and counts --------------------------------------------------
@@ -361,8 +349,7 @@ def rightmost_count(
     ]
     in_v = linalg.in_span(span, list(cls.coords))
     last = profile.segments[-1]
-    p0, p1 = segment_positive_part(model, profile, last)
-    width = as_exact(pair(model, p0, cls) + profile.mu * pair(model, p1, cls))
+    width = as_exact(pair(model, last.p0, cls) + profile.mu * pair(model, last.p1, cls))
     observed = 1 if width == 0 else 2
     if in_v:
         return RightmostReport(1, True, observed, True)
@@ -371,11 +358,17 @@ def rightmost_count(
     return RightmostReport(observed, False, observed, False)
 
 
-def side_slopes(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
+def side_slopes(
+    model: SurfaceModel,
+    profile: RayProfile,
+    flag: FlagSpec,
+    alpha: PiecewiseLinear,
+    beta: PiecewiseLinear,
+):
     """Per-segment (lower, upper) slopes from intersection numbers only.
 
     lower = sum a_j1 (C_j.C)_p;  upper = sum a_j1 ((C_j.C)_p - C_j.C) - C^2.
-    Cross-checked against the difference quotients of alpha and beta.
+    Cross-checked against the difference quotients of the given alpha and beta.
     """
     flag.validate(model)
     _, cls = flag.resolved(model)
@@ -390,7 +383,6 @@ def side_slopes(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
             lower += a1 * m
             upper += a1 * (m - pair(model, model.class_of(l), cls))
         out.append((lower, upper))
-    alpha, beta = alpha_beta(model, profile, flag)
     if tuple(s[0] for s in out) != alpha.slopes() or tuple(
         s[1] for s in out
     ) != beta.slopes():
@@ -493,8 +485,6 @@ def vertex_bound_check(
     A component through the point counts toward both sides whenever one of
     its curves also meets C elsewhere.
     """
-    if polygon.tags is None:
-        polygon = classify_vertices(polygon, profile)
     _, flag_cls = flag.resolved(model)
     support = list(profile.final_support())
     bound = mv(model, support)

@@ -29,12 +29,15 @@ from .zariski import zariski_decompose
 
 @dataclass(frozen=True)
 class Segment:
-    """One chamber of the walk: support and affine coefficients on [t_lo, t_hi]."""
+    """One chamber of the walk: support, affine coefficients and the moving
+    positive part P_t = p0 + t*p1 on [t_lo, t_hi]."""
 
     t_lo: Fraction
     t_hi: Fraction | QExt
     support: tuple[str, ...]  # in order of appearance
     coeffs: dict[str, tuple[Fraction, Fraction]]  # label -> (a0, a1)
+    p0: DivisorClass
+    p1: DivisorClass
 
     def coefficient_at(self, label: str, t):
         a0, a1 = self.coeffs[label]
@@ -129,15 +132,17 @@ def _segment_system(model, divisor, flag_class, support):
     return coeffs, p0, p1
 
 
-def _enlarge_support(model, divisor, flag_class, support, t_star, entry_order):
+def _enlarge_support(model, divisor, flag_class, support, t_star, entry_order, solution):
     """Fixed point of the derivative test at a wall.
 
-    Candidates sitting on the wall (pairing exactly 0 at t_star) join the
-    support as long as their pairing against the refreshed positive part
-    still decreases; entrants whose solved coefficient is identically zero
-    are wall-touchers and are dropped again.
+    `solution` is the `_segment_system` result on `support`.  Candidates
+    sitting on the wall (pairing exactly 0 at t_star) join the support as
+    long as their pairing against the refreshed positive part still
+    decreases; entrants whose solved coefficient is identically zero are
+    wall-touchers and are dropped again.  Returns (kept, solution on kept):
+    a dropped coefficient is zero, so restricting the last solve is exact.
     """
-    coeffs, p0, p1 = _segment_system(model, divisor, flag_class, support)
+    _, p0, p1 = solution
     wall = [
         l
         for l in entry_order
@@ -146,16 +151,17 @@ def _enlarge_support(model, divisor, flag_class, support, t_star, entry_order):
     ]
     current = list(support)
     while True:
-        _, _, p1_cur = _segment_system(model, divisor, flag_class, current)
         adds = [
             l
             for l in wall
-            if l not in current and pair(model, p1_cur, model.class_of(l)) < 0
+            if l not in current and pair(model, p1, model.class_of(l)) < 0
         ]
         if not adds:
             break
         current = current + adds
-    coeffs, _, _ = _segment_system(model, divisor, flag_class, current)
+        solution = _segment_system(model, divisor, flag_class, current)
+        _, _, p1 = solution
+    coeffs, p0, p1 = solution
     kept = list(support)
     for l in current[len(support) :]:
         a0, a1 = coeffs[l]
@@ -168,7 +174,7 @@ def _enlarge_support(model, divisor, flag_class, support, t_star, entry_order):
             )
         if a1 > 0:
             kept.append(l)
-    return kept
+    return kept, ({l: coeffs[l] for l in kept}, p0, p1)
 
 
 def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur):
@@ -223,7 +229,10 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     support = sorted(dec_nu.support, key=model.declaration_index)
     appearance: dict[str, Fraction] = {l: t_nu for l in support}
     # a wall may sit exactly at nu; enlarge before the first segment
-    support = _enlarge_support(model, divisor, flag_class, support, t_nu, entry_order)
+    solution = _segment_system(model, divisor, flag_class, support)
+    support, solution = _enlarge_support(
+        model, divisor, flag_class, support, t_nu, entry_order, solution
+    )
     for l in support:
         appearance.setdefault(l, t_nu)
 
@@ -232,20 +241,22 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     mu = None
     radicand = 0
     for _ in range(len(entry_order) + 2):
-        coeffs, p0, p1 = _segment_system(model, divisor, flag_class, support)
+        coeffs, p0, p1 = solution
+        # (P_t.C_l at t = 0, slope) for every candidate outside the support
+        outside = [
+            (l, pair(model, p0, model.class_of(l)), pair(model, p1, model.class_of(l)))
+            for l in entry_order
+            if l not in support
+        ]
 
         # candidate walls ahead of t_cur
         events: list[tuple[Fraction, str]] = []
-        for l in entry_order:
-            if l in support:
-                continue
-            cls = model.class_of(l)
-            val = pair(model, p0, cls) + t_cur * pair(model, p1, cls)
-            slope = pair(model, p1, cls)
-            if val < 0 or (val == 0 and slope < 0):
+        for l, q0, q1 in outside:
+            val = q0 + t_cur * q1
+            if val < 0 or (val == 0 and q1 < 0):
                 raise InternalError(f"pairing against {l!r} already negative at segment start")
-            if slope < 0:
-                events.append((-pair(model, p0, cls) / slope, l))
+            if q1 < 0:
+                events.append((-q0 / q1, l))
 
         # exit of the big cone
         p0sq = pair(model, p0, p0)
@@ -267,11 +278,12 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             t_hi = next_event
 
         # flag monitor: its pairing must stay nonnegative up to the segment end
-        fval = pair(model, p0, flag_class) + t_cur * pair(model, p1, flag_class)
+        f0 = pair(model, p0, flag_class)
         fslope = pair(model, p1, flag_class)
+        fval = f0 + t_cur * fslope
         if fval < 0 or (fval == 0 and fslope < 0):
             raise ModelError("flag curve pairs negatively along the ray; invalid model input")
-        if fslope < 0 and -pair(model, p0, flag_class) / fslope < t_hi:
+        if fslope < 0 and -f0 / fslope < t_hi:
             raise ModelError(
                 "flag curve enters the negative part inside the ray; invalid model input"
             )
@@ -283,25 +295,25 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
                     f"support decreased; invalid model input (coefficient of {l!r} "
                     f"vanishes before the segment ends)"
                 )
-        for l in entry_order:
-            if l not in support:
-                cls = model.class_of(l)
-                if pair(model, p0, cls) + t_hi * pair(model, p1, cls) < 0:
-                    raise InternalError(f"missed a wall for {l!r}")
+        for l, q0, q1 in outside:
+            if q0 + t_hi * q1 < 0:
+                raise InternalError(f"missed a wall for {l!r}")
 
         segments.append(
-            Segment(t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=coeffs)
+            Segment(
+                t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=coeffs, p0=p0, p1=p1
+            )
         )
         if mu is not None:
             break
 
-        new_support = _enlarge_support(
-            model, divisor, flag_class, support, t_hi, entry_order
+        new_support, solution = _enlarge_support(
+            model, divisor, flag_class, support, t_hi, entry_order, solution
         )
         if len(new_support) == len(support):
             raise InternalError("wall event produced no support growth")
         # continuity: both chambers agree at the wall
-        new_coeffs, _, _ = _segment_system(model, divisor, flag_class, new_support)
+        new_coeffs = solution[0]
         for l in support:
             a0, a1 = coeffs[l]
             b0, b1 = new_coeffs[l]
@@ -334,10 +346,3 @@ def appearance_times(profile: RayProfile) -> list[tuple[str, Fraction]]:
     items.sort(key=lambda kv: (kv[1], order.get(kv[0], len(order))))
     return items
 
-
-def segment_positive_part(model: SurfaceModel, profile: RayProfile, segment: Segment):
-    """The affine positive part (p0, p1) with P_t = p0 + t*p1 on a segment."""
-    _, p0, p1 = _segment_system(
-        model, profile.divisor, profile.flag_class, list(segment.support)
-    )
-    return p0, p1

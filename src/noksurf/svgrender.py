@@ -88,9 +88,8 @@ def render_svg(
         'stroke="#1f5fa8" stroke-width="1.5"/>'
     )
 
-    tags = polygon.tags or tuple("vertex" for _ in polygon.vertices)
     for (t, s), tag, (px, py) in zip(
-        polygon.vertices, tags, (to_px(*p) for p in pts)
+        polygon.vertices, polygon.tags, (to_px(*p) for p in pts)
     ):
         title = f"{tag} ({format_exact(t)}, {format_exact(s)})"
         lines.append(

@@ -323,8 +323,7 @@ def crosscheck(fan: ToricFan, div: ToricDivisor, flag_index: int) -> CrosscheckR
     next_label = f"D{(flag_index % n) + 1}"
     profile = walk_ray(model, d_class, flag_label, model.labels())
     flag = FlagSpec(flag_label, {next_label: 1})
-    alpha, beta = alpha_beta(model, profile, flag)
-    poly = build_polygon(alpha, beta)
+    poly = build_polygon(*alpha_beta(model, profile, flag))
     walk_pts = []
     for t, s in poly.vertices:
         t, s = as_exact(t), as_exact(s)

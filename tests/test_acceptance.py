@@ -19,7 +19,6 @@ from noksurf import (
     SurfaceModel,
     alpha_beta,
     build_polygon,
-    classify_vertices,
     mv,
     pair,
     polygon_area2,
@@ -48,7 +47,7 @@ def _polygon(model, divisor, flag_target, mults, candidates):
     profile = walk_ray(model, divisor, flag_target, candidates)
     spec = FlagSpec(flag_target, mults)
     alpha, beta = alpha_beta(model, profile, spec)
-    poly = classify_vertices(build_polygon(alpha, beta), profile)
+    poly = build_polygon(alpha, beta)
     return profile, spec, alpha, beta, poly
 
 
@@ -128,7 +127,7 @@ def corpus_runs():
     for case in CORPUS:
         profile = walk_ray(case.model, case.divisor, case.flag, case.candidates)
         alpha, beta = alpha_beta(case.model, profile, case.spec)
-        poly = classify_vertices(build_polygon(alpha, beta), profile)
+        poly = build_polygon(alpha, beta)
         out.append((case, profile, alpha, beta, poly))
     return out
 

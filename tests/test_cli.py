@@ -91,6 +91,15 @@ def test_field_diagnostics(tmp_path, capsys):
     assert "surface.matrix[1][1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curves", [5, None])
+def test_curves_must_be_a_list(curves, tmp_path, capsys):
+    doc = tmp_path / "badcurves.json"
+    surface = {"rank": 1, "matrix": [[1]], "curves": curves, "ample_witness": [1]}
+    doc.write_text(json.dumps({"schema": 1, "surface": surface}))
+    assert main(["check-lattice", str(doc)]) == 2
+    assert "surface.curves" in capsys.readouterr().err
+
+
 def test_model_error_exit_2(tmp_path, capsys):
     doc = tmp_path / "nonbig.json"
     doc.write_text(

@@ -10,7 +10,6 @@ from noksurf import (
     SurfaceModel,
     alpha_beta,
     build_polygon,
-    classify_vertices,
     is_model_ample,
     mv,
     pair,
@@ -148,9 +147,7 @@ def test_scan_chain_rho3():
         _verify_certificate(CHAIN3, D_CHAIN3, r.certificate, list(r.config))
         spec = FlagSpec(r.flag_class, dict(r.flag_spec.local_mult))
         profile = walk_ray(CHAIN3, D_CHAIN3, r.flag_class, CHAIN3.labels())
-        poly = classify_vertices(
-            build_polygon(*alpha_beta(CHAIN3, profile, spec)), profile
-        )
+        poly = build_polygon(*alpha_beta(CHAIN3, profile, spec))
         assert len(poly.vertices) == r.target
         vertex_bound_check(CHAIN3, poly, profile, spec)
     assert max(r.target for r in results) == 2 * CHAIN3.rank + 1 == mv(
@@ -173,9 +170,7 @@ def test_scaling_invariance_of_vertex_count():
         scaled = r.flag_class.scale(m)
         profile = walk_ray(BL1, D_BL1, scaled, BL1.labels())
         spec_m = FlagSpec(scaled, dict(spec.local_mult))
-        poly = classify_vertices(
-            build_polygon(*alpha_beta(BL1, profile, spec_m)), profile
-        )
+        poly = build_polygon(*alpha_beta(BL1, profile, spec_m))
         assert len(poly.vertices) == len(r.polygon.vertices)
         # the time axis contracts by 1/m
         assert profile.mu * m == r.profile.mu

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,12 @@ from noksurf import (
     DivisorClass,
     FlagSpec,
     InputError,
+    InternalError,
     PiecewiseLinear,
     SurfaceModel,
     TheoremViolation,
     alpha_beta,
     build_polygon,
-    classify_vertices,
     leftmost_side_check,
     leftmost_vertical_length,
     mc,
@@ -48,7 +49,7 @@ def _pipeline(model, divisor, flag_target, mults, candidates):
     prof = walk_ray(model, divisor, flag_target, candidates)
     spec = FlagSpec(flag_target, mults)
     alpha, beta = alpha_beta(model, prof, spec)
-    poly = classify_vertices(build_polygon(alpha, beta), prof)
+    poly = build_polygon(alpha, beta)
     return prof, spec, alpha, beta, poly
 
 
@@ -144,10 +145,13 @@ def test_beta_remark_identity():
 
 
 def test_side_slopes_examples():
-    prof, spec, *_ = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
-    assert side_slopes(BL1, prof, spec) == [(0, -3), (1, -3)]
-    prof, spec, *_ = _pipeline(P2, DivisorClass((3,)), "H", {}, [])
-    assert side_slopes(P2, prof, spec) == [(0, -1)]
+    prof, spec, alpha, beta, _ = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
+    assert side_slopes(BL1, prof, spec, alpha, beta) == [(0, -3), (1, -3)]
+    # the formulas are checked against the boundary functions they are given
+    with pytest.raises(InternalError):
+        side_slopes(BL1, prof, spec, alpha, alpha)
+    prof, spec, alpha, beta, _ = _pipeline(P2, DivisorClass((3,)), "H", {}, [])
+    assert side_slopes(P2, prof, spec, alpha, beta) == [(0, -1)]
 
 
 def test_side_lengths_and_leftmost():
@@ -264,7 +268,6 @@ def test_piecewise_linear_basics():
 
 def test_vertex_bound_check_raises_on_violation():
     prof, spec, alpha, beta, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
-    bad = classify_vertices(poly, prof)
-    object.__setattr__(bad, "tags", tuple(["interior-lower"] * len(bad.vertices)))
+    bad = replace(poly, tags=tuple(["interior-lower"] * len(poly.vertices)))
     with pytest.raises(TheoremViolation):
         vertex_bound_check(BL1, bad, prof, spec)

@@ -13,7 +13,6 @@ from helpers import Case, corpus
 from noksurf import (
     alpha_beta,
     build_polygon,
-    classify_vertices,
     pair,
     polygon_area2,
     predict_interior_vertices,
@@ -32,7 +31,7 @@ CASES = corpus(seed=90125, count=120)
 def _run(case: Case):
     profile = walk_ray(case.model, case.divisor, case.flag, case.candidates)
     alpha, beta = alpha_beta(case.model, profile, case.spec)
-    polygon = classify_vertices(build_polygon(alpha, beta), profile)
+    polygon = build_polygon(alpha, beta)
     return profile, alpha, beta, polygon
 
 
@@ -104,7 +103,7 @@ def test_rightmost_counts_agree(pipeline_results):
 
 def test_segment_slope_formulas(pipeline_results):
     for case, profile, alpha, beta, polygon in pipeline_results:
-        slopes = side_slopes(case.model, profile, case.spec)
+        slopes = side_slopes(case.model, profile, case.spec, alpha, beta)
         assert tuple(s[0] for s in slopes) == alpha.slopes()
         assert tuple(s[1] for s in slopes) == beta.slopes()
 

@@ -14,7 +14,7 @@ from noksurf import (
     pair,
     walk_ray,
 )
-from noksurf.raywalk import segment_positive_part
+from noksurf.raywalk import _segment_system
 
 BL1 = SurfaceModel(
     2,
@@ -110,15 +110,31 @@ def test_walk_monotone_support_and_positivity_on_corpus():
         # flag never in support
         for seg in prof.segments:
             assert prof.flag_label not in seg.support
+        # the carried positive part is the chamber's own solution
+        for seg in prof.segments:
+            p0 = prof.divisor
+            p1 = -prof.flag_class
+            for l in seg.support:
+                a0, a1 = seg.coeffs[l]
+                p0 = p0 - case.model.class_of(l).scale(a0)
+                p1 = p1 - case.model.class_of(l).scale(a1)
+            assert (seg.p0, seg.p1) == (p0, p1)
+            for l in seg.support:
+                assert pair(case.model, seg.p0, case.model.class_of(l)) == 0
+                assert pair(case.model, seg.p1, case.model.class_of(l)) == 0
+            fresh = _segment_system(
+                case.model, prof.divisor, prof.flag_class, list(seg.support)
+            )
+            assert (seg.coeffs, seg.p0, seg.p1) == fresh
         # P^2 positive strictly inside, zero at mu
         last = prof.segments[-1]
-        p0, p1 = segment_positive_part(case.model, prof, last)
+        p0, p1 = last.p0, last.p1
         a = pair(case.model, p1, p1)
         b = pair(case.model, p0, p1)
         c = pair(case.model, p0, p0)
         assert c + 2 * b * prof.mu + a * prof.mu * prof.mu == 0
         for seg in prof.segments:
-            p0, p1 = segment_positive_part(case.model, prof, seg)
+            p0, p1 = seg.p0, seg.p1
             mid = (seg.t_lo + (seg.t_lo + 1)) / 2  # inside only if < t_hi
             ts = [seg.t_lo, mid] if mid < seg.t_hi else [seg.t_lo]
             for t in ts:

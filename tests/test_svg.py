@@ -7,7 +7,6 @@ from noksurf import (
     SurfaceModel,
     alpha_beta,
     build_polygon,
-    classify_vertices,
     walk_ray,
 )
 from noksurf.svgrender import render_svg
@@ -25,7 +24,7 @@ BL1 = SurfaceModel(
 def _ex1_polygon():
     prof = walk_ray(BL1, DivisorClass((3, -1)), "C", ["E"])
     spec = FlagSpec("C", {"E": 1})
-    return classify_vertices(build_polygon(*alpha_beta(BL1, prof, spec)), prof)
+    return build_polygon(*alpha_beta(BL1, prof, spec))
 
 
 def test_render_svg_structure(tmp_path):
@@ -54,11 +53,3 @@ def test_render_svg_no_grid_and_width():
     root = ET.fromstring(markup)
     assert root.attrib["width"] == "200"
     assert root.findall(".//svg:line", NS) == []
-
-
-def test_render_unclassified_polygon():
-    prof = walk_ray(BL1, DivisorClass((3, -1)), "C", ["E"])
-    spec = FlagSpec("C", {"E": 1})
-    poly = build_polygon(*alpha_beta(BL1, prof, spec))
-    markup = render_svg(poly, None)
-    assert "vertex" in markup
