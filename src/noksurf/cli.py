@@ -24,7 +24,7 @@ from .flagbuilder import (
     realize_vertex_count,
     scan_vertex_counts,
 )
-from .lattice import inertia, pair
+from .lattice import inertia, pair, pair_curve
 from .polygon import (
     alpha_beta,
     build_polygon,
@@ -173,7 +173,7 @@ def cmd_zariski(doc, args):
         "positive_part": [fmt(x) for x in dec.positive_part.coords],
         "positive_square": fmt(pair(model, dec.positive_part, dec.positive_part)),
         "pairings": {
-            l: fmt(pair(model, dec.positive_part, model.class_of(l)))
+            l: fmt(pair_curve(model, dec.positive_part, l))
             for l in candidates
         },
     }

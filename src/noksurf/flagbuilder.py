@@ -22,6 +22,7 @@ from .lattice import (
     is_model_ample,
     is_negative_definite,
     pair,
+    pair_curve,
 )
 from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, mc, mv
 from .qext import QExt
@@ -78,18 +79,18 @@ def _sample_times(times: list[Fraction], top: Fraction) -> list[Fraction]:
     return out
 
 
-def _upper_bound_positive_range(model, base, curve_cls) -> Fraction:
-    """Rational upper bound for sup{c > 0 : base - c*curve is model-ample}."""
+def _upper_bound_positive_range(model, base, label) -> Fraction:
+    """Rational upper bound for sup{c > 0 : base - c*C_label is model-ample}."""
+    curve_cls = model.class_of(label)
     bounds = []
     for rec in model.curves:
-        cc = DivisorClass(rec.cls)
-        num = pair(model, base, cc)
-        den = pair(model, curve_cls, cc)
+        num = pair_curve(model, base, rec.label)
+        den = pair_curve(model, curve_cls, rec.label)
         if den > 0:
             bounds.append(num / den)
     bsq = pair(model, base, base)
-    cross = pair(model, base, curve_cls)
-    csq = pair(model, curve_cls, curve_cls)
+    cross = pair_curve(model, base, label)
+    csq = pair_curve(model, curve_cls, label)
     if csq < 0:
         # rational overestimate of the positive root of bsq - 2c*cross + c^2*csq
         disc = cross * cross - csq * bsq
@@ -134,7 +135,7 @@ def find_ordered_ample_class(
     coefficients: dict[str, Fraction] = {}
     for j, label in enumerate(config):
         cls = model.class_of(label)
-        guess = _upper_bound_positive_range(model, current, cls) / 2
+        guess = _upper_bound_positive_range(model, current, label) / 2
         accepted = None
         for _ in range(budget):
             trial = current - cls.scale(guess)
@@ -202,9 +203,7 @@ def _perturb_independent(model, divisor, base, config, budget):
             b = DivisorClass(vec)
             if linalg.in_span(span, list(b.coords)):
                 continue
-            if all(
-                pair(model, b, DivisorClass(rec.cls)) >= 0 for rec in model.curves
-            ):
+            if all(pair_curve(model, b, rec.label) >= 0 for rec in model.curves):
                 options.append(b)
     if not options:
         raise SearchFailure("no perturbation direction pairs nonnegatively with the model")
@@ -243,7 +242,7 @@ def _scale_for_flag(model, certificate, config) -> DivisorClass:
     m = lcm(*[Fraction(x).denominator for x in cls.coords]) if len(cls) else 1
     while True:
         scaled = cls.scale(m)
-        if all(pair(model, scaled, model.class_of(l)) >= 2 for l in config):
+        if all(pair_curve(model, scaled, l) >= 2 for l in config):
             return scaled
         m += lcm(*[Fraction(x).denominator for x in cls.coords])
 

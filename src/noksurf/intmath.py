@@ -7,6 +7,13 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+from .errors import InputError
+
+# Pollard-Brent steps allowed for one split: a second or two at desk
+# scale.  It finds prime factors up to about 10**11 reliably; a composite
+# with two larger prime factors is reported instead of searched for hours.
+_RHO_BUDGET = 1 << 21
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES: list[int] = []
@@ -39,15 +46,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """Some nontrivial factor of an odd composite n (Brent's cycle method)."""
+def _pollard_brent(n: int) -> int | None:
+    """Some nontrivial factor of an odd composite n (Brent's cycle method),
+    or None once _RHO_BUDGET steps of the iteration are spent."""
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 1000):
         y, m = 2, 128
         g = q = r = 1
         x = ys = y
         while g == 1:
+            steps += r
+            if steps > _RHO_BUDGET:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -59,6 +71,7 @@ def _pollard_brent(n: int) -> int:
                     q = q * abs(x - y) % n
                 k += m
                 g = gcd(q, n)
+            steps += r
             r *= 2
         if g == n:
             g = 1
@@ -67,13 +80,14 @@ def _pollard_brent(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"factor search failed for {n}")
+    return None
 
 
 def factor(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
         raise ValueError("factor() wants a positive integer")
+    radicand = n
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -92,6 +106,11 @@ def factor(n: int) -> dict[int, int]:
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_brent(m)
+        if d is None:
+            raise InputError(
+                f"cannot factor {radicand} to make it square-free within "
+                f"{_RHO_BUDGET} Pollard-Brent steps"
+            )
         stack.append(d)
         stack.append(m // d)
     return out

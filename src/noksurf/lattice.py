@@ -119,11 +119,26 @@ class SurfaceModel:
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "curves", tuple(recs))
         object.__setattr__(self, "ample_witness", witness)
+        # Integer tables, built once; not fields, so eq/hash/repr ignore them.
+        # _rows[i]: nonzero (j, G_ij); _duals[l]: nonzero (i, (G.c_l)_i);
+        # _classes[l]: the curve's DivisorClass; _index[l]: declaration order.
+        rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in g)
+        duals = {}
+        for c in recs:
+            nz = [(j, x) for j, x in enumerate(c.cls) if x]
+            dual = (sum(g[i][j] * x for j, x in nz) for i in range(rank))
+            duals[c.label] = tuple((i, y) for i, y in enumerate(dual) if y)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_duals", duals)
+        object.__setattr__(
+            self, "_classes", {c.label: DivisorClass(c.cls) for c in recs}
+        )
+        object.__setattr__(self, "_index", {c.label: i for i, c in enumerate(recs)})
         w = DivisorClass(witness)
         if pair(self, w, w) <= 0:
             raise InputError("ample witness has nonpositive self-intersection")
         for c in recs:
-            if pair(self, w, DivisorClass(c.cls)) <= 0:
+            if pair_curve(self, w, c.label) <= 0:
                 raise InputError(
                     f"ample witness does not pair positively with curve {c.label!r}"
                 )
@@ -134,41 +149,67 @@ class SurfaceModel:
         return tuple(c.label for c in self.curves)
 
     def curve(self, label: str) -> CurveRecord:
-        for c in self.curves:
-            if c.label == label:
-                return c
-        raise InputError(f"unknown curve label {label!r}")
+        return self.curves[self.declaration_index(label)]
 
     def class_of(self, label: str) -> DivisorClass:
-        return DivisorClass(self.curve(label).cls)
+        return _lookup(self._classes, label)
 
     def declaration_index(self, label: str) -> int:
-        for i, c in enumerate(self.curves):
-            if c.label == label:
-                return i
-        raise InputError(f"unknown curve label {label!r}")
+        return _lookup(self._index, label)
+
+
+def _lookup(table: dict, label):
+    try:
+        return table[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        raise InputError(f"unknown curve label {label!r}") from None
+
+
+def _exact(total):
+    if isinstance(total, QExt):
+        return as_exact(total)
+    return total if isinstance(total, Fraction) else Fraction(total)
 
 
 def pair(model: SurfaceModel, u, v):
     """Intersection product u.v through the model's bilinear form."""
-    u = as_divisor(u, model.rank)
-    v = as_divisor(v, model.rank)
-    total = Fraction(0)
-    for i, ui in enumerate(u.coords):
-        if ui == 0:
+    u = as_divisor(u, model.rank).coords
+    v = as_divisor(v, model.rank).coords
+    rows = model._rows
+    total = 0
+    for i, ui in enumerate(u):
+        if not ui:
             continue
-        row = model.gram[i]
-        acc = Fraction(0)
-        for j, vj in enumerate(v.coords):
-            if vj != 0 and row[j] != 0:
-                acc = acc + row[j] * vj
-        total = total + ui * acc
-    return as_exact(total) if isinstance(total, QExt) else total
+        acc = 0
+        for j, g in rows[i]:
+            vj = v[j]
+            if vj:
+                acc = acc + g * vj
+        if acc:
+            total = total + ui * acc
+    return _exact(total)
 
 
-def gram_matrix(model: SurfaceModel, labels) -> list[list[Fraction]]:
-    classes = [model.class_of(l) for l in labels]
-    return [[pair(model, a, b) for b in classes] for a in classes]
+def pair_curve(model: SurfaceModel, v, label: str):
+    """Intersection product v.C_l with a declared curve, from the dual row G.c_l."""
+    v = as_divisor(v, model.rank).coords
+    total = 0
+    for j, g in _lookup(model._duals, label):
+        vj = v[j]
+        if vj:
+            total = total + g * vj
+    return _exact(total)
+
+
+def _curve_product(model: SurfaceModel, a: str, b: str) -> int:
+    """C_a.C_b as an exact integer."""
+    cls = model.curve(a).cls
+    return sum(cls[i] * y for i, y in _lookup(model._duals, b))
+
+
+def gram_matrix(model: SurfaceModel, labels) -> list[list[int]]:
+    labels = list(labels)
+    return [[_curve_product(model, a, b) for b in labels] for a in labels]
 
 
 def is_negative_definite(model: SurfaceModel, labels) -> bool:
@@ -200,7 +241,7 @@ def dual_graph_components(model: SurfaceModel, labels) -> list[list[str]]:
 
     for i, a in enumerate(order):
         for b in order[i + 1 :]:
-            if pair(model, model.class_of(a), model.class_of(b)) > 0:
+            if _curve_product(model, a, b) > 0:
                 ra, rb = find(idx[a]), find(idx[b])
                 if ra != rb:
                     parent[rb] = ra
@@ -216,6 +257,4 @@ def is_model_ample(model: SurfaceModel, cls) -> bool:
     c = as_divisor(cls, model.rank)
     if pair(model, c, c) <= 0:
         return False
-    return all(
-        pair(model, c, DivisorClass(rec.cls)) > 0 for rec in model.curves
-    )
+    return all(pair_curve(model, c, rec.label) > 0 for rec in model.curves)

@@ -21,6 +21,7 @@ from .lattice import (
     is_model_ample,
     is_negative_definite,
     pair,
+    pair_curve,
 )
 from .qext import QExt, as_exact
 from .raywalk import RayProfile, resolve_flag
@@ -43,10 +44,10 @@ class FlagSpec:
         for l, m in self.local_mult.items():
             if l == label:
                 raise InputError("local multiplicities must not include the flag curve")
-            rec_cls = model.class_of(l)
+            model.curve(l)  # an unknown label is reported before a bad multiplicity
             if not isinstance(m, int) or isinstance(m, bool) or m < 0:
                 raise InputError(f"local multiplicity of {l!r} must be a nonnegative integer")
-            total = pair(model, rec_cls, cls)
+            total = pair_curve(model, cls, l)
             if m > total:
                 raise InputError(
                     f"local multiplicity of {l!r} exceeds its total intersection {total}"
@@ -320,7 +321,7 @@ def predict_interior_vertices(
                 continue
             if any(flag.mult(l) > 0 for l in comp):
                 lower = True
-            if any(pair(model, model.class_of(l), cls) - flag.mult(l) > 0 for l in comp):
+            if any(pair_curve(model, cls, l) - flag.mult(l) > 0 for l in comp):
                 upper = True
         out.append(InteriorPrediction(t_star, entering, lower, upper))
     return out
@@ -381,7 +382,7 @@ def side_slopes(
             a1 = seg.coeffs[l][1]
             m = flag.mult(l)
             lower += a1 * m
-            upper += a1 * (m - pair(model, model.class_of(l), cls))
+            upper += a1 * (m - pair_curve(model, cls, l))
         out.append((lower, upper))
     if tuple(s[0] for s in out) != alpha.slopes() or tuple(
         s[1] for s in out
@@ -495,9 +496,7 @@ def vertex_bound_check(
     for comp in comps:
         if any(flag.mult(l) > 0 for l in comp):
             p_curves.update(comp)
-        if any(
-            pair(model, model.class_of(l), flag_cls) - flag.mult(l) > 0 for l in comp
-        ):
+        if any(pair_curve(model, flag_cls, l) - flag.mult(l) > 0 for l in comp):
             away_curves.update(comp)
     lower_bound = len(p_curves)
     upper_bound = len(away_curves)

@@ -22,6 +22,7 @@ from .lattice import (
     as_divisor,
     gram_matrix,
     pair,
+    pair_curve,
 )
 from .qext import QExt, as_exact, sqrt_fraction
 from .zariski import zariski_decompose
@@ -72,7 +73,7 @@ def resolve_flag(model: SurfaceModel, flag) -> tuple[str | None, DivisorClass]:
         return flag, model.class_of(flag)
     cls = as_divisor(flag, model.rank)
     for rec in model.curves:
-        if DivisorClass(rec.cls) == cls:
+        if model.class_of(rec.label) == cls:
             return rec.label, cls
     if cls.is_zero():
         raise InputError("flag class must be nonzero")
@@ -114,8 +115,8 @@ def _segment_system(model, divisor, flag_class, support):
             raise ModelError(
                 f"support {list(support)} is not negative definite (inertia {sig})"
             )
-        rhs0 = [pair(model, divisor, model.class_of(l)) for l in support]
-        rhs1 = [-pair(model, flag_class, model.class_of(l)) for l in support]
+        rhs0 = [pair_curve(model, divisor, l) for l in support]
+        rhs1 = [-pair_curve(model, flag_class, l) for l in support]
         try:
             a0, a1 = linalg.solve_many(gram, [rhs0, rhs1])
         except linalg.SingularSystem:  # unreachable after the inertia check
@@ -132,35 +133,39 @@ def _segment_system(model, divisor, flag_class, support):
     return coeffs, p0, p1
 
 
-def _enlarge_support(model, divisor, flag_class, support, t_star, entry_order, solution):
-    """Fixed point of the derivative test at a wall.
-
-    `solution` is the `_segment_system` result on `support`.  Candidates
-    sitting on the wall (pairing exactly 0 at t_star) join the support as
-    long as their pairing against the refreshed positive part still
-    decreases; entrants whose solved coefficient is identically zero are
-    wall-touchers and are dropped again.  Returns (kept, solution on kept):
-    a dropped coefficient is zero, so restricting the last solve is exact.
-    """
+def _outside_pairings(model, entry_order, support, solution):
+    """(l, P_0.C_l, slope) for every candidate outside `support`, where
+    P_t = p0 + t*p1 is the positive part of `solution`."""
     _, p0, p1 = solution
-    wall = [
-        l
+    return [
+        (l, pair_curve(model, p0, l), pair_curve(model, p1, l))
         for l in entry_order
         if l not in support
-        and pair(model, p0, model.class_of(l)) + t_star * pair(model, p1, model.class_of(l)) == 0
     ]
+
+
+def _enlarge_support(model, divisor, flag_class, support, t_star, outside, solution):
+    """Fixed point of the derivative test at a wall.
+
+    `solution` is the `_segment_system` result on `support` and `outside`
+    its `_outside_pairings`.  Candidates sitting on the wall (pairing
+    exactly 0 at t_star) join the support as long as their pairing against
+    the refreshed positive part still decreases; entrants whose solved
+    coefficient is identically zero are wall-touchers and are dropped again.
+    Returns (kept, solution on kept): a dropped coefficient is zero, so
+    restricting the last solve is exact.
+    """
+    # wall candidates with their slope against the current positive part
+    wall = [(l, q1) for l, q0, q1 in outside if q0 + t_star * q1 == 0]
     current = list(support)
     while True:
-        adds = [
-            l
-            for l in wall
-            if l not in current and pair(model, p1, model.class_of(l)) < 0
-        ]
+        adds = [l for l, q1 in wall if q1 < 0]
         if not adds:
             break
         current = current + adds
         solution = _segment_system(model, divisor, flag_class, current)
-        _, _, p1 = solution
+        p1 = solution[2]
+        wall = [(l, pair_curve(model, p1, l)) for l, _ in wall if l not in current]
     coeffs, p0, p1 = solution
     kept = list(support)
     for l in current[len(support) :]:
@@ -218,8 +223,10 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     dec0 = zariski_decompose(model, divisor, cands_full)
     t_nu = dec0.coefficient(flag_label) if flag_label is not None else Fraction(0)
 
-    start = divisor - flag_class.scale(t_nu)
-    dec_nu = zariski_decompose(model, start, cands_full)
+    if t_nu == 0:
+        dec_nu = dec0  # D - 0*C is D itself
+    else:
+        dec_nu = zariski_decompose(model, divisor - flag_class.scale(t_nu), cands_full)
     if flag_label is not None and flag_label in dec_nu.support:
         raise ModelError("flag curve still in the negative part at t = nu")
     p_nu = dec_nu.positive_part
@@ -230,9 +237,13 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     appearance: dict[str, Fraction] = {l: t_nu for l in support}
     # a wall may sit exactly at nu; enlarge before the first segment
     solution = _segment_system(model, divisor, flag_class, support)
-    support, solution = _enlarge_support(
-        model, divisor, flag_class, support, t_nu, entry_order, solution
+    outside = _outside_pairings(model, entry_order, support, solution)
+    enlarged, solution = _enlarge_support(
+        model, divisor, flag_class, support, t_nu, outside, solution
     )
+    if len(enlarged) > len(support):
+        outside = _outside_pairings(model, entry_order, enlarged, solution)
+    support = enlarged
     for l in support:
         appearance.setdefault(l, t_nu)
 
@@ -242,13 +253,6 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     radicand = 0
     for _ in range(len(entry_order) + 2):
         coeffs, p0, p1 = solution
-        # (P_t.C_l at t = 0, slope) for every candidate outside the support
-        outside = [
-            (l, pair(model, p0, model.class_of(l)), pair(model, p1, model.class_of(l)))
-            for l in entry_order
-            if l not in support
-        ]
-
         # candidate walls ahead of t_cur
         events: list[tuple[Fraction, str]] = []
         for l, q0, q1 in outside:
@@ -308,7 +312,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             break
 
         new_support, solution = _enlarge_support(
-            model, divisor, flag_class, support, t_hi, entry_order, solution
+            model, divisor, flag_class, support, t_hi, outside, solution
         )
         if len(new_support) == len(support):
             raise InternalError("wall event produced no support growth")
@@ -322,6 +326,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         for l in new_support[len(support) :]:
             appearance[l] = t_hi
         support = new_support
+        outside = _outside_pairings(model, entry_order, support, solution)
         t_cur = t_hi
     else:
         raise InternalError("walk did not terminate")

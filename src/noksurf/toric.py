@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DegenerateInput, InputError, InternalError, OracleMismatch
-from .lattice import CurveRecord, DivisorClass, SurfaceModel, pair
+from .lattice import CurveRecord, DivisorClass, SurfaceModel, gram_matrix, pair
 from .polygon import (
     FlagSpec,
     alpha_beta,
@@ -187,9 +187,10 @@ def fan_to_model(fan: ToricFan) -> tuple[SurfaceModel, list[DivisorClass]]:
 
     # the chosen basis must reproduce every boundary intersection number
     out_classes = [DivisorClass(c) for c in int_classes]
+    products = gram_matrix(model, model.labels())
     for i in range(n):
         for j in range(n):
-            got = pair(model, out_classes[i], out_classes[j])
+            got = products[i][j]
             if got != rule(i, j):
                 raise InternalError(
                     f"basis classes give D{i+1}.D{j+1} = {got}, rules give {rule(i, j)}"

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InputError, ModelError
-from .lattice import DivisorClass, SurfaceModel, as_divisor, gram_matrix, pair
+from .lattice import DivisorClass, SurfaceModel, as_divisor, gram_matrix, pair_curve
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ZariskiResult:
 def _solve_support(model, divisor, labels):
     """Coefficients a_i with (D - sum a_i C_i).C_j = 0 for every j in labels."""
     gram = gram_matrix(model, labels)
-    rhs = [pair(model, divisor, model.class_of(l)) for l in labels]
+    rhs = [pair_curve(model, divisor, l) for l in labels]
     try:
         return linalg.solve(gram, rhs)
     except linalg.SingularSystem:
@@ -62,9 +62,8 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
         if not model.curve(l).declared_irreducible:
             raise InputError(f"candidate {l!r} is not declared irreducible")
     cands.sort(key=model.declaration_index)
-    classes = {l: model.class_of(l) for l in cands}
 
-    support = [l for l in cands if pair(model, divisor, classes[l]) < 0]
+    support = [l for l in cands if pair_curve(model, divisor, l) < 0]
     coeffs: list[Fraction] = []
     while True:
         if support:
@@ -83,11 +82,11 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
                     )
         remainder = divisor
         for l, a in zip(support, coeffs):
-            remainder = remainder - classes[l].scale(a)
+            remainder = remainder - model.class_of(l).scale(a)
         violators = [
             l
             for l in cands
-            if l not in support and pair(model, remainder, classes[l]) < 0
+            if l not in support and pair_curve(model, remainder, l) < 0
         ]
         if not violators:
             positive = remainder
@@ -102,7 +101,7 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
     )
     # orthogonality certificate
     for l in result.support:
-        if pair(model, positive, classes[l]) != 0:
+        if pair_curve(model, positive, l) != 0:
             raise ModelError(f"positive part not orthogonal to {l!r}")
     return result
 

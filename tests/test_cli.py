@@ -120,6 +120,32 @@ def test_model_error_exit_2(tmp_path, capsys):
     assert main(["polygon", str(doc)]) == 2
 
 
+def test_unfactorable_radicand_exit_2(tmp_path, capsys):
+    # P_t^2 = a^2 - (1+t)^2 - c^2 vanishes at 1+t = sqrt(p*q), p and q 30-digit primes
+    p, q = 300000000000000000000000000007, 700000000000000000000000000033
+    doc = tmp_path / "bigradicand.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "surface": {
+                    "rank": 3,
+                    "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                    "curves": [
+                        {"label": "E1", "class": [0, 1, 0]},
+                        {"label": "E2", "class": [0, 0, 1]},
+                    ],
+                    "ample_witness": [3, -1, -1],
+                },
+                "divisor": [(p + q) // 2, -1, -(q - p) // 2],
+                "flag": {"curve": "E1"},
+            }
+        )
+    )
+    assert main(["ray-profile", str(doc)]) == 2
+    assert f"cannot factor {p * q}" in capsys.readouterr().err
+
+
 def test_oracle_mismatch_exit_3(tmp_path, capsys, monkeypatch):
     import noksurf.cli as cli_mod
     from noksurf.errors import OracleMismatch

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from noksurf import InputError
 from noksurf.intmath import factor, is_prime, squarefree_part
 
 
@@ -33,6 +35,17 @@ def test_factor_roundtrip():
 def test_factor_large_semiprime():
     p, q = 1000003, 1000033
     assert factor(p * q) == {p: 1, q: 1}
+    p, q = 2**31 - 1, 2**31 + 11
+    assert factor(p * q) == {p: 1, q: 1}
+
+
+def test_factor_budget_exhausted_names_the_radicand():
+    p, q = 30000000000000000041, 70000000000000000013  # two 20-digit primes
+    assert is_prime(p) and is_prime(q)
+    t0 = time.perf_counter()
+    with pytest.raises(InputError, match=str(p * q)):
+        squarefree_part(p * q)
+    assert time.perf_counter() - t0 < 30
 
 
 @pytest.mark.parametrize(

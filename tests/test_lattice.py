@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from helpers import random_unimodular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,12 +9,16 @@ from noksurf import (
     CurveRecord,
     DivisorClass,
     InputError,
+    QExt,
     SurfaceModel,
     dual_graph_components,
     is_model_ample,
     is_negative_definite,
     pair,
+    pair_curve,
 )
+from noksurf.lattice import gram_matrix
+from noksurf.linalg import solve
 
 BL1 = SurfaceModel(
     2,
@@ -108,3 +115,70 @@ def test_is_model_ample():
     assert is_model_ample(BL1, DivisorClass((2, -1)))
     assert not is_model_ample(BL1, DivisorClass((1, 0)))  # pairs 0 with E
     assert not is_model_ample(BL1, DivisorClass((1, -1)))  # square 0
+
+
+def _double_sum(gram, u, v):
+    total = 0
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            total = total + ui * gram[i][j] * vj
+    return total
+
+
+def _random_model(rng, n):
+    """diag(1, -1, ..., -1) in the basis of a random unimodular U: G = U^T D U.
+
+    The witness solves U w = e_0, so w.w = 1; curves are random integer
+    classes, negated where needed to pair positively with w.
+    """
+    u = random_unimodular(rng, n)
+    diag = [1] + [-1] * (n - 1)
+    gram = [
+        [sum(u[k][i] * diag[k] * u[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    witness = [int(x) for x in solve(u, [1] + [0] * (n - 1))]
+    curves = []
+    while len(curves) < n + 2:
+        c = [rng.randint(-2, 2) for _ in range(n)]
+        side = _double_sum(gram, witness, c)
+        if side:
+            cls = tuple(x if side > 0 else -x for x in c)
+            curves.append(CurveRecord(f"C{len(curves)}", cls))
+    return SurfaceModel(n, gram, curves, witness), gram
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_tables_match_double_sum(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(2, 6))
+    model, gram = _random_model(rng, n)
+    rat = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    if data.draw(st.booleans()):
+        d = data.draw(st.sampled_from([2, 3, 5]))
+        coord = st.builds(lambda p, q: QExt(p, q, d), rat, rat)
+    else:
+        coord = rat
+    v = DivisorClass([data.draw(coord) for _ in range(n)])
+    for rec in model.curves:
+        want = _double_sum(gram, v.coords, rec.cls)
+        assert pair_curve(model, v, rec.label) == want
+        assert pair(model, v, rec.cls) == want
+    labels = list(model.labels())
+    products = [[_double_sum(gram, a.cls, b.cls) for b in model.curves] for a in model.curves]
+    assert gram_matrix(model, labels) == products
+    # components of the graph with an edge where the double sum is positive
+    comps, seen = [], set()
+    for i in range(len(labels)):
+        if i in seen:
+            continue
+        comp, stack = set(), [i]
+        while stack:
+            k = stack.pop()
+            if k not in comp:
+                comp.add(k)
+                stack.extend(j for j in range(len(labels)) if j != k and products[k][j] > 0)
+        seen |= comp
+        comps.append([labels[k] for k in sorted(comp)])
+    assert dual_graph_components(model, labels) == comps
