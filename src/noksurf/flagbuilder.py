@@ -195,14 +195,19 @@ def _perturb_independent(model, divisor, base, config, budget):
     or it would drag extraneous walls into the ray.
     """
     span = [list(divisor.coords)] + [list(model.class_of(l).coords) for l in config]
+    span_rank = linalg.rank(span)
+
+    def in_span(v) -> bool:
+        return linalg.rank(span + [list(v)]) == span_rank
+
     options = []
     for i in range(model.rank):
+        unit = [0] * model.rank
+        unit[i] = 1
+        if in_span(unit):  # then -unit is in the span too
+            continue
         for sgn in (1, -1):
-            vec = [0] * model.rank
-            vec[i] = sgn
-            b = DivisorClass(vec)
-            if linalg.in_span(span, list(b.coords)):
-                continue
+            b = DivisorClass([sgn * x for x in unit])
             if all(pair_curve(model, b, rec.label) >= 0 for rec in model.curves):
                 options.append(b)
     if not options:
@@ -211,9 +216,7 @@ def _perturb_independent(model, divisor, base, config, budget):
         eps = Fraction(1)
         for _ in range(budget):
             trial = base + b.scale(eps)
-            if is_model_ample(model, trial) and not linalg.in_span(
-                span, list(trial.coords)
-            ):
+            if is_model_ample(model, trial) and not in_span(trial.coords):
                 profile = _walk_matches(model, divisor, trial, config)
                 if profile is not None:
                     return trial, profile

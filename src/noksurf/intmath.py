@@ -1,7 +1,9 @@
 """Exact integer helpers: primality, factoring, square-free decomposition.
 
 Inputs stay at desk scale, but everything here remains exact for arbitrary
-precision integers; no floating point is ever involved.
+precision integers; no floating point is ever involved.  Factoring is
+bounded: a radicand with two prime factors beyond about 10**11 is reported
+as an InputError rather than searched for.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from .errors import InputError
 # with two larger prime factors is reported instead of searched for hours.
 _RHO_BUDGET = 1 << 21
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES: list[int] = []
 for _n in range(2, 1000):
@@ -23,27 +25,92 @@ for _n in range(2, 1000):
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set; deterministic below 3.3e24."""
+    """Baillie-PSW: trial division, a strong base-2 Miller-Rabin test and a
+    strong Lucas test with Selfridge's parameters (Baillie-Wagstaff, Math.
+    Comp. 35 (1980)).  Exact below 2**64; no composite passing it is known.
+    """
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Strong Fermat (Miller-Rabin) test of an odd n > 2 to base a."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of an odd n > 2 that has no factor below 41.
+
+    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.
+    """
+    r = isqrt(n)
+    if r * r == n:  # no such D exists for a square
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # |D| < n here, so gcd(D, n) is a proper factor
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n along the bits of d, from k = 1 (P = 1)
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n if u % 2 else u) // 2
+            v = (v + n if v % 2 else v) // 2
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int) -> int | None:

@@ -121,15 +121,19 @@ class SurfaceModel:
         object.__setattr__(self, "ample_witness", witness)
         # Integer tables, built once; not fields, so eq/hash/repr ignore them.
         # _rows[i]: nonzero (j, G_ij); _duals[l]: nonzero (i, (G.c_l)_i);
-        # _classes[l]: the curve's DivisorClass; _index[l]: declaration order.
+        # _sparse[l]: nonzero (j, c_l_j); _classes[l]: the curve's
+        # DivisorClass; _index[l]: declaration order.
         rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in g)
         duals = {}
+        sparse = {}
         for c in recs:
-            nz = [(j, x) for j, x in enumerate(c.cls) if x]
+            nz = tuple((j, x) for j, x in enumerate(c.cls) if x)
             dual = (sum(g[i][j] * x for j, x in nz) for i in range(rank))
             duals[c.label] = tuple((i, y) for i, y in enumerate(dual) if y)
+            sparse[c.label] = nz
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_duals", duals)
+        object.__setattr__(self, "_sparse", sparse)
         object.__setattr__(
             self, "_classes", {c.label: DivisorClass(c.cls) for c in recs}
         )
@@ -199,6 +203,17 @@ def pair_curve(model: SurfaceModel, v, label: str):
         if vj:
             total = total + g * vj
     return _exact(total)
+
+
+def subtract_curves(model: SurfaceModel, v, terms) -> DivisorClass:
+    """v - sum a_l*C_l over the (label, a_l) pairs in `terms`, in one pass
+    over the curves' integer classes."""
+    acc = list(as_divisor(v, model.rank).coords)
+    for label, a in terms:
+        if a:
+            for j, x in _lookup(model._sparse, label):
+                acc[j] -= a * x
+    return DivisorClass(acc)
 
 
 def _curve_product(model: SurfaceModel, a: str, b: str) -> int:

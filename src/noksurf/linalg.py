@@ -1,11 +1,18 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over the rationals, fraction-free.
 
-Systems here never exceed the Picard rank of a surface model, so plain
-Gaussian elimination with exact pivoting is the right tool.
+Systems here never exceed the Picard rank of a surface model.  Every routine
+scales its rows to integers (a positive row scale keeps the rank, the
+solutions and the signs of the leading minors) and runs the same
+fraction-free elimination of Bareiss (Math. Comp. 22 (1968)): after k steps
+each entry is a (k+1)-minor of the input, the update
+(p*x - f*y) // prev is exact by Sylvester's identity, and the last pivot of
+a square system is its determinant.  No Fraction is built until a solution
+is returned, and no floating point is involved.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
@@ -14,8 +21,72 @@ class SingularSystem(Exception):
     """Internal signal; callers translate into a domain error."""
 
 
-def _copy(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+class NotNegativeDefinite(Exception):
+    """Internal signal from solve_negative_definite; callers compute the
+    inertia to say why."""
+
+
+def _denominator(values) -> int:
+    """The lcm of the denominators of the rationals in `values`."""
+    den = 1
+    for x in values:
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
+    return den
+
+
+def _scaled(values, den: int) -> list[int]:
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _integer_row(values) -> list[int]:
+    return _scaled(values, _denominator(values))
+
+
+def _eliminate(m: list[list[int]], k: int, col: int, prev: int) -> int:
+    """Clear column `col` below row k with the pivot m[k][col]; returns it.
+
+    `prev` is the previous pivot (1 at the first step).  Only the columns
+    right of `col` are updated: no caller reads the others below row k again.
+    """
+    top = m[k][col + 1 :]
+    p = m[k][col]
+    for r in range(k + 1, len(m)):
+        row = m[r]
+        f = row[col]
+        if f:
+            row[col + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[col + 1 :], top)]
+        elif p != prev:
+            row[col + 1 :] = [p * x // prev for x in row[col + 1 :]]
+    return p
+
+
+def _augmented(a, columns) -> list[list[int]]:
+    n = len(a)
+    for row in a:
+        if len(row) != n:
+            raise InputError("coefficient matrix is not square")
+    return [_integer_row([*row, *(c[i] for c in columns)]) for i, row in enumerate(a)]
+
+
+def _back_substitute(m: list[list[int]], det: int, ncols: int) -> list[list[Fraction]]:
+    """Solutions of the triangular system in `m`, one per augmented column.
+
+    Row i reads m_ii x_i + sum_{l>i} m_il x_l = b_i; the unknowns det*x_i are
+    integers by Cramer's rule, so each division is exact.
+    """
+    n = len(m)
+    out = []
+    for c in range(n, n + ncols):
+        dx = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = det * row[c]
+            for l in range(i + 1, n):
+                acc -= row[l] * dx[l]
+            dx[i] = acc // row[i]
+        out.append([Fraction(x, det) for x in dx])
+    return out
 
 
 def solve_many(a, columns) -> list[list[Fraction]]:
@@ -23,116 +94,113 @@ def solve_many(a, columns) -> list[list[Fraction]]:
 
     Raises SingularSystem when the matrix is singular.
     """
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise InputError("coefficient matrix is not square")
-    aug = _copy(a)
-    cols = [_copy([c])[0] for c in columns]
-    for i, row in enumerate(aug):
-        row.extend(c[i] for c in cols)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    columns = [list(c) for c in columns]
+    m = _augmented(a, columns)
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
             raise SingularSystem
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for i in range(n)] for j in range(len(cols))]
+        m[k], m[piv] = m[piv], m[k]
+        prev = _eliminate(m, k, k, prev)
+    return _back_substitute(m, prev, len(columns))
 
 
 def solve(a, b) -> list[Fraction]:
     return solve_many(a, [b])[0]
 
 
-def require_symmetric(q) -> list[list[Fraction]]:
-    m = _copy(q)
-    n = len(m)
-    for row in m:
+def solve_negative_definite(gram, columns) -> list[list[Fraction]]:
+    """Certify that the symmetric `gram` is negative definite and solve
+    gram*x = b for each right-hand side in `columns`, in one pass.
+
+    Eliminates without pivoting and checks Sylvester's criterion on the way:
+    (-1)^k d_k > 0 for every leading minor d_k, each of which is a pivot.
+    Raises NotNegativeDefinite as soon as a minor fails.
+    """
+    columns = [list(c) for c in columns]
+    m = _augmented(require_symmetric(gram), columns)
+    prev = 1
+    for k in range(len(m)):
+        p = m[k][k]
+        if (p if k % 2 else -p) <= 0:
+            raise NotNegativeDefinite
+        prev = _eliminate(m, k, k, prev)
+    return _back_substitute(m, prev, len(columns))
+
+
+def require_symmetric(q):
+    n = len(q)
+    for row in q:
         if len(row) != n:
             raise InputError("matrix is not square")
     for i in range(n):
         for j in range(i):
-            if m[i][j] != m[j][i]:
+            if q[i][j] != q[j][i]:
                 raise InputError(f"matrix is not symmetric at ({i},{j})")
-    return m
+    return q
 
 
 def inertia(q) -> tuple[int, int, int]:
     """Sylvester inertia (n_plus, n_minus, n_zero) by symmetric elimination.
 
-    Exact congruence reduction: diagonal pivots where available, otherwise a
-    row+column addition manufactures one (char 0, so 2*m[i][j] != 0).
+    A rational matrix is scaled by one positive lcm.  Diagonal pivots are
+    used where available; otherwise a row+column addition manufactures one
+    (char 0, so 2*m[i][j] != 0).  The trailing block is always prev times
+    the Schur complement, prev being the last pivot eliminated with, so
+    each pivot of the congruence has the sign of m[k][k] * prev.
     """
-    m = require_symmetric(q)
-    n = len(m)
+    n = len(require_symmetric(q))
+    den = _denominator(x for row in q for x in row)
+    m = [_scaled(row, den) for row in q]
     pos = neg = zer = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if m[i][i] != 0), None)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i]), None)
         if piv is None:
             spot = next(
-                (
-                    (i, j)
-                    for i in range(k, n)
-                    for j in range(i + 1, n)
-                    if m[i][j] != 0
-                ),
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]),
                 None,
             )
             if spot is None:
                 zer += n - k
                 break
             i, j = spot
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
-            piv = i
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
             for row in m:
-                row[k], row[piv] = row[piv], row[k]
-        p = m[k][k]
-        if p > 0:
+                row[i] += row[j]
+            piv = i
+        m[k], m[piv] = m[piv], m[k]
+        for row in m:
+            row[k], row[piv] = row[piv], row[k]
+        if (m[k][k] > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for r in range(k + 1, n):
-            if m[r][k] != 0:
-                f = m[r][k] / p
-                for c in range(n):
-                    m[r][c] -= f * m[k][c]
-                for c in range(n):
-                    m[c][r] -= f * m[c][k]
-        k += 1
+        # a pivot with nothing to its right splits off as a 1x1 block: the
+        # trailing block keeps its scale prev and needs no update
+        if any(m[k][k + 1 :]):
+            prev = _eliminate(m, k, k, prev)
     return pos, neg, zer
 
 
 def rank(rows) -> int:
-    m = _copy(rows)
+    """Rank of a rational matrix: fraction-free echelon form, skipping
+    columns without a pivot."""
+    m = [_integer_row(row) for row in rows]
     if not m:
         return 0
-    nr, nc = len(m), len(m[0])
     r = 0
-    for col in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][col] != 0), None)
+    prev = 1
+    for col in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prev = _eliminate(m, r, col, prev)
         r += 1
-        if r == nr:
+        if r == len(m):
             break
     return r
 

@@ -52,6 +52,18 @@ class QExt:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _of(cls, p: Fraction, q: Fraction, d: int) -> "QExt":
+        """An arithmetic result: p, q rational and d from _join, so already
+        square-free and never 1; skips the factoring in __init__."""
+        out = object.__new__(cls)
+        if q == 0 or d == 0:
+            q, d = Fraction(0), 0
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "d", d)
+        return out
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("QExt is immutable")
 
@@ -96,18 +108,18 @@ class QExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QExt(self.p + o.p, self.q + o.q, self._join(o))
+        return QExt._of(self.p + o.p, self.q + o.q, self._join(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QExt(-self.p, -self.q, self.d)
+        return QExt._of(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QExt(self.p - o.p, self.q - o.q, self._join(o))
+        return QExt._of(self.p - o.p, self.q - o.q, self._join(o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -120,7 +132,7 @@ class QExt:
         if o is NotImplemented:
             return NotImplemented
         d = self._join(o)
-        return QExt(
+        return QExt._of(
             self.p * o.p + self.q * o.q * d,
             self.p * o.q + self.q * o.p,
             d,
@@ -133,7 +145,7 @@ class QExt:
         norm = self.p * self.p - self.q * self.q * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QExt(self.p / norm, -self.q / norm, self.d)
+        return QExt._of(self.p / norm, -self.q / norm, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)

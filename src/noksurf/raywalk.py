@@ -23,6 +23,7 @@ from .lattice import (
     gram_matrix,
     pair,
     pair_curve,
+    subtract_curves,
 )
 from .qext import QExt, as_exact, sqrt_fraction
 from .zariski import zariski_decompose
@@ -110,26 +111,20 @@ def _segment_system(model, divisor, flag_class, support):
     """
     if support:
         gram = gram_matrix(model, support)
-        sig = linalg.inertia(gram)
-        if sig != (0, len(support), 0):
-            raise ModelError(
-                f"support {list(support)} is not negative definite (inertia {sig})"
-            )
         rhs0 = [pair_curve(model, divisor, l) for l in support]
         rhs1 = [-pair_curve(model, flag_class, l) for l in support]
         try:
-            a0, a1 = linalg.solve_many(gram, [rhs0, rhs1])
-        except linalg.SingularSystem:  # unreachable after the inertia check
-            raise ModelError(f"singular Gram system on {list(support)}") from None
+            a0, a1 = linalg.solve_negative_definite(gram, [rhs0, rhs1])
+        except linalg.NotNegativeDefinite:
+            raise ModelError(
+                f"support {list(support)} is not negative definite "
+                f"(inertia {linalg.inertia(gram)})"
+            ) from None
     else:
         a0, a1 = [], []
     coeffs = {l: (a0[i], a1[i]) for i, l in enumerate(support)}
-    p0 = divisor
-    p1 = -flag_class
-    for i, l in enumerate(support):
-        cls = model.class_of(l)
-        p0 = p0 - cls.scale(a0[i])
-        p1 = p1 - cls.scale(a1[i])
+    p0 = subtract_curves(model, divisor, zip(support, a0))
+    p1 = subtract_curves(model, -flag_class, zip(support, a1))
     return coeffs, p0, p1
 
 

@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InputError, ModelError
-from .lattice import DivisorClass, SurfaceModel, as_divisor, gram_matrix, pair_curve
+from .lattice import (
+    DivisorClass,
+    SurfaceModel,
+    as_divisor,
+    gram_matrix,
+    pair_curve,
+    subtract_curves,
+)
 
 
 @dataclass(frozen=True)
@@ -26,25 +33,22 @@ class ZariskiResult:
     positive_part: DivisorClass = field(compare=False)
 
     def negative_part(self, model: SurfaceModel) -> DivisorClass:
-        n = DivisorClass([0] * model.rank)
-        for label, a in self.coeffs.items():
-            n = n + model.class_of(label).scale(a)
-        return n
+        return subtract_curves(
+            model, [0] * model.rank, ((l, -a) for l, a in self.coeffs.items())
+        )
 
     def coefficient(self, label: str) -> Fraction:
         return self.coeffs.get(label, Fraction(0))
 
 
 def _solve_support(model, divisor, labels):
-    """Coefficients a_i with (D - sum a_i C_i).C_j = 0 for every j in labels."""
-    gram = gram_matrix(model, labels)
+    """Coefficients a_i with (D - sum a_i C_i).C_j = 0 for every j in labels,
+    or None when the Gram matrix of `labels` is not negative definite."""
     rhs = [pair_curve(model, divisor, l) for l in labels]
     try:
-        return linalg.solve(gram, rhs)
-    except linalg.SingularSystem:
-        raise ModelError(
-            f"Gram matrix of {list(labels)} is singular; cannot solve"
-        ) from None
+        return linalg.solve_negative_definite(gram_matrix(model, labels), [rhs])[0]
+    except linalg.NotNegativeDefinite:
+        return None
 
 
 def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult:
@@ -67,22 +71,20 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
     coeffs: list[Fraction] = []
     while True:
         if support:
-            sig = linalg.inertia(gram_matrix(model, support))
-            if sig != (0, len(support), 0):
+            coeffs = _solve_support(model, divisor, support)
+            if coeffs is None:
+                sig = linalg.inertia(gram_matrix(model, support))
                 raise ModelError(
                     "candidate set contains non-negative-definite support: "
                     f"{support} has inertia {sig}"
                 )
-            coeffs = _solve_support(model, divisor, support)
             for l, a in zip(support, coeffs):
                 if a < 0:
                     raise ModelError(
                         "class not pseudo-effective within model, or candidate "
                         f"set inconsistent (coefficient of {l!r} solved to {a})"
                     )
-        remainder = divisor
-        for l, a in zip(support, coeffs):
-            remainder = remainder - model.class_of(l).scale(a)
+        remainder = subtract_curves(model, divisor, zip(support, coeffs))
         violators = [
             l
             for l in cands
@@ -119,10 +121,10 @@ def relative_negative_part(model: SurfaceModel, divisor, subset) -> dict[str, Fr
     if len(set(labels)) != len(labels):
         raise InputError("subset labels must be pairwise distinct")
     labels.sort(key=model.declaration_index)
-    sig = linalg.inertia(gram_matrix(model, labels))
-    if sig[2] > 0:
-        raise ModelError(f"Gram matrix of {labels} is singular")
-    if sig != (0, len(labels), 0):
-        raise ModelError(f"subset {labels} is not negative definite")
     sol = _solve_support(model, divisor, labels)
+    if sol is None:
+        sig = linalg.inertia(gram_matrix(model, labels))
+        if sig[2] > 0:
+            raise ModelError(f"Gram matrix of {labels} is singular (inertia {sig})")
+        raise ModelError(f"subset {labels} is not negative definite (inertia {sig})")
     return dict(zip(labels, sol))

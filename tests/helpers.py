@@ -1,11 +1,12 @@
 """Shared test utilities: independent oracles and a randomized model corpus.
 
 The oracles here deliberately avoid the library's own algorithms: the
-half-plane oracle enumerates all line pairs, the inertia oracle uses leading
-principal minors, areas come from a direct shoelace.  The corpus generator
-builds genuinely geometric models (iterated blowups in generic or
-infinitely-near position, plus lines through pairs of distinct base points),
-so every classified theorem must hold on it.
+half-plane oracle enumerates all line pairs, the inertia oracles use leading
+principal minors or the characteristic polynomial, linear systems are
+checked against a plain Fraction Gauss-Jordan, areas come from a direct
+shoelace.  The corpus generator builds genuinely geometric models (iterated
+blowups in generic or infinitely-near position, plus lines through pairs of
+distinct base points), so every classified theorem must hold on it.
 """
 from __future__ import annotations
 
@@ -66,6 +67,64 @@ def _det(m) -> Fraction:
                 f = m[r][col] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return det
+
+
+def gauss_jordan(rows, columns=()):
+    """Plain Fraction Gauss-Jordan on [rows | columns]: (rank, solutions).
+
+    `solutions` holds one solution per right-hand side when the matrix is
+    square and nonsingular, else None.
+    """
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    m = [
+        [Fraction(x) for x in row] + [Fraction(c[i]) for c in columns]
+        for i, row in enumerate(rows)
+    ]
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, n) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    if r != n or width != n:
+        return r, None
+    return r, [[m[i][width + j] for i in range(n)] for j in range(len(columns))]
+
+
+def charpoly_inertia(q) -> tuple[int, int, int]:
+    """Inertia from the characteristic polynomial (Faddeev-LeVerrier).
+
+    A real symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs is exact: sign changes of p(x) count the positive eigenvalues,
+    those of p(-x) the negative ones, and the zero eigenvalues are the
+    multiplicity of the root 0.
+    """
+    n = len(q)
+    a = [[Fraction(x) for x in row] for row in q]
+    coeffs = [Fraction(1)]  # x^n, x^(n-1), ..., x^0
+    am = [[Fraction(0)] * n for _ in range(n)]  # A*M_k, with M_0 = 0
+    for k in range(1, n + 1):
+        mk = [[x + (coeffs[-1] if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(am)]
+        am = [[sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(am[i][i] for i in range(n)) / k)
+    zero = 0
+    while zero < n and coeffs[n - zero] == 0:
+        zero += 1
+    rest = coeffs[: n + 1 - zero]
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    flipped = [c if (n - i) % 2 == 0 else -c for i, c in enumerate(rest)]
+    return changes(rest), changes(flipped), zero
 
 
 def _ccw_sorted(points):

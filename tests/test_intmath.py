@@ -1,5 +1,6 @@
 import random
 import time
+from math import isqrt
 
 import pytest
 
@@ -18,6 +19,30 @@ def test_is_prime_carmichael_and_big():
     assert not is_prime(1729)
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**31 + 11))
+
+
+def test_is_prime_rejects_psi12():
+    # the smallest strong pseudoprime to all twelve prime bases 2..37
+    p, q = 399165290221, 798330580441
+    assert p * q == 318665857834031151167461
+    assert is_prime(p) and is_prime(q)
+    assert not is_prime(p * q)
+    assert squarefree_part(p * p * q) == (p, q)
+
+
+def test_is_prime_needs_both_halves_of_bpsw():
+    # strong base-2 pseudoprimes (fooling Miller-Rabin to base 2), then strong
+    # Lucas pseudoprimes (fooling the Selfridge Lucas test); none has a factor
+    # below 41, so trial division does not catch them
+    for n in (8321, 42799, 49141, 65281, 3825123056546413051):
+        assert not is_prime(n)
+    for n in (5459, 5777, 10877, 16109, 18971, 22499):
+        assert not is_prime(n)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(1, 20000):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, isqrt(n) + 1)))
 
 
 def test_factor_roundtrip():

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import leading_minor_inertia, random_unimodular
+from helpers import charpoly_inertia, gauss_jordan, leading_minor_inertia, random_unimodular
 from noksurf.errors import InputError
-from noksurf.linalg import SingularSystem, in_span, inertia, rank, solve, solve_many
+from noksurf.linalg import (
+    NotNegativeDefinite,
+    SingularSystem,
+    in_span,
+    inertia,
+    rank,
+    solve,
+    solve_many,
+    solve_negative_definite,
+)
 
 
 def test_solve_exact():
@@ -92,3 +101,86 @@ def test_rank_and_span():
     assert in_span([[1, 0], [0, 1]], [3, 4])
     assert not in_span([[1, 1]], [1, 0])
     assert in_span([[2, 2]], [1, 1])
+
+
+# -- differential oracle: fraction-free elimination vs plain Gauss-Jordan -----
+
+_entry = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)),
+)
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _matrices(draw, symmetric):
+    """Dense, rank-deficient, zero-diagonal (hyperbolic) and negative
+    (semi)definite matrices up to 7x7."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    kind = draw(st.sampled_from(["dense", "low-rank", "hyperbolic", "definite"]))
+
+    def cells(r, c):
+        return [[draw(_entry) for _ in range(c)] for _ in range(r)]
+
+    if kind == "dense":
+        m = cells(n, n)
+    elif kind == "low-rank":
+        r = draw(st.integers(min_value=0, max_value=n - 1))
+        m = _product(cells(n, r), cells(r, n)) if r else [[0] * n for _ in range(n)]
+    elif kind == "hyperbolic":
+        m = cells(n, n)
+        for i in range(n):
+            m[i][i] = 0
+    else:  # -(B B^T) - diag(e): definite when e > 0 or B is invertible
+        b = cells(n, n)
+        m = _product(b, [list(col) for col in zip(*b)])
+        e = [draw(st.integers(min_value=0, max_value=2)) for _ in range(n)]
+        m = [[-x - (e[i] if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    if symmetric:
+        m = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    return m
+
+
+@given(_matrices(symmetric=False), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_and_solve_match_gauss_jordan(m, data):
+    n = len(m)
+    cols = [[data.draw(_entry) for _ in range(n)] for _ in range(data.draw(st.integers(0, 2)))]
+    r, sols = gauss_jordan(m, cols)
+    assert rank(m) == r
+    assert rank([row[: n - 1] for row in m]) == gauss_jordan([row[: n - 1] for row in m])[0]
+    if sols is None:
+        with pytest.raises(SingularSystem):
+            solve_many(m, cols)
+    else:
+        assert solve_many(m, cols) == sols
+
+
+@given(_matrices(symmetric=True), st.data())
+@settings(max_examples=200, deadline=None)
+def test_inertia_and_definite_solve_match_oracles(m, data):
+    n = len(m)
+    sig = inertia(m)
+    assert sig == charpoly_inertia(m)
+    cols = [[data.draw(_entry) for _ in range(n)] for _ in range(data.draw(st.integers(0, 2)))]
+    if sig != (0, n, 0):
+        with pytest.raises(NotNegativeDefinite):
+            solve_negative_definite(m, cols)
+    else:
+        assert solve_negative_definite(m, cols) == gauss_jordan(m, cols)[1]
+
+
+def test_solve_negative_definite_examples():
+    assert solve_negative_definite([[-2, 1], [1, -2]], [[-1, 0], [3, 3]]) == [
+        [Fraction(2, 3), Fraction(1, 3)],
+        [-3, -3],
+    ]
+    assert solve_negative_definite([], [[]]) == [[]]
+    for bad in ([[-1, 2], [2, -3]], [[-1, -1], [-1, -1]], [[0, 1], [1, 0]], [[1]]):
+        with pytest.raises(NotNegativeDefinite):
+            solve_negative_definite(bad, [[1] * len(bad)])
+    with pytest.raises(InputError):
+        solve_negative_definite([[-1, 1], [0, -1]], [])

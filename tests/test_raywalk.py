@@ -95,6 +95,19 @@ def test_walk_rejects_non_big():
         walk_ray(BL1, DivisorClass((0, 1)), "C", ["E"])  # E itself: P = 0
 
 
+def test_walk_names_inertia_of_singular_support():
+    # two curves with one class enter together: their Gram matrix is singular
+    m = SurfaceModel(
+        3,
+        [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        [CurveRecord("E1", (0, 1, 0)), CurveRecord("E1b", (0, 1, 0))],
+        (3, -1, -1),
+    )
+    msg = r"support \['E1', 'E1b'\] is not negative definite \(inertia \(0, 1, 1\)\)"
+    with pytest.raises(ModelError, match=msg):
+        walk_ray(m, DivisorClass((3, -1, -1)), DivisorClass((1, -1, 0)), ["E1", "E1b"])
+
+
 def test_walk_monotone_support_and_positivity_on_corpus():
     for case in corpus(seed=501, count=40):
         prof = walk_ray(case.model, case.divisor, case.flag, case.candidates)

@@ -48,6 +48,7 @@ def test_a2_chain_example():
     dec = zariski_decompose(A2, d, ["C1", "C2"])
     assert dec.coeffs == {"C1": Fraction(2, 3), "C2": Fraction(1, 3)}
     assert dec.positive_part == DivisorClass((2, 0, 0))
+    assert dec.negative_part(A2) == d - dec.positive_part
 
 
 def test_inconsistent_candidates_raise():
@@ -71,8 +72,11 @@ def test_nonnegative_definite_candidate_set():
     # B has square -3 but D.B < 0 with D.E < 0 makes the pair {E, B} indefinite?
     # Gram of {E, B} is [[-1, 2], [2, -3]] with determinant -1: not definite.
     d = DivisorClass((-2, 3))
-    with pytest.raises(ModelError):
+    msg = r"\['E', 'B'\] has inertia \(1, 1, 0\)"
+    with pytest.raises(ModelError, match=msg):
         zariski_decompose(m, d, ["E", "B"])
+    with pytest.raises(ModelError, match=r"not negative definite \(inertia \(1, 1, 0\)\)"):
+        relative_negative_part(m, d, ["E", "B"])
 
 
 def test_duplicate_candidates_rejected():
@@ -97,8 +101,10 @@ def test_relative_negative_part_singular():
         [CurveRecord("E1", (0, 1, 0)), CurveRecord("E1b", (0, 1, 0))],
         (3, -1, -1),
     )
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match=r"is singular \(inertia \(0, 1, 1\)\)"):
         relative_negative_part(m, DivisorClass((1, 0, 0)), ["E1", "E1b"])
+    with pytest.raises(ModelError, match=r"has inertia \(0, 1, 1\)"):
+        zariski_decompose(m, DivisorClass((3, 1, -1)), ["E1", "E1b"])
 
 
 def _decomposable_cases():
