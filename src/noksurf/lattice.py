@@ -40,19 +40,29 @@ class DivisorClass:
     def __iter__(self):
         return iter(self.coords)
 
+    @classmethod
+    def _of(cls, coords) -> "DivisorClass":
+        """An arithmetic result: Fraction coordinates pass unchecked, anything
+        else (a QExt, or a float from a float factor) goes through _coord."""
+        out = object.__new__(cls)
+        object.__setattr__(
+            out, "coords", tuple(x if type(x) is Fraction else _coord(x) for x in coords)
+        )
+        return out
+
     def __add__(self, other):
         other = as_divisor(other, len(self))
-        return DivisorClass(a + b for a, b in zip(self.coords, other.coords))
+        return DivisorClass._of(a + b for a, b in zip(self.coords, other.coords))
 
     def __sub__(self, other):
         other = as_divisor(other, len(self))
-        return DivisorClass(a - b for a, b in zip(self.coords, other.coords))
+        return DivisorClass._of(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self):
-        return DivisorClass(-a for a in self.coords)
+        return DivisorClass._of(-a for a in self.coords)
 
     def scale(self, k):
-        return DivisorClass(k * a for a in self.coords)
+        return DivisorClass._of(k * a for a in self.coords)
 
     def __rmul__(self, k):
         return self.scale(k)
@@ -121,22 +131,32 @@ class SurfaceModel:
         object.__setattr__(self, "ample_witness", witness)
         # Integer tables, built once; not fields, so eq/hash/repr ignore them.
         # _rows[i]: nonzero (j, G_ij); _duals[l]: nonzero (i, (G.c_l)_i);
-        # _sparse[l]: nonzero (j, c_l_j); _classes[l]: the curve's
-        # DivisorClass; _index[l]: declaration order.
+        # _sparse[l]: nonzero (j, c_l_j); _products[l]: {k: C_k.C_l} over
+        # the nonzero products; _index[l]: declaration order.  _classes
+        # caches each curve's DivisorClass on first use (see class_of).
         rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in g)
         duals = {}
         sparse = {}
+        having = [[] for _ in range(rank)]  # coordinate j -> [(k, c_k_j)]
         for c in recs:
             nz = tuple((j, x) for j, x in enumerate(c.cls) if x)
             dual = (sum(g[i][j] * x for j, x in nz) for i in range(rank))
             duals[c.label] = tuple((i, y) for i, y in enumerate(dual) if y)
             sparse[c.label] = nz
+            for j, x in nz:
+                having[j].append((c.label, x))
+        products = {}
+        for c in recs:
+            acc = {}
+            for i, y in duals[c.label]:
+                for k, x in having[i]:
+                    acc[k] = acc.get(k, 0) + x * y
+            products[c.label] = {k: x for k, x in acc.items() if x}
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_duals", duals)
         object.__setattr__(self, "_sparse", sparse)
-        object.__setattr__(
-            self, "_classes", {c.label: DivisorClass(c.cls) for c in recs}
-        )
+        object.__setattr__(self, "_products", products)
+        object.__setattr__(self, "_classes", {})
         object.__setattr__(self, "_index", {c.label: i for i, c in enumerate(recs)})
         w = DivisorClass(witness)
         if pair(self, w, w) <= 0:
@@ -156,7 +176,11 @@ class SurfaceModel:
         return self.curves[self.declaration_index(label)]
 
     def class_of(self, label: str) -> DivisorClass:
-        return _lookup(self._classes, label)
+        try:
+            return self._classes[label]
+        except (KeyError, TypeError):  # first use, or an unknown label
+            cls = self._classes[label] = DivisorClass(self.curve(label).cls)
+            return cls
 
     def declaration_index(self, label: str) -> int:
         return _lookup(self._index, label)
@@ -213,18 +237,18 @@ def subtract_curves(model: SurfaceModel, v, terms) -> DivisorClass:
         if a:
             for j, x in _lookup(model._sparse, label):
                 acc[j] -= a * x
-    return DivisorClass(acc)
+    return DivisorClass._of(acc)
 
 
-def _curve_product(model: SurfaceModel, a: str, b: str) -> int:
-    """C_a.C_b as an exact integer."""
-    cls = model.curve(a).cls
-    return sum(cls[i] * y for i, y in _lookup(model._duals, b))
+def curve_products(model: SurfaceModel, label: str) -> dict[str, int]:
+    """{k: C_k.C_label} for every declared curve k with a nonzero product."""
+    return _lookup(model._products, label)
 
 
 def gram_matrix(model: SurfaceModel, labels) -> list[list[int]]:
     labels = list(labels)
-    return [[_curve_product(model, a, b) for b in labels] for a in labels]
+    rows = [curve_products(model, a) for a in labels]
+    return [[row.get(b, 0) for b in labels] for row in rows]
 
 
 def is_negative_definite(model: SurfaceModel, labels) -> bool:
@@ -242,9 +266,11 @@ def dual_graph_components(model: SurfaceModel, labels) -> list[list[str]]:
     Edge between two curves iff their pairing is > 0.  Components keep the
     model's declaration order, and are sorted by their first member.
     """
-    order = sorted(set(labels), key=model.declaration_index)
-    if len(order) != len(list(labels)):
+    labels = list(labels)
+    products = {l: curve_products(model, l) for l in labels}
+    if len(products) != len(labels):
         raise InputError("duplicate labels in subset")
+    order = sorted(products, key=model.declaration_index)
     idx = {l: i for i, l in enumerate(order)}
     parent = list(range(len(order)))
 
@@ -254,9 +280,9 @@ def dual_graph_components(model: SurfaceModel, labels) -> list[list[str]]:
             i = parent[i]
         return i
 
-    for i, a in enumerate(order):
-        for b in order[i + 1 :]:
-            if _curve_product(model, a, b) > 0:
+    for a in order:
+        for b, x in products[a].items():
+            if x > 0 and b in idx:
                 ra, rb = find(idx[a]), find(idx[b])
                 if ra != rb:
                     parent[rb] = ra

@@ -20,6 +20,7 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     as_divisor,
+    curve_products,
     gram_matrix,
     pair,
     pair_curve,
@@ -74,7 +75,7 @@ def resolve_flag(model: SurfaceModel, flag) -> tuple[str | None, DivisorClass]:
         return flag, model.class_of(flag)
     cls = as_divisor(flag, model.rank)
     for rec in model.curves:
-        if model.class_of(rec.label) == cls:
+        if rec.cls == cls.coords:
             return rec.label, cls
     if cls.is_zero():
         raise InputError("flag class must be nonzero")
@@ -128,18 +129,43 @@ def _segment_system(model, divisor, flag_class, support):
     return coeffs, p0, p1
 
 
-def _outside_pairings(model, entry_order, support, solution):
-    """(l, P_0.C_l, slope) for every candidate outside `support`, where
-    P_t = p0 + t*p1 is the positive part of `solution`."""
-    _, p0, p1 = solution
-    return [
-        (l, pair_curve(model, p0, l), pair_curve(model, p1, l))
-        for l in entry_order
-        if l not in support
-    ]
+@dataclass(frozen=True)
+class _Ray:
+    """The once-per-walk intersection numbers of D - t*F: every pairing in
+    a chamber is an affine combination of these, the solved coefficients
+    and the model's integer curve products, because P_t is orthogonal to
+    the support."""
+
+    divisor: DivisorClass
+    flag_class: DivisorClass
+    d_c: dict  # label -> D.C_l
+    f_c: dict  # label -> F.C_l
+    dd: Fraction
+    df: Fraction
+    ff: Fraction
 
 
-def _enlarge_support(model, divisor, flag_class, support, t_star, outside, solution):
+def _pairings(model, ray, labels, coeffs):
+    """[(l, P_0.C_l, p1.C_l)] for the listed curves, from the coefficients
+    (a0_j, a1_j) of the support: P_0.C_l = D.C_l - sum a0_j C_j.C_l and
+    p1.C_l = -F.C_l - sum a1_j C_j.C_l, summed over the nonzero products."""
+    q = {l: [ray.d_c[l], -ray.f_c[l]] for l in labels}
+    for j, (a0, a1) in coeffs.items():
+        for l, x in curve_products(model, j).items():
+            v = q.get(l)
+            if v is not None:
+                v[0] -= a0 * x
+                v[1] -= a1 * x
+    return [(l, q0, q1) for l, (q0, q1) in q.items()]
+
+
+def _outside_pairings(model, ray, entry_order, support, coeffs):
+    """(l, P_0.C_l, slope) for every candidate outside `support`."""
+    inside = set(support)
+    return _pairings(model, ray, [l for l in entry_order if l not in inside], coeffs)
+
+
+def _enlarge_support(model, ray, support, t_star, outside, solution):
     """Fixed point of the derivative test at a wall.
 
     `solution` is the `_segment_system` result on `support` and `outside`
@@ -158,9 +184,9 @@ def _enlarge_support(model, divisor, flag_class, support, t_star, outside, solut
         if not adds:
             break
         current = current + adds
-        solution = _segment_system(model, divisor, flag_class, current)
-        p1 = solution[2]
-        wall = [(l, pair_curve(model, p1, l)) for l, _ in wall if l not in current]
+        solution = _segment_system(model, ray.divisor, ray.flag_class, current)
+        rest = [l for l, _ in wall if l not in current]
+        wall = [(l, q1) for l, _, q1 in _pairings(model, ray, rest, solution[0])]
     coeffs, p0, p1 = solution
     kept = list(support)
     for l in current[len(support) :]:
@@ -191,10 +217,10 @@ def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur
     if half_disc < 0:
         return None
     sq = sqrt_fraction(half_disc)
-    roots = sorted(
-        [as_exact((-cross + sq) / p1sq), as_exact((-cross - sq) / p1sq)],
-    )
-    for r in roots:
+    # sq >= 0, so the sign of p1sq says which root is the smaller
+    low, high = -cross - sq, -cross + sq
+    for num in (low, high) if p1sq > 0 else (high, low):
+        r = as_exact(num / p1sq)
         if r > t_cur:
             return r
     return None
@@ -228,16 +254,23 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     if pair(model, p_nu, p_nu) <= 0:
         raise ModelError("divisor is not big against the model")
 
+    ray = _Ray(
+        divisor=divisor,
+        flag_class=flag_class,
+        d_c={l: pair_curve(model, divisor, l) for l in entry_order},
+        f_c={l: pair_curve(model, flag_class, l) for l in entry_order},
+        dd=pair(model, divisor, divisor),
+        df=pair(model, divisor, flag_class),
+        ff=pair(model, flag_class, flag_class),
+    )
     support = sorted(dec_nu.support, key=model.declaration_index)
     appearance: dict[str, Fraction] = {l: t_nu for l in support}
     # a wall may sit exactly at nu; enlarge before the first segment
     solution = _segment_system(model, divisor, flag_class, support)
-    outside = _outside_pairings(model, entry_order, support, solution)
-    enlarged, solution = _enlarge_support(
-        model, divisor, flag_class, support, t_nu, outside, solution
-    )
+    outside = _outside_pairings(model, ray, entry_order, support, solution[0])
+    enlarged, solution = _enlarge_support(model, ray, support, t_nu, outside, solution)
     if len(enlarged) > len(support):
-        outside = _outside_pairings(model, entry_order, enlarged, solution)
+        outside = _outside_pairings(model, ray, entry_order, enlarged, solution[0])
     support = enlarged
     for l in support:
         appearance.setdefault(l, t_nu)
@@ -257,10 +290,16 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             if q1 < 0:
                 events.append((-q0 / q1, l))
 
+        # P_0.F, p1.F and P_0^2 from the once-per-walk numbers; p0 and p1
+        # are orthogonal to the support, so P_0.p1 = -P_0.F, p1^2 = -p1.F
+        f0, fslope, p0sq = ray.df, -ray.ff, ray.dd
+        for j, (a0, a1) in coeffs.items():
+            f0 -= a0 * ray.f_c[j]
+            fslope -= a1 * ray.f_c[j]
+            p0sq -= a0 * ray.d_c[j]
+        cross, p1sq = -f0, -fslope
+
         # exit of the big cone
-        p0sq = pair(model, p0, p0)
-        cross = pair(model, p0, p1)
-        p1sq = pair(model, p1, p1)
         if p0sq + 2 * cross * t_cur + p1sq * t_cur * t_cur <= 0:
             raise InternalError("positive part lost its positivity inside a segment")
         mu_candidate = _first_quadratic_root(p0sq, cross, p1sq, t_cur)
@@ -277,8 +316,6 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             t_hi = next_event
 
         # flag monitor: its pairing must stay nonnegative up to the segment end
-        f0 = pair(model, p0, flag_class)
-        fslope = pair(model, p1, flag_class)
         fval = f0 + t_cur * fslope
         if fval < 0 or (fval == 0 and fslope < 0):
             raise ModelError("flag curve pairs negatively along the ray; invalid model input")
@@ -306,9 +343,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         if mu is not None:
             break
 
-        new_support, solution = _enlarge_support(
-            model, divisor, flag_class, support, t_hi, outside, solution
-        )
+        new_support, solution = _enlarge_support(model, ray, support, t_hi, outside, solution)
         if len(new_support) == len(support):
             raise InternalError("wall event produced no support growth")
         # continuity: both chambers agree at the wall
@@ -321,7 +356,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         for l in new_support[len(support) :]:
             appearance[l] = t_hi
         support = new_support
-        outside = _outside_pairings(model, entry_order, support, solution)
+        outside = _outside_pairings(model, ray, entry_order, support, new_coeffs)
         t_cur = t_hi
     else:
         raise InternalError("walk did not terminate")

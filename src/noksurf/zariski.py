@@ -18,6 +18,7 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     as_divisor,
+    curve_products,
     gram_matrix,
     pair_curve,
     subtract_curves,
@@ -41,10 +42,10 @@ class ZariskiResult:
         return self.coeffs.get(label, Fraction(0))
 
 
-def _solve_support(model, divisor, labels):
+def _solve_support(model, labels, rhs):
     """Coefficients a_i with (D - sum a_i C_i).C_j = 0 for every j in labels,
-    or None when the Gram matrix of `labels` is not negative definite."""
-    rhs = [pair_curve(model, divisor, l) for l in labels]
+    given rhs[j] = D.C_j, or None when the Gram matrix of `labels` is not
+    negative definite."""
     try:
         return linalg.solve_negative_definite(gram_matrix(model, labels), [rhs])[0]
     except linalg.NotNegativeDefinite:
@@ -67,11 +68,12 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
             raise InputError(f"candidate {l!r} is not declared irreducible")
     cands.sort(key=model.declaration_index)
 
-    support = [l for l in cands if pair_curve(model, divisor, l) < 0]
+    d_c = {l: pair_curve(model, divisor, l) for l in cands}
+    support = [l for l in cands if d_c[l] < 0]
     coeffs: list[Fraction] = []
     while True:
         if support:
-            coeffs = _solve_support(model, divisor, support)
+            coeffs = _solve_support(model, support, [d_c[l] for l in support])
             if coeffs is None:
                 sig = linalg.inertia(gram_matrix(model, support))
                 raise ModelError(
@@ -84,16 +86,19 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
                         "class not pseudo-effective within model, or candidate "
                         f"set inconsistent (coefficient of {l!r} solved to {a})"
                     )
-        remainder = subtract_curves(model, divisor, zip(support, coeffs))
-        violators = [
-            l
-            for l in cands
-            if l not in support and pair_curve(model, remainder, l) < 0
-        ]
+        # (D - sum a_j C_j).C_l = D.C_l - sum a_j C_j.C_l off the support
+        inside = set(support)
+        rest = {l: d_c[l] for l in cands if l not in inside}
+        for j, a in zip(support, coeffs):
+            for l, x in curve_products(model, j).items():
+                if l in rest:
+                    rest[l] -= a * x
+        violators = [l for l, q in rest.items() if q < 0]
         if not violators:
-            positive = remainder
             break
         support = sorted(support + violators, key=model.declaration_index)
+
+    positive = subtract_curves(model, divisor, zip(support, coeffs))
 
     kept = [(l, a) for l, a in zip(support, coeffs) if a != 0]
     result = ZariskiResult(
@@ -121,7 +126,7 @@ def relative_negative_part(model: SurfaceModel, divisor, subset) -> dict[str, Fr
     if len(set(labels)) != len(labels):
         raise InputError("subset labels must be pairwise distinct")
     labels.sort(key=model.declaration_index)
-    sol = _solve_support(model, divisor, labels)
+    sol = _solve_support(model, labels, [pair_curve(model, divisor, l) for l in labels])
     if sol is None:
         sig = linalg.inertia(gram_matrix(model, labels))
         if sig[2] > 0:

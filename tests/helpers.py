@@ -310,6 +310,13 @@ def make_case(rng: random.Random, index: int) -> Case:
         d = DivisorClass((rng.randrange(1, 6),))
         spec = FlagSpec("H", {})
         return Case(f"case{index}-p2", model, d, "H", spec, ["H"], True)
+    return forest_case(rng, rho, index)
+
+
+def forest_case(rng: random.Random, rho: int, index: int = 0) -> Case:
+    """A case on a random blowup-forest model of rank rho >= 2: a model-ample
+    divisor (sometimes plus a multiple of a curve), a declared or ample flag
+    and a consistent flag point."""
     gram = [[0] * rho for _ in range(rho)]
     gram[0][0] = 1
     for i in range(1, rho):
@@ -349,3 +356,9 @@ def make_case(rng: random.Random, index: int) -> Case:
 def corpus(seed: int, count: int) -> list[Case]:
     rng = random.Random(seed)
     return [make_case(rng, i) for i in range(count)]
+
+
+def forest_corpus(seed: int, count: int, rho: int) -> list[Case]:
+    """`count` forest cases, all of rank rho (corpus() stops at rank 4)."""
+    rng = random.Random(seed)
+    return [forest_case(rng, rho, i) for i in range(count)]

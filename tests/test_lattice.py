@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from helpers import random_unimodular
@@ -17,7 +18,7 @@ from noksurf import (
     pair,
     pair_curve,
 )
-from noksurf.lattice import gram_matrix
+from noksurf.lattice import curve_products, gram_matrix
 from noksurf.linalg import solve
 
 BL1 = SurfaceModel(
@@ -168,6 +169,11 @@ def test_tables_match_double_sum(data):
     labels = list(model.labels())
     products = [[_double_sum(gram, a.cls, b.cls) for b in model.curves] for a in model.curves]
     assert gram_matrix(model, labels) == products
+    # the stored curve products: every nonzero C_k.C_l, and no zero entry
+    for i, b in enumerate(labels):
+        table = curve_products(model, b)
+        assert 0 not in table.values()
+        assert table == {a: products[k][i] for k, a in enumerate(labels) if products[k][i]}
     # components of the graph with an edge where the double sum is positive
     comps, seen = [], set()
     for i in range(len(labels)):
@@ -182,3 +188,39 @@ def test_tables_match_double_sum(data):
         seen |= comp
         comps.append([labels[k] for k in sorted(comp)])
     assert dual_graph_components(model, labels) == comps
+
+
+@pytest.mark.parametrize("label", ["nope", ["E"]])
+def test_curve_tables_reject_unknown_label(label):
+    # an unknown or unhashable label is an input error in every table lookup
+    for lookup in (
+        lambda: curve_products(BL1, label),
+        lambda: BL1.class_of(label),
+        lambda: gram_matrix(BL1, ["E", label]),
+        lambda: dual_graph_components(BL1, ["E", label]),
+        lambda: pair_curve(BL1, (1, 0), label),
+    ):
+        with pytest.raises(InputError, match="unknown curve label"):
+            lookup()
+
+
+def test_class_of_is_built_once():
+    m = SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], (2, -1))
+    cls = m.class_of("E")
+    assert cls == DivisorClass((0, 1))
+    assert all(type(x) is Fraction for x in cls.coords)
+    assert m.class_of("E") is cls
+
+
+def test_arithmetic_results_stay_exact():
+    v = DivisorClass((1, Fraction(1, 2)))
+    assert v + (1, 1) == DivisorClass((2, Fraction(3, 2)))
+    assert -v == DivisorClass((-1, Fraction(-1, 2)))
+    assert v.scale(QExt(0, 1, 2)).coords == (QExt(0, 1, 2), QExt(0, Fraction(1, 2), 2))
+    # a rational QExt result collapses to a Fraction, as in the constructor
+    assert v.scale(QExt(2, 0, 0)).coords == (2, 1)
+    assert all(type(x) is Fraction for x in v.scale(QExt(2, 0, 0)).coords)
+    with pytest.raises(InputError):
+        v.scale(0.5)
+    with pytest.raises(InputError):
+        DivisorClass((0.5, 1))

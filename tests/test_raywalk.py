@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import corpus
+from helpers import corpus, forest_corpus
 from noksurf import (
     CurveRecord,
     DivisorClass,
@@ -13,6 +13,7 @@ from noksurf import (
     nu,
     pair,
     walk_ray,
+    zariski_decompose,
 )
 from noksurf.raywalk import _segment_system
 
@@ -208,3 +209,51 @@ def test_coefficient_continuity_at_walls():
             for l in b.support:
                 if l not in a.support:
                     assert b.coefficient_at(l, t) == 0
+
+
+def _interior_point(seg) -> Fraction:
+    """A rational t strictly inside the segment; an irrational mu is
+    approached by halving toward t_lo."""
+    if isinstance(seg.t_hi, Fraction):
+        return (seg.t_lo + seg.t_hi) / 2
+    t = seg.t_lo + 1
+    while not t < seg.t_hi:
+        t = (seg.t_lo + t) / 2
+    return t
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(lambda: corpus(seed=2718, count=40), id="corpus"),
+        pytest.param(lambda: forest_corpus(seed=8, count=12, rho=8), id="rank8"),
+        pytest.param(lambda: forest_corpus(seed=16, count=6, rho=16), id="rank16"),
+    ],
+)
+def test_segments_match_pointwise_zariski(cases):
+    # at a rational interior point of every chamber, the decomposition of
+    # D - t*F has the chamber's support and coefficients a0 + a1*t, and the
+    # positive part built from vectors alone is orthogonal to the support
+    # and nef on every candidate
+    cases = cases()
+    segments = 0
+    for case in cases:
+        model = case.model
+        prof = walk_ray(model, case.divisor, case.flag, case.candidates)
+        for seg in prof.segments:
+            t = _interior_point(seg)
+            assert seg.t_lo < t < seg.t_hi
+            d_t = prof.divisor - prof.flag_class.scale(t)
+            dec = zariski_decompose(model, d_t, prof.candidates)
+            want = {l: seg.coefficient_at(l, t) for l in seg.support}
+            assert dec.coeffs == want, case.name
+            p_t = d_t
+            for l, a in want.items():
+                assert a > 0
+                p_t = p_t - model.class_of(l).scale(a)
+            assert dec.positive_part == p_t
+            for l in prof.candidates:
+                q = pair(model, p_t, model.class_of(l))
+                assert q == 0 if l in want else q >= 0, (case.name, l)
+            segments += 1
+    assert segments > len(cases)
