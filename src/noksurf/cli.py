@@ -91,9 +91,7 @@ def _polygon_payload(model, doc) -> tuple[dict, object]:
     for (t, _s), tag in zip(polygon.vertices, polygon.tags):
         if tag.startswith("interior"):
             observed.setdefault(fmt(t), set()).add(tag.split("-")[1])
-    payload = {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "polygon",
+    return {
         "profile": _profile_payload(profile),
         "vertices": [
             {"t": fmt(t), "s": fmt(s), "tag": tag}
@@ -142,16 +140,13 @@ def _polygon_payload(model, doc) -> tuple[dict, object]:
             "interior_upper_bound": bounds.interior_upper_bound,
             "ok": bounds.ok,
         },
-    }
-    return payload, polygon
+    }, polygon
 
 
 def cmd_check_lattice(doc, args):
     model = docio.parse_surface(doc)
     sig = inertia([list(r) for r in model.gram])
     return {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "check-lattice",
         "rank": model.rank,
         "inertia": list(sig),
         "curves": list(model.labels()),
@@ -166,8 +161,6 @@ def cmd_zariski(doc, args):
     candidates = docio.parse_candidates(doc, model)
     dec = zariski_decompose(model, divisor, candidates)
     payload = {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "zariski",
         "support": list(dec.support),
         "coefficients": {l: fmt(a) for l, a in dec.coeffs.items()},
         "positive_part": [fmt(x) for x in dec.positive_part.coords],
@@ -190,12 +183,7 @@ def cmd_ray_profile(doc, args):
     target, _spec = docio.parse_flag(doc, model)
     candidates = docio.parse_candidates(doc, model)
     profile = walk_ray(model, divisor, target, candidates)
-    payload = {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "ray-profile",
-        "profile": _profile_payload(profile),
-    }
-    return payload, None
+    return {"profile": _profile_payload(profile)}, None
 
 
 def cmd_polygon(doc, args):
@@ -226,8 +214,6 @@ def cmd_invariants(doc, args):
         best = row["mv"] if best is None else max(best, row["mv"])
         rows.append(row)
     return {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "invariants",
         "rank": model.rank,
         "picard_bound": 2 * model.rank + 1,
         "configs": rows,
@@ -251,8 +237,6 @@ def cmd_flag_search(doc, args):
         model, divisor, config, independent, budget=args.budget
     )
     return {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "flag-search",
         "flag_class": [fmt(x) for x in cert.flag_class.coords],
         "coefficients": {l: fmt(a) for l, a in cert.coefficients.items()},
         "appearance": [{"label": l, "t": fmt(t)} for l, t in cert.appearance],
@@ -290,19 +274,13 @@ def cmd_scan_vertex_counts(doc, args):
                 "verified": verified,
             }
         )
-    return {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "scan-vertex-counts",
-        "realizations": rows,
-    }, None
+    return {"realizations": rows}, None
 
 
 def cmd_toric_polygon(doc, args):
     fan = docio.parse_fan(doc)
     div = docio.parse_toric_divisor(doc, fan)
     payload = {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "toric-polygon",
         "newton_vertices": [docio.fmt_point(p) for p in newton_polygon(fan, div)],
     }
     if "flag_index" in doc:
@@ -320,8 +298,6 @@ def cmd_toric_crosscheck(doc, args):
     idx = docio.parse_int(doc.get("flag_index", 1), "flag_index")
     report = crosscheck(fan, div, idx)
     return {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "toric-crosscheck",
         "flag_index": idx,
         "equal": report.equal,
         "vertices": [docio.fmt_point(p) for p in report.walk_vertices],
@@ -335,14 +311,11 @@ def cmd_render_svg(doc, args):
     payload, polygon = _polygon_payload(model, doc)
     out = args.svg or "out.svg"
     render_svg(polygon, out, width=args.width, grid=not args.no_grid)
-    return {
-        "schema": docio.SCHEMA_VERSION,
-        "command": "render-svg",
-        "svg": out,
-        "vertices": payload["vertices"],
-    }, polygon
+    return {"svg": out, "vertices": payload["vertices"]}, polygon
 
 
+# each handler returns (payload body, polygon or None); main puts "schema" and
+# "command" in front of the body
 _COMMANDS = {
     "check-lattice": cmd_check_lattice,
     "zariski": cmd_zariski,
@@ -403,7 +376,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = docio.load_document(args.input)
-        payload, polygon = _COMMANDS[args.command](doc, args)
+        body, polygon = _COMMANDS[args.command](doc, args)
+        payload = {"schema": docio.SCHEMA_VERSION, "command": args.command, **body}
         if args.svg and args.command != "render-svg":
             if polygon is None:
                 raise InputError(f"command {args.command!r} does not produce a polygon")

@@ -1,12 +1,16 @@
 """Problem-document parsing, validation, and exact output formatting.
 
 Documents are JSON, schema version 1.  Rationals travel as integers or
-strings like "3/2"; floats are rejected so exactness survives the wire.
-Validation errors carry the JSON path of the offending field.
+as strings `-?digits` or `-?digits/digits` ("-3", "3/2"), at most
+MAX_DIGITS digits on each side of the slash; floats, exponents, decimal
+points, signs other than a leading minus and whitespace are rejected, so
+exactness survives the wire and parsing stays cheap.  Validation errors
+carry the JSON path of the offending field.
 """
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -16,6 +20,10 @@ from .qext import format_exact
 from .toric import ToricDivisor, ToricFan
 
 SCHEMA_VERSION = 1
+# CPython's default limit on converting a decimal string (and so a JSON
+# integer) to an int
+MAX_DIGITS = 4300
+_RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -25,9 +33,11 @@ def parse_rational(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: cannot parse rational {value!r}") from exc
+            if _RATIONAL.fullmatch(value):
+                return Fraction(value)
+        except ZeroDivisionError:
+            pass
+        raise InputError(f"{where}: cannot parse rational {value[:40]!r}")
     if isinstance(value, float):
         raise InputError(f"{where}: floats are not exact; write \"p/q\" instead")
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}")
@@ -55,6 +65,10 @@ def load_document(path: str) -> dict:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the digit limit, or bad UTF-8
+        raise InputError(f"{path}: cannot load document: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: document nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: document root must be an object")
     schema = doc.get("schema")

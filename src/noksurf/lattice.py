@@ -82,7 +82,6 @@ def as_divisor(v, rank: int | None = None) -> DivisorClass:
 class CurveRecord:
     label: str
     cls: tuple[int, ...]
-    declared_irreducible: bool = True
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ all lie among nu, the wall times, and mu.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -59,40 +59,38 @@ class FlagSpec:
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Continuous piecewise affine function given by breakpoint/value pairs."""
+    """Continuous piecewise affine function given by breakpoint/value pairs;
+    the slope of every piece is computed once, at construction."""
 
     breakpoints: tuple
     values: tuple
+    _slopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "breakpoints", tuple(as_exact(x) for x in self.breakpoints)
-        )
-        object.__setattr__(self, "values", tuple(as_exact(x) for x in self.values))
-        if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
+        xs = tuple(as_exact(x) for x in self.breakpoints)
+        ys = tuple(as_exact(y) for y in self.values)
+        if len(xs) != len(ys) or len(xs) < 2:
             raise InputError("need matching breakpoints and values, at least two")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if not a < b:
+        slopes = []
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+            if not x0 < x1:
                 raise InputError("breakpoints must be strictly increasing")
+            slopes.append(as_exact((y1 - y0) / (x1 - x0)))
+        object.__setattr__(self, "breakpoints", xs)
+        object.__setattr__(self, "values", ys)
+        object.__setattr__(self, "_slopes", tuple(slopes))
 
     def slopes(self) -> tuple:
-        out = []
-        for (x0, x1), (y0, y1) in zip(
-            zip(self.breakpoints, self.breakpoints[1:]),
-            zip(self.values, self.values[1:]),
-        ):
-            out.append(as_exact((y1 - y0) / (x1 - x0)))
-        return tuple(out)
+        return self._slopes
 
     def value_at(self, t):
-        if t < self.breakpoints[0] or t > self.breakpoints[-1]:
+        xs = self.breakpoints
+        if t < xs[0] or t > xs[-1]:
             raise InputError("argument outside the function's domain")
-        for i in range(len(self.breakpoints) - 1):
-            if t <= self.breakpoints[i + 1]:
-                x0, x1 = self.breakpoints[i], self.breakpoints[i + 1]
-                y0, y1 = self.values[i], self.values[i + 1]
-                return as_exact(y0 + (y1 - y0) * (t - x0) / (x1 - x0))
-        raise InternalError("unreachable")
+        i = 0
+        while t > xs[i + 1]:
+            i += 1
+        return as_exact(self.values[i] + self._slopes[i] * (t - xs[i]))
 
     def integral(self):
         """Exact integral over the whole domain (trapezoid per piece)."""
@@ -105,15 +103,15 @@ class PiecewiseLinear:
         return as_exact(total)
 
     def is_convex(self) -> bool:
-        s = self.slopes()
+        s = self._slopes
         return all(a <= b for a, b in zip(s, s[1:]))
 
     def is_concave(self) -> bool:
-        s = self.slopes()
+        s = self._slopes
         return all(a >= b for a, b in zip(s, s[1:]))
 
     def is_nondecreasing(self) -> bool:
-        return all(s >= 0 for s in self.slopes())
+        return all(s >= 0 for s in self._slopes)
 
 
 def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
@@ -139,8 +137,8 @@ def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
     for seg in profile.segments:
         a0 = sum((seg.coeffs[l][0] * flag.mult(l) for l in seg.support), Fraction(0))
         a1 = sum((seg.coeffs[l][1] * flag.mult(l) for l in seg.support), Fraction(0))
-        b0 = a0 + pair(model, seg.p0, cls)
-        b1 = a1 + pair(model, seg.p1, cls)
+        b0 = a0 + seg.f0
+        b1 = a1 + seg.fslope
         lo, hi = seg.t_lo, seg.t_hi
         alo, ahi = a0 + a1 * lo, as_exact(a0 + a1 * hi)
         blo, bhi = b0 + b1 * lo, as_exact(b0 + b1 * hi)
@@ -174,85 +172,70 @@ class OkPolygon:
     """
 
     vertices: tuple  # of (t, s) pairs, exact coordinates
-    on_lower: tuple
-    on_upper: tuple
     tags: tuple
 
-    def __len__(self):
-        return len(self.vertices)
 
-    def vertex_count(self) -> int:
-        return len(self.vertices)
+_LOWER, _UPPER = 1, 2
+_LEVEL = {_LOWER: "lower", _UPPER: "upper", _LOWER | _UPPER: "degenerate"}
 
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _collapse_chain(points):
-    """Drop repeated and collinear interior points of an open chain."""
+def _boundary_values(alpha: PiecewiseLinear, beta: PiecewiseLinear):
+    """[(t, alpha(t), beta(t))] at every breakpoint of either function, in
+    one left-to-right sweep; value_at fills in a breakpoint the other
+    function lacks."""
+    xa, xb = alpha.breakpoints, beta.breakpoints
+    i = j = 0
     out = []
-    for p in points:
-        out.append(p)
-        while len(out) >= 2 and out[-1] == out[-2]:
-            out.pop()
-        while len(out) >= 3 and _cross(out[-3], out[-2], out[-1]) == 0:
-            out.pop(-2)
+    while i < len(xa) or j < len(xb):
+        if i < len(xa) and j < len(xb) and xa[i] == xb[j]:
+            out.append((xa[i], alpha.values[i], beta.values[j]))
+            i += 1
+            j += 1
+        elif j == len(xb) or (i < len(xa) and xa[i] < xb[j]):
+            out.append((xa[i], alpha.values[i], beta.value_at(xa[i])))
+            i += 1
+        else:
+            out.append((xb[j], alpha.value_at(xb[j]), beta.values[j]))
+            j += 1
     return out
 
 
 def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
     """Assemble the region between alpha and beta into a convex tagged ccw polygon.
 
-    Vertices run left to right along alpha, then right to left along beta;
-    collinear points are removed and zero-length sides collapsed.  Each
-    vertex is tagged by its position against nu and mu (the ends of alpha's
-    domain) and by the boundary chains it lies on.
+    Vertices run left to right along alpha, then right to left along beta,
+    in one pass that merges repeated points (keeping both chains' flags)
+    and drops collinear ones.  With alpha convex and beta concave, as
+    alpha_beta certifies, the seam back to the first point can only repeat
+    it (alpha(nu) = beta(nu)); any other defect fails the strict-convexity
+    certificate.  Each vertex is tagged by its position against nu and mu
+    (the ends of alpha's domain) and by the boundary chains it lies on.
     """
-    bps = sorted(set(alpha.breakpoints) | set(beta.breakpoints))
-    avals = [alpha.value_at(t) for t in bps]
-    bvals = [beta.value_at(t) for t in bps]
-    for t, a, b in zip(bps, avals, bvals):
+    rows = _boundary_values(alpha, beta)
+    for t, a, b in rows:
         if a > b:
             raise InternalError(f"lower boundary exceeds upper boundary at t = {t}")
-
-    lower = _collapse_chain(list(zip(bps, avals)))
-    upper = _collapse_chain(list(zip(reversed(bps), reversed(bvals))))
+    cycle = [((t, a), _LOWER) for t, a, _ in rows]
+    cycle += [((t, b), _UPPER) for t, _, b in reversed(rows)]
 
     pts: list = []
-    flags: list[list[bool]] = []  # [on_lower, on_upper]
-
-    def push(p, low, up):
+    chains: list[int] = []  # _LOWER | _UPPER bits per point
+    for p, chain in cycle:
         if pts and pts[-1] == p:
-            flags[-1][0] |= low
-            flags[-1][1] |= up
-            return
+            chains[-1] |= chain
+            continue
+        while len(pts) >= 2 and _cross(pts[-2], pts[-1], p) == 0:
+            pts.pop()
+            chains.pop()
         pts.append(p)
-        flags.append([low, up])
-
-    for p in lower:
-        push(p, True, False)
-    for p in upper:
-        push(p, False, True)
-    if len(pts) > 1 and pts[0] == pts[-1]:
-        flags[0][0] |= flags[-1][0]
-        flags[0][1] |= flags[-1][1]
+        chains.append(chain)
+    if len(pts) > 1 and pts[-1] == pts[0]:
+        chains[0] |= chains.pop()
         pts.pop()
-        flags.pop()
-
-    # cyclic collinearity cleanup (seams included)
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        for i in range(len(pts)):
-            o = pts[(i - 1) % len(pts)]
-            a = pts[i]
-            b = pts[(i + 1) % len(pts)]
-            if _cross(o, a, b) == 0:
-                pts.pop(i)
-                flags.pop(i)
-                changed = True
-                break
 
     if len(pts) < 3:
         raise InternalError("polygon degenerated to fewer than three vertices")
@@ -262,16 +245,10 @@ def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
 
     t_nu, t_mu = alpha.breakpoints[0], alpha.breakpoints[-1]
     tags = []
-    for (t, _s), (low, up) in zip(pts, flags):
+    for (t, _s), chain in zip(pts, chains):
         position = "leftmost" if t == t_nu else "rightmost" if t == t_mu else "interior"
-        level = "degenerate" if low and up else "lower" if low else "upper"
-        tags.append(f"{position}-{level}")
-    return OkPolygon(
-        vertices=tuple(pts),
-        on_lower=tuple(f[0] for f in flags),
-        on_upper=tuple(f[1] for f in flags),
-        tags=tuple(tags),
-    )
+        tags.append(f"{position}-{_LEVEL[chain]}")
+    return OkPolygon(vertices=tuple(pts), tags=tuple(tags))
 
 
 def polygon_area2(polygon: OkPolygon):
@@ -350,7 +327,7 @@ def rightmost_count(
     ]
     in_v = linalg.in_span(span, list(cls.coords))
     last = profile.segments[-1]
-    width = as_exact(pair(model, last.p0, cls) + profile.mu * pair(model, last.p1, cls))
+    width = as_exact(last.f0 + profile.mu * last.fslope)
     observed = 1 if width == 0 else 2
     if in_v:
         return RightmostReport(1, True, observed, True)

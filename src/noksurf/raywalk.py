@@ -32,8 +32,9 @@ from .zariski import zariski_decompose
 
 @dataclass(frozen=True)
 class Segment:
-    """One chamber of the walk: support, affine coefficients and the moving
-    positive part P_t = p0 + t*p1 on [t_lo, t_hi]."""
+    """One chamber of the walk: support, affine coefficients, the moving
+    positive part P_t = p0 + t*p1 on [t_lo, t_hi] and its pairing
+    P_t.F = f0 + t*fslope with the flag class F."""
 
     t_lo: Fraction
     t_hi: Fraction | QExt
@@ -41,6 +42,8 @@ class Segment:
     coeffs: dict[str, tuple[Fraction, Fraction]]  # label -> (a0, a1)
     p0: DivisorClass
     p1: DivisorClass
+    f0: Fraction  # P_0.F
+    fslope: Fraction  # p1.F
 
     def coefficient_at(self, label: str, t):
         a0, a1 = self.coeffs[label]
@@ -337,7 +340,8 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
 
         segments.append(
             Segment(
-                t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=coeffs, p0=p0, p1=p1
+                t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=coeffs,
+                p0=p0, p1=p1, f0=f0, fslope=fslope,
             )
         )
         if mu is not None:

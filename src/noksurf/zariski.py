@@ -63,9 +63,6 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
     cands = list(candidates)
     if len(set(cands)) != len(cands):
         raise InputError("candidate labels must be pairwise distinct")
-    for l in cands:
-        if not model.curve(l).declared_irreducible:
-            raise InputError(f"candidate {l!r} is not declared irreducible")
     cands.sort(key=model.declaration_index)
 
     d_c = {l: pair_curve(model, divisor, l) for l in cands}

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import noksurf
 from noksurf.cli import main
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
@@ -63,6 +67,40 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert main(["polygon", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+def test_integer_over_digit_limit_exit_2(tmp_path, capsys):
+    doc = tmp_path / "bigint.json"
+    doc.write_text('{"schema": 1, "rank": ' + "9" * 5000 + "}")
+    assert main(["check-lattice", str(doc)]) == 2
+    assert "cannot load document" in capsys.readouterr().err
+
+
+def test_deeply_nested_document_exit_2(tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check-lattice", str(doc)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1e-99999999", " 3.5 "])
+def test_rational_outside_the_grammar_exit_2_quickly(text, tmp_path):
+    # Fraction() alone would accept " 3.5 " and spend minutes on 10**99999999;
+    # a child process lets the time cap stop a hang
+    doc = json.loads((CASES_DIR / "zariski_a2.json").read_text())
+    doc["divisor"][0] = text
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(noksurf.__file__).resolve().parent.parent)
+    res = subprocess.run(
+        [sys.executable, "-m", "noksurf.cli", "zariski", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 2
+    assert f"divisor[0]: cannot parse rational {text!r}" in res.stderr
 
 
 def test_schema_field_required(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from helpers import _between_any
 from noksurf import (
     CurveRecord,
     DivisorClass,
@@ -10,6 +13,7 @@ from noksurf import (
     InputError,
     InternalError,
     PiecewiseLinear,
+    QExt,
     SurfaceModel,
     TheoremViolation,
     alpha_beta,
@@ -271,3 +275,125 @@ def test_vertex_bound_check_raises_on_violation():
     bad = replace(poly, tags=tuple(["interior-lower"] * len(poly.vertices)))
     with pytest.raises(TheoremViolation):
         vertex_bound_check(BL1, bad, prof, spec)
+
+
+# -- build_polygon on hand-built boundary functions ---------------------------
+
+
+def _pl(breakpoints, start, slopes):
+    """A PiecewiseLinear from its first value and the slope of every piece."""
+    values = [start]
+    for x0, x1, m in zip(breakpoints, breakpoints[1:], slopes):
+        values.append(values[-1] + m * (x1 - x0))
+    return PiecewiseLinear(tuple(breakpoints), tuple(values))
+
+
+def _at(f, t):
+    xs, ys = f.breakpoints, f.values
+    i = next(i for i in range(len(xs) - 1) if t <= xs[i + 1])
+    return ys[i] + (ys[i + 1] - ys[i]) * (t - xs[i]) / (xs[i + 1] - xs[i])
+
+
+def _hull_oracle(alpha, beta):
+    """Vertices and tags of the region between alpha and beta without the
+    library's chain pass: the candidates are both graphs at every breakpoint
+    of either function, a candidate is a vertex unless it lies between two
+    others, and the vertices are sorted counterclockwise by cross products
+    around the lowest leftmost one."""
+    ts = set(alpha.breakpoints) | set(beta.breakpoints)
+    pts = {(t, _at(f, t)) for t in ts for f in (alpha, beta)}
+    verts = [p for p in pts if not _between_any(p, [q for q in pts if q != p])]
+    first = min(verts)
+
+    def turn(a, b):
+        cross = (a[0] - first[0]) * (b[1] - first[1]) - (a[1] - first[1]) * (b[0] - first[0])
+        return -1 if cross > 0 else 1
+
+    ordered = [first] + sorted((v for v in verts if v != first), key=cmp_to_key(turn))
+    nu_, mu_ = alpha.breakpoints[0], alpha.breakpoints[-1]
+    tags = []
+    for t, s in ordered:
+        position = "leftmost" if t == nu_ else "rightmost" if t == mu_ else "interior"
+        low, up = s == _at(alpha, t), s == _at(beta, t)
+        tags.append(f"{position}-{'degenerate' if low and up else 'lower' if low else 'upper'}")
+    return tuple(ordered), tuple(tags)
+
+
+MU_IRRATIONAL = QExt(1, Fraction(1, 2), 2)  # 1 + sqrt(2)/2
+HAND_BUILT = {
+    "differing-breakpoints": (_pl((0, 1, 3), 0, (0, 1)), _pl((0, 2, 3), 4, (0, -2))),
+    "collinear-runs": (
+        _pl((0, 1, 2, 3, 4), 0, (0, 0, 1, 1)),
+        _pl((0, 1, 2, 3, 4), 6, (0, 0, -1, -1)),
+    ),
+    "touch-at-nu": (_pl((0, 2), 1, (0,)), _pl((0, 1, 2), 1, (2, -1))),
+    "touch-at-mu": (_pl((0, 1, 2), 0, (0, 2)), _pl((0, 2), 4, (-1,))),
+    "touch-at-both": (_pl((0, 1, 2), 0, (0, 1)), _pl((0, 1, 2), 0, (2, -1))),
+    "irrational-mu": (
+        _pl((0, 1, MU_IRRATIONAL), 0, (0, 1)),
+        _pl((0, Fraction(1, 2), MU_IRRATIONAL), 3, (0, -1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_build_polygon_matches_hull_oracle(name):
+    alpha, beta = HAND_BUILT[name]
+    poly = build_polygon(alpha, beta)
+    assert (poly.vertices, poly.tags) == _hull_oracle(alpha, beta)
+
+
+def test_build_polygon_differing_breakpoints_by_hand():
+    poly = build_polygon(*HAND_BUILT["differing-breakpoints"])
+    assert poly.vertices == ((0, 0), (1, 0), (3, 2), (2, 4), (0, 4))
+    assert poly.tags == (
+        "leftmost-lower",
+        "interior-lower",
+        "rightmost-degenerate",
+        "interior-upper",
+        "leftmost-upper",
+    )
+
+
+def test_build_polygon_matches_hull_oracle_on_random_boundaries():
+    # convex alpha and concave beta on independent breakpoint sets with
+    # repeated slopes; beta is lifted to touch alpha (necessarily at nu or
+    # mu, where the concave beta - alpha is smallest) or to clear it
+    rng = random.Random(9)
+    checked = 0
+    for _ in range(300):
+        mu_ = Fraction(rng.randrange(1, 9), rng.choice([1, 2, 3]))
+
+        def breakpoints():
+            inner = {mu_ * Fraction(rng.randrange(1, 12), 12) for _ in range(rng.randrange(4))}
+            return (0, *sorted(inner), mu_)
+
+        def slopes(n):
+            return [Fraction(rng.randrange(-4, 5), rng.choice([1, 2])) for _ in range(n)]
+
+        xa = breakpoints()
+        xb = breakpoints() if rng.random() < 0.6 else xa
+        alpha = _pl(xa, Fraction(rng.randrange(3)), sorted(slopes(len(xa) - 1)))
+        beta = _pl(xb, 0, sorted(slopes(len(xb) - 1), reverse=True))
+        ts = set(xa) | set(xb)
+        lift = max(_at(alpha, t) - _at(beta, t) for t in ts) + rng.choice([0, 0, 1, 3])
+        beta = PiecewiseLinear(beta.breakpoints, tuple(v + lift for v in beta.values))
+        if all(_at(alpha, t) == _at(beta, t) for t in ts):
+            continue  # no area: the degenerate case is tested on its own
+        poly = build_polygon(alpha, beta)
+        assert (poly.vertices, poly.tags) == _hull_oracle(alpha, beta)
+        checked += 1
+    assert checked > 250
+
+
+def test_build_polygon_error_messages():
+    line = _pl((0, 1, 2), 0, (1, 1))
+    with pytest.raises(InternalError, match="^polygon degenerated to fewer than three vertices$"):
+        build_polygon(line, line)
+    # a concave alpha under a flat beta leaves a reflex vertex at t = 1
+    with pytest.raises(InternalError, match="^polygon is not strictly convex counterclockwise$"):
+        build_polygon(_pl((0, 1, 2), 0, (2, -2)), _pl((0, 2), 3, (0,)))
+    with pytest.raises(InternalError, match="^lower boundary exceeds upper boundary at t = 1$"):
+        build_polygon(_pl((0, 1, 2), 0, (2, -2)), _pl((0, 2), 1, (0,)))
+    with pytest.raises(InputError, match="outside the function's domain"):
+        build_polygon(_pl((0, 2), 0, (0,)), _pl((0, 1, 3), 1, (0, 0)))

@@ -136,6 +136,9 @@ def test_walk_monotone_support_and_positivity_on_corpus():
             for l in seg.support:
                 assert pair(case.model, seg.p0, case.model.class_of(l)) == 0
                 assert pair(case.model, seg.p1, case.model.class_of(l)) == 0
+            # the carried flag pairings are those of the carried vectors
+            assert seg.f0 == pair(case.model, seg.p0, prof.flag_class)
+            assert seg.fslope == pair(case.model, seg.p1, prof.flag_class)
             fresh = _segment_system(
                 case.model, prof.divisor, prof.flag_class, list(seg.support)
             )
