@@ -78,11 +78,11 @@ def _polygon_payload(model, doc) -> tuple[dict, object]:
     polygon = build_polygon(alpha, beta)
     slopes = side_slopes(model, profile, spec, alpha, beta)
     predictions = predict_interior_vertices(model, profile, spec)
-    right = rightmost_count(model, profile, divisor, target)
+    right = rightmost_count(model, profile)
     bounds = vertex_bound_check(model, polygon, profile, spec)
     area2 = polygon_area2(polygon)
     left_len = leftmost_vertical_length(polygon)
-    left_check = leftmost_side_check(model, divisor, target, candidates)
+    left_check = leftmost_side_check(model, profile)
     if left_len != left_check:
         raise InternalError(
             f"leftmost side {fmt(left_len)} disagrees with P_0.C = {fmt(left_check)}"
@@ -256,10 +256,6 @@ def cmd_scan_vertex_counts(doc, args):
         results = scan_vertex_counts(model, divisor, master, budget=args.budget)
     rows = []
     for r in results:
-        replay = walk_ray(model, divisor, r.flag_class, model.labels())
-        verified = (
-            replay.appearance == r.profile.appearance and replay.mu == r.profile.mu
-        )
         rows.append(
             {
                 "v": r.target,
@@ -271,7 +267,7 @@ def cmd_scan_vertex_counts(doc, args):
                 "vertices": [docio.fmt_point(p) for p in r.polygon.vertices],
                 "vertex_count": len(r.polygon.vertices),
                 "independent": r.certificate.independent,
-                "verified": verified,
+                "verified": r.verified(),
             }
         )
     return {"realizations": rows}, None
@@ -375,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget < 1:
+            raise InputError(f"--budget must be at least 1, got {args.budget}")
         doc = docio.load_document(args.input)
         body, polygon = _COMMANDS[args.command](doc, args)
         payload = {"schema": docio.SCHEMA_VERSION, "command": args.command, **body}

@@ -133,6 +133,7 @@ def find_ordered_ample_class(
     current = divisor
     times: list[Fraction] = []
     coefficients: dict[str, Fraction] = {}
+    profile = None  # walk of the last accepted trial, whose prefix is all of config
     for j, label in enumerate(config):
         cls = model.class_of(label)
         guess = _upper_bound_positive_range(model, current, label) / 2
@@ -161,9 +162,8 @@ def find_ordered_ample_class(
         current, profile = _perturb_independent(
             model, divisor, current, config, budget
         )
-        times = [profile.appearance[l] for l in config]
         independent = True
-    else:
+    elif profile is None:
         profile = _walk_matches(model, divisor, current, config)
         if profile is None:
             raise SearchFailure("final verification walk rejected the class")
@@ -235,18 +235,30 @@ class RealizedFlag:
     flag_class: DivisorClass
     flag_spec: FlagSpec
     certificate: OrderedFlagCertificate
+    scale: int  # flag_class = scale * certificate.flag_class
     profile: RayProfile
     polygon: OkPolygon
 
+    def verified(self) -> bool:
+        """The realization's walk is the certificate's walk rescaled: the
+        flag class is `scale` times the certified one, so every appearance
+        time and mu are the certified ones divided by `scale`."""
+        m = self.scale
+        return (
+            self.profile.appearance == {l: t / m for l, t in self.certificate.appearance}
+            and self.profile.mu == self.certificate.mu / m
+        )
 
-def _scale_for_flag(model, certificate, config) -> DivisorClass:
-    """Smallest integral multiple meeting each configuration curve twice."""
+
+def _scale_for_flag(model, certificate, config) -> tuple[int, DivisorClass]:
+    """Smallest integral multiple meeting each configuration curve twice,
+    with its factor."""
     cls = certificate.flag_class
     m = lcm(*[Fraction(x).denominator for x in cls.coords]) if len(cls) else 1
     while True:
         scaled = cls.scale(m)
         if all(pair_curve(model, scaled, l) >= 2 for l in config):
-            return scaled
+            return m, scaled
         m += lcm(*[Fraction(x).denominator for x in cls.coords])
 
 
@@ -307,7 +319,7 @@ def realize_vertex_count(
     certificate = find_ordered_ample_class(
         model, divisor, config, want_independent, budget
     )
-    flag_class = _scale_for_flag(model, certificate, config)
+    scale, flag_class = _scale_for_flag(model, certificate, config)
     if placement == "first-curve":
         local = {config[0]: 1}
     elif placement == "second-curve":
@@ -330,6 +342,7 @@ def realize_vertex_count(
         flag_class=flag_class,
         flag_spec=spec,
         certificate=certificate,
+        scale=scale,
         profile=profile,
         polygon=polygon,
     )

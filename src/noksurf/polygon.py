@@ -16,7 +16,6 @@ from . import linalg
 from .errors import InputError, InternalError, ModelError, TheoremViolation
 from .lattice import (
     SurfaceModel,
-    as_divisor,
     dual_graph_components,
     is_model_ample,
     is_negative_definite,
@@ -25,7 +24,6 @@ from .lattice import (
 )
 from .qext import QExt, as_exact
 from .raywalk import RayProfile, resolve_flag
-from .zariski import zariski_decompose
 
 
 @dataclass(frozen=True)
@@ -36,11 +34,10 @@ class FlagSpec:
     flag: object
     local_mult: dict[str, int]
 
-    def resolved(self, model: SurfaceModel):
-        return resolve_flag(model, self.flag)
-
-    def validate(self, model: SurfaceModel) -> None:
-        label, cls = self.resolved(model)
+    def validate(self, model: SurfaceModel):
+        """Check the multiplicities against the model; returns the flag
+        resolved to (label or None, class)."""
+        label, cls = resolve_flag(model, self.flag)
         for l, m in self.local_mult.items():
             if l == label:
                 raise InputError("local multiplicities must not include the flag curve")
@@ -52,6 +49,7 @@ class FlagSpec:
                 raise InputError(
                     f"local multiplicity of {l!r} exceeds its total intersection {total}"
                 )
+        return label, cls
 
     def mult(self, label: str) -> int:
         return self.local_mult.get(label, 0)
@@ -122,8 +120,7 @@ def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
     beta(t) = D.C - t C^2 - (N_t.C - alpha(t)) is an identity of the same
     data and is exercised by the test suite as a consistency check.
     """
-    flag.validate(model)
-    label, cls = flag.resolved(model)
+    label, cls = flag.validate(model)
     if label != profile.flag_label or cls != profile.flag_class:
         raise InputError("flag does not match the one the profile was walked with")
     for seg in profile.segments:
@@ -283,8 +280,7 @@ def predict_interior_vertices(
     post-wall support contains an entering curve and meets the flag point;
     an upper vertex iff such a component meets C away from the flag point.
     """
-    flag.validate(model)
-    _, cls = flag.resolved(model)
+    _, cls = flag.validate(model)
     out = []
     for seg_prev, seg in zip(profile.segments, profile.segments[1:]):
         t_star = seg.t_lo
@@ -312,17 +308,12 @@ class RightmostReport:
     flag_in_span: bool
 
 
-def rightmost_count(
-    model: SurfaceModel, profile: RayProfile, divisor, flag
-) -> RightmostReport:
+def rightmost_count(model: SurfaceModel, profile: RayProfile) -> RightmostReport:
     """1 when [C] lies in the span of [D] and the terminal support, else 2
     for a certified-ample flag; uncertified cases fall back to the observed
-    count with a warning flag (certified=False)."""
-    divisor = as_divisor(divisor, model.rank)
-    _, cls = resolve_flag(model, flag)
-    if divisor != profile.divisor or cls != profile.flag_class:
-        raise InputError("divisor/flag do not match the profile")
-    span = [list(divisor.coords)] + [
+    count with a warning flag (certified=False).  D and C are the profile's."""
+    cls = profile.flag_class
+    span = [list(profile.divisor.coords)] + [
         list(model.class_of(l).coords) for l in profile.final_support()
     ]
     in_v = linalg.in_span(span, list(cls.coords))
@@ -348,8 +339,7 @@ def side_slopes(
     lower = sum a_j1 (C_j.C)_p;  upper = sum a_j1 ((C_j.C)_p - C_j.C) - C^2.
     Cross-checked against the difference quotients of the given alpha and beta.
     """
-    flag.validate(model)
-    _, cls = flag.resolved(model)
+    _, cls = flag.validate(model)
     csq = pair(model, cls, cls)
     out = []
     for seg in profile.segments:
@@ -393,16 +383,11 @@ def leftmost_vertical_length(polygon: OkPolygon):
     return as_exact(max(svals) - min(svals))
 
 
-def leftmost_side_check(model: SurfaceModel, divisor, flag, candidates):
-    """Independent value of the leftmost side length: P_0.C from a fresh
-    decomposition of D itself."""
-    divisor = as_divisor(divisor, model.rank)
-    flag_label, cls = resolve_flag(model, flag)
-    cands = list(candidates)
-    if flag_label is not None and flag_label not in cands:
-        cands.append(flag_label)
-    dec = zariski_decompose(model, divisor, cands)
-    return pair(model, dec.positive_part, cls)
+def leftmost_side_check(model: SurfaceModel, profile: RayProfile):
+    """Independent value of the leftmost side length: P_0.C from the
+    decomposition of D itself that the walk starts from, not from the
+    chamber solve the polygon's side comes from."""
+    return pair(model, profile.decomposition.positive_part, profile.flag_class)
 
 
 # -- configuration invariants ------------------------------------------------
@@ -463,7 +448,6 @@ def vertex_bound_check(
     A component through the point counts toward both sides whenever one of
     its curves also meets C elsewhere.
     """
-    _, flag_cls = flag.resolved(model)
     support = list(profile.final_support())
     bound = mv(model, support)
     picard = 2 * model.rank + 1
@@ -473,7 +457,7 @@ def vertex_bound_check(
     for comp in comps:
         if any(flag.mult(l) > 0 for l in comp):
             p_curves.update(comp)
-        if any(pair_curve(model, flag_cls, l) - flag.mult(l) > 0 for l in comp):
+        if any(pair_curve(model, profile.flag_class, l) - flag.mult(l) > 0 for l in comp):
             away_curves.update(comp)
     lower_bound = len(p_curves)
     upper_bound = len(away_curves)

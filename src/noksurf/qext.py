@@ -160,14 +160,6 @@ class QExt:
             return NotImplemented
         return o * self._inverse()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QExt(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- order -------------------------------------------------------------
 
     def sign(self) -> int:

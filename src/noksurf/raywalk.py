@@ -27,7 +27,7 @@ from .lattice import (
     subtract_curves,
 )
 from .qext import QExt, as_exact, sqrt_fraction
-from .zariski import zariski_decompose
+from .zariski import ZariskiResult, zariski_decompose
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ class RayProfile:
     flag_class: DivisorClass
     divisor: DivisorClass
     candidates: tuple[str, ...]
+    decomposition: ZariskiResult  # of D itself, from which the walk starts
 
     def final_support(self) -> tuple[str, ...]:
         """Support of the negative part at mu (the largest support reached)."""
@@ -85,12 +86,14 @@ def resolve_flag(model: SurfaceModel, flag) -> tuple[str | None, DivisorClass]:
     return None, cls
 
 
-def _validated_candidates(model: SurfaceModel, candidates) -> list[str]:
+def _validated_candidates(model: SurfaceModel, candidates, flag_label) -> list[str]:
+    """The distinct candidates with a declared flag curve among them, in
+    declaration order (sorting rejects an unknown label)."""
     cands = list(candidates)
     if len(set(cands)) != len(cands):
         raise InputError("candidate labels must be pairwise distinct")
-    for l in cands:
-        model.curve(l)
+    if flag_label is not None and flag_label not in cands:
+        cands.append(flag_label)
     return sorted(cands, key=model.declaration_index)
 
 
@@ -98,38 +101,9 @@ def nu(model: SurfaceModel, divisor, flag, candidates) -> Fraction:
     """Coefficient of the flag curve in the negative part of D itself."""
     divisor = as_divisor(divisor, model.rank)
     flag_label, _ = resolve_flag(model, flag)
-    cands = _validated_candidates(model, candidates)
-    if flag_label is not None and flag_label not in cands:
-        cands.append(flag_label)
+    cands = _validated_candidates(model, candidates, flag_label)
     dec = zariski_decompose(model, divisor, cands)
-    if flag_label is None:
-        return Fraction(0)
-    return dec.coefficient(flag_label)
-
-
-def _segment_system(model, divisor, flag_class, support):
-    """Affine solution on a support: coefficients and the moving positive part.
-
-    Returns (coeffs, p0, p1) with a_j(t) = a0_j + a1_j*t and
-    P_t = p0 + t*p1.
-    """
-    if support:
-        gram = gram_matrix(model, support)
-        rhs0 = [pair_curve(model, divisor, l) for l in support]
-        rhs1 = [-pair_curve(model, flag_class, l) for l in support]
-        try:
-            a0, a1 = linalg.solve_negative_definite(gram, [rhs0, rhs1])
-        except linalg.NotNegativeDefinite:
-            raise ModelError(
-                f"support {list(support)} is not negative definite "
-                f"(inertia {linalg.inertia(gram)})"
-            ) from None
-    else:
-        a0, a1 = [], []
-    coeffs = {l: (a0[i], a1[i]) for i, l in enumerate(support)}
-    p0 = subtract_curves(model, divisor, zip(support, a0))
-    p1 = subtract_curves(model, -flag_class, zip(support, a1))
-    return coeffs, p0, p1
+    return dec.coefficient(flag_label) if flag_label is not None else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -146,6 +120,32 @@ class _Ray:
     dd: Fraction
     df: Fraction
     ff: Fraction
+
+
+def _segment_system(model, ray, support):
+    """Affine solution on a support: coefficients and the moving positive part.
+
+    Returns (coeffs, p0, p1) with a_j(t) = a0_j + a1_j*t and
+    P_t = p0 + t*p1.  The right-hand sides D.C_l and -F.C_l are read from
+    the ray, which paired D and F with every candidate once.
+    """
+    if support:
+        gram = gram_matrix(model, support)
+        rhs0 = [ray.d_c[l] for l in support]
+        rhs1 = [-ray.f_c[l] for l in support]
+        try:
+            a0, a1 = linalg.solve_negative_definite(gram, [rhs0, rhs1])
+        except linalg.NotNegativeDefinite:
+            raise ModelError(
+                f"support {list(support)} is not negative definite "
+                f"(inertia {linalg.inertia(gram)})"
+            ) from None
+    else:
+        a0, a1 = [], []
+    coeffs = {l: (a0[i], a1[i]) for i, l in enumerate(support)}
+    p0 = subtract_curves(model, ray.divisor, zip(support, a0))
+    p1 = subtract_curves(model, -ray.flag_class, zip(support, a1))
+    return coeffs, p0, p1
 
 
 def _pairings(model, ray, labels, coeffs):
@@ -187,7 +187,7 @@ def _enlarge_support(model, ray, support, t_star, outside, solution):
         if not adds:
             break
         current = current + adds
-        solution = _segment_system(model, ray.divisor, ray.flag_class, current)
+        solution = _segment_system(model, ray, current)
         rest = [l for l, _ in wall if l not in current]
         wall = [(l, q1) for l, _, q1 in _pairings(model, ray, rest, solution[0])]
     coeffs, p0, p1 = solution
@@ -237,11 +237,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     """
     divisor = as_divisor(divisor, model.rank)
     flag_label, flag_class = resolve_flag(model, flag)
-    cands = _validated_candidates(model, candidates)
-    if flag_label is not None and flag_label not in cands:
-        cands_full = sorted(cands + [flag_label], key=model.declaration_index)
-    else:
-        cands_full = list(cands)
+    cands_full = _validated_candidates(model, candidates, flag_label)
     entry_order = [l for l in cands_full if l != flag_label]
 
     dec0 = zariski_decompose(model, divisor, cands_full)
@@ -260,7 +256,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     ray = _Ray(
         divisor=divisor,
         flag_class=flag_class,
-        d_c={l: pair_curve(model, divisor, l) for l in entry_order},
+        d_c=dec0.pairings,
         f_c={l: pair_curve(model, flag_class, l) for l in entry_order},
         dd=pair(model, divisor, divisor),
         df=pair(model, divisor, flag_class),
@@ -269,7 +265,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     support = sorted(dec_nu.support, key=model.declaration_index)
     appearance: dict[str, Fraction] = {l: t_nu for l in support}
     # a wall may sit exactly at nu; enlarge before the first segment
-    solution = _segment_system(model, divisor, flag_class, support)
+    solution = _segment_system(model, ray, support)
     outside = _outside_pairings(model, ray, entry_order, support, solution[0])
     enlarged, solution = _enlarge_support(model, ray, support, t_nu, outside, solution)
     if len(enlarged) > len(support):
@@ -375,6 +371,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         flag_class=flag_class,
         divisor=divisor,
         candidates=tuple(cands_full),
+        decomposition=dec0,
     )
 
 

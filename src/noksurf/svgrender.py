@@ -27,6 +27,8 @@ def render_svg(
     """
     if not polygon.vertices:
         raise InputError("cannot render an empty polygon")
+    if width < 1:
+        raise InputError(f"width must be at least 1 pixel, got {width}")
     pts = [(float(t), float(s)) for t, s in polygon.vertices]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]

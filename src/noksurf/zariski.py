@@ -27,11 +27,13 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class ZariskiResult:
-    """Certified decomposition: support, positive coefficients, nef remainder."""
+    """Certified decomposition: support, positive coefficients, nef remainder,
+    and the pairings D.C_l with every candidate it was solved from."""
 
     support: tuple[str, ...]
     coeffs: dict[str, Fraction] = field(compare=False)
     positive_part: DivisorClass = field(compare=False)
+    pairings: dict[str, Fraction] = field(compare=False)
 
     def negative_part(self, model: SurfaceModel) -> DivisorClass:
         return subtract_curves(
@@ -102,6 +104,7 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
         support=tuple(l for l, _ in kept),
         coeffs={l: a for l, a in kept},
         positive_part=positive,
+        pairings=d_c,
     )
     # orthogonality certificate
     for l in result.support:

@@ -170,7 +170,7 @@ def test_criterion_6_theorem_suite(corpus_runs):
                 disagreements += 1
         if not set(observed) <= predicted:
             disagreements += 1
-        r = rightmost_count(case.model, profile, case.divisor, case.flag)
+        r = rightmost_count(case.model, profile)
         observed_right = sum(1 for t, _s in poly.vertices if t == profile.mu)
         if r.certified and r.count != observed_right:
             disagreements += 1

@@ -249,3 +249,75 @@ def test_scan_single_target_v(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [r["v"] for r in payload["realizations"]] == [6]
     assert payload["realizations"][0]["verified"]
+
+
+def test_scan_verified_fails_when_certificate_disagrees(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import noksurf.flagbuilder as flagbuilder
+
+    search = flagbuilder.find_ordered_ample_class
+
+    def off_by_one(*args, **kwargs):
+        cert = search(*args, **kwargs)
+        (label, t), *rest = cert.appearance
+        return dataclasses.replace(cert, appearance=((label, t + 1), *rest))
+
+    monkeypatch.setattr(flagbuilder, "find_ordered_ample_class", off_by_one)
+    doc = json.loads((CASES_DIR / "scan_chain3.json").read_text())
+    doc["target_v"] = 6
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scan-vertex-counts", str(path)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["realizations"]
+    assert row["config"] and row["verified"] is False
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap every binding of noksurf.<module>.<name> in the loaded noksurf
+    modules; the returned list grows by one per call."""
+    fn = getattr(sys.modules[f"noksurf.{module}"], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("noksurf."):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_polygon_resolves_flag_and_decomposes_d_once(monkeypatch, capsys):
+    # the flag is resolved once per spec validation plus once by the walk,
+    # and D is decomposed only by the walk (nu = 0 on this case)
+    resolves = _count_calls(monkeypatch, "raywalk", "resolve_flag")
+    decompositions = _count_calls(monkeypatch, "zariski", "zariski_decompose")
+    assert main(["polygon", str(CASES_DIR / "ex3_tight.json")]) == 0
+    assert len(resolves) <= 5
+    assert len(decompositions) == 1
+
+
+def test_scan_walks_no_realization_twice(monkeypatch, capsys):
+    # one walk per trial the probes accept and one per realization; no
+    # replay of the search's last trial or of the realization
+    walks = _count_calls(monkeypatch, "raywalk", "walk_ray")
+    assert main(["scan-vertex-counts", str(CASES_DIR / "scan_chain3.json")]) == 0
+    assert len(walks) <= 13
+
+
+def test_render_svg_nonpositive_width_exit_2(tmp_path, capsys):
+    out = tmp_path / "bad.svg"
+    doc = str(CASES_DIR / "ex1_on_point.json")
+    assert main(["render-svg", doc, "--svg", str(out), "--width", "-5"]) == 2
+    assert "width must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_budget_exit_2(capsys):
+    doc = str(CASES_DIR / "flag_search_chain.json")
+    assert main(["flag-search", doc, "--budget", "0"]) == 2
+    assert "--budget must be at least 1" in capsys.readouterr().err

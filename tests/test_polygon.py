@@ -109,7 +109,7 @@ def test_ex2_negative_flag():
     assert poly.tags == ("leftmost-degenerate", "rightmost-lower", "rightmost-upper")
     assert polygon_area2(poly) == 1  # P_0^2 = H^2
     assert leftmost_vertical_length(poly) == 0
-    assert leftmost_side_check(BL1, DivisorClass((1, 1)), "E", ["E"]) == 0
+    assert leftmost_side_check(BL1, prof) == 0
 
 
 def test_ex3_five_vertices():
@@ -168,7 +168,7 @@ def test_side_lengths_and_leftmost():
         (0, -5),
     ]
     assert leftmost_vertical_length(poly) == 5
-    assert leftmost_side_check(BL1, D1, "C", ["E"]) == 5  # P_0 = D, D.C = 5
+    assert leftmost_side_check(BL1, prof) == 5  # P_0 = D, D.C = 5
 
 
 def test_predictions_match_observations():
@@ -186,7 +186,7 @@ def test_predictions_match_observations():
 
 def test_rightmost_examples():
     prof, *_ = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
-    r = rightmost_count(BL1, prof, D1, "C")
+    r = rightmost_count(BL1, prof)
     assert (r.count, r.certified) == (1, True)
     # ample flag outside span([D], empty support): two rightmost vertices,
     # mu = (8 - 2 sqrt(2)) / 7 irrational
@@ -200,7 +200,7 @@ def test_rightmost_examples():
     a = DivisorClass((3, -1, -1))
     prof = walk_ray(m, d, a, ["E1"])
     assert prof.radicand == 2 and prof.final_support() == ()
-    r = rightmost_count(m, prof, d, a)
+    r = rightmost_count(m, prof)
     assert (r.count, r.certified, r.flag_in_span) == (2, True, False)
     assert r.observed == 2
 
@@ -213,7 +213,7 @@ def test_rightmost_uncertified_falls_back():
         (2, -1),
     )
     prof = walk_ray(m, DivisorClass((3, -1)), "H", ["E"])
-    r = rightmost_count(m, prof, DivisorClass((3, -1)), "H")
+    r = rightmost_count(m, prof)
     assert (r.count, r.certified, r.observed) == (2, False, 2)
 
 

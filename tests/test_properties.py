@@ -94,7 +94,7 @@ def test_interior_predictions_agree(pipeline_results):
 
 def test_rightmost_counts_agree(pipeline_results):
     for case, profile, alpha, beta, polygon in pipeline_results:
-        r = rightmost_count(case.model, profile, case.divisor, case.flag)
+        r = rightmost_count(case.model, profile)
         observed = sum(1 for t, _s in polygon.vertices if t == profile.mu)
         assert r.observed == observed, case.name
         if r.certified:

@@ -15,7 +15,7 @@ from noksurf import (
     walk_ray,
     zariski_decompose,
 )
-from noksurf.raywalk import _segment_system
+from noksurf.raywalk import _Ray, _segment_system
 
 BL1 = SurfaceModel(
     2,
@@ -139,9 +139,19 @@ def test_walk_monotone_support_and_positivity_on_corpus():
             # the carried flag pairings are those of the carried vectors
             assert seg.f0 == pair(case.model, seg.p0, prof.flag_class)
             assert seg.fslope == pair(case.model, seg.p1, prof.flag_class)
-            fresh = _segment_system(
-                case.model, prof.divisor, prof.flag_class, list(seg.support)
+            # a fresh solve on a ray whose pairings are taken here with `pair`
+            d, f = prof.divisor, prof.flag_class
+            classes = {l: case.model.class_of(l) for l in seg.support}
+            fresh_ray = _Ray(
+                divisor=d,
+                flag_class=f,
+                d_c={l: pair(case.model, d, c) for l, c in classes.items()},
+                f_c={l: pair(case.model, f, c) for l, c in classes.items()},
+                dd=pair(case.model, d, d),
+                df=pair(case.model, d, f),
+                ff=pair(case.model, f, f),
             )
+            fresh = _segment_system(case.model, fresh_ray, list(seg.support))
             assert (seg.coeffs, seg.p0, seg.p1) == fresh
         # P^2 positive strictly inside, zero at mu
         last = prof.segments[-1]
@@ -161,6 +171,26 @@ def test_walk_monotone_support_and_positivity_on_corpus():
                     + t * t * pair(case.model, p1, p1)
                 )
                 assert val > 0
+
+
+def test_profile_keeps_the_decomposition_of_d():
+    # the decomposition the walk starts from is the one a fresh call gives,
+    # and its pairings are D.C_l for every candidate
+    for case in corpus(seed=404, count=40):
+        prof = walk_ray(case.model, case.divisor, case.flag, case.candidates)
+        cands = list(case.candidates)
+        if prof.flag_label is not None and prof.flag_label not in cands:
+            cands.append(prof.flag_label)
+        fresh = zariski_decompose(case.model, case.divisor, cands)
+        kept = prof.decomposition
+        assert kept.support == fresh.support, case.name
+        assert kept.coeffs == fresh.coeffs, case.name
+        assert kept.positive_part == fresh.positive_part, case.name
+        assert kept.pairings == {
+            l: pair(case.model, case.divisor, case.model.class_of(l)) for l in cands
+        }, case.name
+        flag_coeff = kept.coefficient(prof.flag_label) if prof.flag_label else 0
+        assert prof.nu == flag_coeff, case.name
 
 
 def test_slope_monotonicity_at_walls_on_corpus():
