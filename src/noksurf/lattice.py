@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import InputError
@@ -22,7 +23,10 @@ def _coord(x):
         return as_exact(x)
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"coordinate {x!r} is not exact")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError):
+        raise InputError(f"coordinate {x!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,19 @@ class DivisorClass:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
+
+    def _scaled(self):
+        """(integer numerators, one positive common denominator), kept as a
+        non-field attribute on first use; a QExt class keeps its coords over 1."""
+        try:
+            return self._ints
+        except AttributeError:
+            c, den = self.coords, 1
+            if all(type(x) is Fraction for x in c):
+                den = lcm(*(x.denominator for x in c))
+                c = tuple(x.numerator * (den // x.denominator) for x in c)
+            object.__setattr__(self, "_ints", (c, den))
+            return c, den
 
 
 def as_divisor(v, rank: int | None = None) -> DivisorClass:
@@ -157,7 +174,9 @@ class SurfaceModel:
         object.__setattr__(self, "_products", products)
         object.__setattr__(self, "_classes", {})
         object.__setattr__(self, "_index", {c.label: i for i, c in enumerate(recs)})
+        # the witness as a class, so its integer form is built once
         w = DivisorClass(witness)
+        object.__setattr__(self, "_witness", w)
         if pair(self, w, w) <= 0:
             raise InputError("ample witness has nonpositive self-intersection")
         for c in recs:
@@ -192,40 +211,44 @@ def _lookup(table: dict, label):
         raise InputError(f"unknown curve label {label!r}") from None
 
 
-def _exact(total):
-    if isinstance(total, QExt):
-        return as_exact(total)
-    return total if isinstance(total, Fraction) else Fraction(total)
+def _exact(total, den):
+    if type(total) is int:
+        return Fraction(total, den)
+    return as_exact(total / den)  # a class with a QExt coordinate
 
 
 def pair(model: SurfaceModel, u, v):
-    """Intersection product u.v through the model's bilinear form."""
-    u = as_divisor(u, model.rank).coords
-    v = as_divisor(v, model.rank).coords
+    """Intersection product u.v through the model's bilinear form, summed
+    over the integer numerators of both classes."""
+    u, du = as_divisor(u, model.rank)._scaled()
+    v, dv = as_divisor(v, model.rank)._scaled()
     rows = model._rows
     total = 0
     for i, ui in enumerate(u):
-        if not ui:
-            continue
-        acc = 0
-        for j, g in rows[i]:
-            vj = v[j]
-            if vj:
-                acc = acc + g * vj
-        if acc:
-            total = total + ui * acc
-    return _exact(total)
+        if ui:
+            acc = 0
+            for j, g in rows[i]:
+                acc += g * v[j]
+            total += ui * acc
+    return _exact(total, du * dv)
 
 
 def pair_curve(model: SurfaceModel, v, label: str):
     """Intersection product v.C_l with a declared curve, from the dual row G.c_l."""
-    v = as_divisor(v, model.rank).coords
+    v, den = as_divisor(v, model.rank)._scaled()
     total = 0
     for j, g in _lookup(model._duals, label):
-        vj = v[j]
-        if vj:
-            total = total + g * vj
-    return _exact(total)
+        total += g * v[j]
+    return _exact(total, den)
+
+
+def sorted_labels(model: SurfaceModel, labels, what: str) -> list[str]:
+    """The labels in declaration order; an unknown, unhashable or repeated
+    label is an InputError."""
+    out = sorted(labels, key=model.declaration_index)
+    if len(set(out)) != len(out):
+        raise InputError(f"{what} labels must be pairwise distinct")
+    return out
 
 
 def subtract_curves(model: SurfaceModel, v, terms) -> DivisorClass:

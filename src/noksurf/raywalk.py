@@ -11,6 +11,7 @@ single quadratic extension).
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .lattice import (
     gram_matrix,
     pair,
     pair_curve,
+    sorted_labels,
     subtract_curves,
 )
 from .qext import QExt, as_exact, sqrt_fraction
@@ -88,13 +90,11 @@ def resolve_flag(model: SurfaceModel, flag) -> tuple[str | None, DivisorClass]:
 
 def _validated_candidates(model: SurfaceModel, candidates, flag_label) -> list[str]:
     """The distinct candidates with a declared flag curve among them, in
-    declaration order (sorting rejects an unknown label)."""
-    cands = list(candidates)
-    if len(set(cands)) != len(cands):
-        raise InputError("candidate labels must be pairwise distinct")
+    declaration order."""
+    cands = sorted_labels(model, candidates, "candidate")
     if flag_label is not None and flag_label not in cands:
-        cands.append(flag_label)
-    return sorted(cands, key=model.declaration_index)
+        insort(cands, flag_label, key=model.declaration_index)
+    return cands
 
 
 def nu(model: SurfaceModel, divisor, flag, candidates) -> Fraction:
@@ -229,6 +229,22 @@ def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur
     return None
 
 
+def _exit_first(p0sq, cross, p1sq, t_cur, t_wall):
+    """Whether q(t) = p0sq + 2*cross*t + p1sq*t^2, positive at t_cur, first
+    vanishes at or before t_wall > t_cur (None: no wall), by sign tests in Q;
+    None when q has no root beyond t_cur (for p1sq > 0: unless the vertex
+    lies ahead and the discriminant is >= 0)."""
+    if p1sq > 0 and (-cross <= p1sq * t_cur or cross * cross < p1sq * p0sq):
+        return None
+    if p1sq == 0 and cross >= 0:
+        return None
+    # past the first root q(t_wall) <= 0, or, convex, past both with the vertex
+    return t_wall is None or (
+        p0sq + 2 * cross * t_wall + p1sq * t_wall * t_wall <= 0
+        or (p1sq > 0 and -cross < p1sq * t_wall)
+    )
+
+
 def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     """Full chamber walk of D - t*C from nu to mu.
 
@@ -250,7 +266,9 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     if flag_label is not None and flag_label in dec_nu.support:
         raise ModelError("flag curve still in the negative part at t = nu")
     p_nu = dec_nu.positive_part
-    if pair(model, p_nu, p_nu) <= 0:
+    # P^2 > 0 holds in both halves of the light cone; the ample witness
+    # pairs positively with the half that holds the big classes
+    if pair(model, p_nu, p_nu) <= 0 or pair(model, p_nu, model._witness) <= 0:
         raise ModelError("divisor is not big against the model")
 
     ray = _Ray(
@@ -298,17 +316,17 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             p0sq -= a0 * ray.d_c[j]
         cross, p1sq = -f0, -fslope
 
-        # exit of the big cone
+        # exit of the big cone, decided in Q; its root is taken only on exit
         if p0sq + 2 * cross * t_cur + p1sq * t_cur * t_cur <= 0:
             raise InternalError("positive part lost its positivity inside a segment")
-        mu_candidate = _first_quadratic_root(p0sq, cross, p1sq, t_cur)
-        if mu_candidate is None:
-            raise ModelError("ray never exits big cone in model")
-
         next_event = min((te for te, _ in events), default=None)
-        if next_event is None or mu_candidate <= next_event:
-            t_hi = mu_candidate
-            mu = mu_candidate
+        exits = _exit_first(p0sq, cross, p1sq, t_cur, next_event)
+        if exits is None:
+            raise ModelError("ray never exits big cone in model")
+        if exits:
+            mu = t_hi = _first_quadratic_root(p0sq, cross, p1sq, t_cur)
+            if mu is None:
+                raise InternalError("the sign tests found an exit with no root")
             if isinstance(mu, QExt):
                 radicand = mu.d
         else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import InputError, ModelError
+from .errors import ModelError
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -21,6 +21,7 @@ from .lattice import (
     curve_products,
     gram_matrix,
     pair_curve,
+    sorted_labels,
     subtract_curves,
 )
 
@@ -62,10 +63,7 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
     part could involve.
     """
     divisor = as_divisor(divisor, model.rank)
-    cands = list(candidates)
-    if len(set(cands)) != len(cands):
-        raise InputError("candidate labels must be pairwise distinct")
-    cands.sort(key=model.declaration_index)
+    cands = sorted_labels(model, candidates, "candidate")
 
     d_c = {l: pair_curve(model, divisor, l) for l in cands}
     support = [l for l in cands if d_c[l] < 0]
@@ -120,12 +118,9 @@ def relative_negative_part(model: SurfaceModel, divisor, subset) -> dict[str, Fr
     positivity is asserted.
     """
     divisor = as_divisor(divisor, model.rank)
-    labels = list(subset)
+    labels = sorted_labels(model, subset, "subset")
     if not labels:
         return {}
-    if len(set(labels)) != len(labels):
-        raise InputError("subset labels must be pairwise distinct")
-    labels.sort(key=model.declaration_index)
     sol = _solve_support(model, labels, [pair_curve(model, divisor, l) for l in labels])
     if sol is None:
         sig = linalg.inertia(gram_matrix(model, labels))

@@ -158,6 +158,16 @@ def test_model_error_exit_2(tmp_path, capsys):
     assert main(["polygon", str(doc)]) == 2
 
 
+def test_divisor_in_the_negative_light_cone_exit_2(tmp_path, capsys):
+    # D = -(3H - E) has P_nu^2 = 9 > 0, but D.A = -5 for the ample witness A
+    doc = json.loads((CASES_DIR / "ex3_tight.json").read_text())
+    doc["divisor"], doc["flag"] = [-3, 1], {"curve": [-1, 0]}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    assert main(["polygon", str(path)]) == 2
+    assert "divisor is not big" in capsys.readouterr().err
+
+
 def test_unfactorable_radicand_exit_2(tmp_path, capsys):
     # P_t^2 = a^2 - (1+t)^2 - c^2 vanishes at 1+t = sqrt(p*q), p and q 30-digit primes
     p, q = 300000000000000000000000000007, 700000000000000000000000000033

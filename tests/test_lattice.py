@@ -19,6 +19,7 @@ from noksurf import (
     pair_curve,
 )
 from noksurf.lattice import curve_products, gram_matrix
+from noksurf.qext import as_exact
 from noksurf.linalg import solve
 
 BL1 = SurfaceModel(
@@ -162,10 +163,17 @@ def test_tables_match_double_sum(data):
     else:
         coord = rat
     v = DivisorClass([data.draw(coord) for _ in range(n)])
+    u = DivisorClass([data.draw(st.one_of(rat, coord)) for _ in range(n)])
+    fresh = DivisorClass(u.coords)
     for rec in model.curves:
-        want = _double_sum(gram, v.coords, rec.cls)
-        assert pair_curve(model, v, rec.label) == want
-        assert pair(model, v, rec.cls) == want
+        want = as_exact(_double_sum(gram, v.coords, rec.cls))
+        for got in (pair_curve(model, v, rec.label), pair(model, v, rec.cls)):
+            assert got == want and type(got) is type(want)  # rational: a Fraction
+    want = as_exact(_double_sum(gram, u.coords, v.coords))
+    got = pair(model, u, v)
+    assert got == want and type(got) is type(want)
+    # the integer form a pairing keeps is not part of the value
+    assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
     labels = list(model.labels())
     products = [[_double_sum(gram, a.cls, b.cls) for b in model.curves] for a in model.curves]
     assert gram_matrix(model, labels) == products
@@ -224,3 +232,9 @@ def test_arithmetic_results_stay_exact():
         v.scale(0.5)
     with pytest.raises(InputError):
         DivisorClass((0.5, 1))
+
+
+@pytest.mark.parametrize("coord", [None, ["E"], "x"])
+def test_non_number_coordinate_is_an_input_error(coord):
+    with pytest.raises(InputError, match="is not a number"):
+        DivisorClass([coord, 1])

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import corpus, forest_corpus
 from noksurf import (
     CurveRecord,
     DivisorClass,
+    InputError,
     ModelError,
     QExt,
     SurfaceModel,
@@ -15,7 +18,8 @@ from noksurf import (
     walk_ray,
     zariski_decompose,
 )
-from noksurf.raywalk import _Ray, _segment_system
+import noksurf.raywalk as raywalk
+from noksurf.raywalk import _exit_first, _first_quadratic_root, _Ray, _segment_system
 
 BL1 = SurfaceModel(
     2,
@@ -94,6 +98,58 @@ def test_walk_irrational_mu():
 def test_walk_rejects_non_big():
     with pytest.raises(ModelError):
         walk_ray(BL1, DivisorClass((0, 1)), "C", ["E"])  # E itself: P = 0
+
+
+def test_walk_rejects_the_negative_light_cone():
+    # D = -(3H - E): P_nu = -3H has P^2 = 9 > 0 but pairs -6 with the witness
+    with pytest.raises(ModelError, match="not big"):
+        walk_ray(BL1, DivisorClass((-3, 1)), DivisorClass((-1, 0)), ["E"])
+
+
+@pytest.mark.parametrize("call", [walk_ray, nu])
+def test_unhashable_candidate_is_an_input_error(call):
+    with pytest.raises(InputError, match="unknown curve label"):
+        call(BL1, DivisorClass((3, -1)), "C", [["E"]])
+
+
+_RAT = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_exit_decision_agrees_with_the_root(data):
+    # the sign tests in Q say "no root", "root <= T" or "root > T" exactly
+    # when the root in Q(sqrt(d)) does, double roots and roots at T included
+    p0sq, cross, p1sq, t_cur = (data.draw(_RAT) for _ in range(4))
+    if p1sq and data.draw(st.booleans()):
+        p0sq = cross * cross / p1sq  # a double root at the vertex
+    assume(p0sq + 2 * cross * t_cur + p1sq * t_cur * t_cur > 0)
+    root = _first_quadratic_root(p0sq, cross, p1sq, t_cur)
+    if isinstance(root, Fraction) and data.draw(st.booleans()):
+        t_wall = root
+    else:
+        t_wall = t_cur + data.draw(_RAT.filter(lambda x: x > 0))
+    want = None if root is None else root <= t_wall
+    assert _exit_first(p0sq, cross, p1sq, t_cur, t_wall) == want
+    assert _exit_first(p0sq, cross, p1sq, t_cur, None) == (None if root is None else True)
+
+
+def test_walk_takes_one_root(monkeypatch):
+    # the exit is decided in Q in every chamber; the root is taken once
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _first_quadratic_root(*args)
+
+    monkeypatch.setattr(raywalk, "_first_quadratic_root", counted)
+    chambers = 0
+    for case in corpus(seed=501, count=40) + forest_corpus(seed=8, count=6, rho=8):
+        calls.clear()
+        prof = walk_ray(case.model, case.divisor, case.flag, case.candidates)
+        assert len(calls) == 1, case.name
+        chambers += len(prof.segments)
+    assert chambers > 46
 
 
 def test_walk_names_inertia_of_singular_support():

@@ -82,6 +82,14 @@ def test_nonnegative_definite_candidate_set():
 def test_duplicate_candidates_rejected():
     with pytest.raises(InputError):
         zariski_decompose(BL1, DivisorClass((1, 1)), ["E", "E"])
+    with pytest.raises(InputError):
+        relative_negative_part(BL1, DivisorClass((1, 1)), ["E", "E"])
+
+
+@pytest.mark.parametrize("solve", [zariski_decompose, relative_negative_part])
+def test_unhashable_label_is_an_input_error(solve):
+    with pytest.raises(InputError, match="unknown curve label"):
+        solve(BL1, DivisorClass((1, 1)), [["E"]])
 
 
 def test_relative_negative_part_examples():

@@ -1,0 +1,156 @@
+"""A/B comparison of two checkouts on the benchmark, in alternating pairs.
+
+    python3 tools/ab.py --base ../parent --head . --workload flag-scan \
+        --seed 1 --seconds 32 --pairs 10 --out BENCH_n.json
+
+Each pair runs `perfbench/run.py --trace 0` once in each checkout, one run
+at a time; even pairs run the base first and odd pairs the head first, so
+drift on the host falls on both sides alike.  Every run gets
+PYTHONDONTWRITEBYTECODE=1, and a checkout whose `src` holds a `__pycache__`
+is refused: `setup_s` times a fresh `import noksurf.cli`, which is much
+faster from cached bytecode, so both sides must import from source.
+
+`--workload` and `--seed` may repeat; every combination is measured.  The
+output file keeps both sides' result lines for every pair, and for every
+end-to-end metric the pairs the head wins, the median and quartiles of each
+side, the median gain (positive is better) and the base's interquartile
+range over its median.  Entries already in the file for other
+workload/seed combinations are kept.  Exit status: 0 when every run
+attempted operations and failed none, 1 otherwise, 2 when a checkout is
+refused or a run cannot start.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+class Refused(Exception):
+    pass
+
+
+def check_checkout(path: Path) -> None:
+    if not (path / "perfbench" / "run.py").is_file():
+        raise Refused(f"{path}: no perfbench/run.py")
+    cached = sorted(str(p) for p in (path / "src").rglob("__pycache__"))
+    if cached:
+        raise Refused(f"{path}: src holds bytecode caches ({', '.join(cached)}); remove them first")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """Info and result line of one untraced run of the checkout's benchmark."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    lines = res.stdout.strip().splitlines()
+    if res.returncode != 0 or len(lines) < 2:
+        raise Refused(f"{checkout}: {' '.join(cmd[1:])} exited {res.returncode}: {res.stderr.strip()}")
+    return {"info": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def spread(values: list[float]) -> dict:
+    med = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
+    out = {}
+    for name, better in directions.items():
+        base = [p["base"]["metrics"][name]["value"] for p in pairs]
+        head = [p["head"]["metrics"][name]["value"] for p in pairs]
+        sign = 1 if better == "higher" else -1
+        b, h = spread(base), spread(head)
+        out[name] = {
+            "better": better,
+            "head_wins": sum(sign * (y - x) > 0 for x, y in zip(base, head)),
+            "pairs": len(pairs),
+            "base": b,
+            "head": h,
+            "median_gain": sign * (h["median"] / b["median"] - 1),
+            "base_iqr_over_median": (b["q3"] - b["q1"]) / b["median"],
+        }
+    return out
+
+
+def measure(base: Path, head: Path, workload: str, seed: int, seconds: float, n: int, directions):
+    pairs, info = [], {}
+    for i in range(n):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        pair = {}
+        for side in order:
+            run = run_once(base if side == "base" else head, workload, seed, seconds)
+            pair[side] = run["result"]
+            info.setdefault(side, run["info"])
+        pairs.append({"base": pair["base"], "head": pair["head"], "first": order[0]})
+        print(
+            f"{workload} seed {seed} pair {i + 1}/{n}: ops/s base "
+            f"{pair['base']['metrics']['ops_per_s']['value']:.1f}, head "
+            f"{pair['head']['metrics']['ops_per_s']['value']:.1f}",
+            file=sys.stderr,
+        )
+    return {
+        "workload": workload,
+        "seed": seed,
+        "seconds": seconds,
+        "info": info,
+        "pairs": pairs,
+        "summary": summarize(pairs, directions),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True)
+    parser.add_argument("--head", type=Path, required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seed", type=int, action="append", required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    base, head = args.base.resolve(), args.head.resolve()
+    try:
+        for path in (base, head):
+            check_checkout(path)
+        spec = json.loads((head / "BENCHMARK.json").read_text())
+        directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+        doc.update(base=str(base), head=str(head))
+        entries = {(e["workload"], e["seed"]): e for e in doc.get("runs", [])}
+        for workload in args.workload:
+            for seed in args.seed:
+                entry = measure(base, head, workload, seed, args.seconds, args.pairs, directions)
+                entries[workload, seed] = entry
+                doc["runs"] = list(entries.values())
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    except Refused as exc:
+        print(f"ab: {exc}", file=sys.stderr)
+        return 2
+    ok = True
+    for e in doc["runs"]:
+        for p in e["pairs"]:
+            for side in ("base", "head"):
+                r = p[side]
+                ok = ok and r["attempted"] > 0 and r["failed"] == 0
+        s = e["summary"]["ops_per_s"]
+        print(
+            f"{e['workload']} seed {e['seed']}: ops/s median {s['base']['median']:.1f} -> "
+            f"{s['head']['median']:.1f} ({s['median_gain']:+.1%}), head wins "
+            f"{s['head_wins']}/{s['pairs']}, base IQR/median {s['base_iqr_over_median']:.3f}"
+        )
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
