@@ -7,6 +7,7 @@ errors, 3 when a certified bound or the toric oracle fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import docio
@@ -349,7 +350,10 @@ def _as_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every later
+    `main` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="noksurf",
         description="Exact Newton-Okounkov polygons from Neron-Severi lattice data",

@@ -2,7 +2,7 @@
 
 Documents are JSON, schema version 1.  Rationals travel as integers or
 as strings `-?digits` or `-?digits/digits` ("-3", "3/2"), at most
-MAX_DIGITS digits on each side of the slash; floats, exponents, decimal
+`lattice.MAX_DIGITS` digits on each side of the slash; floats, exponents, decimal
 points, signs other than a leading minus and whitespace are rejected, so
 exactness survives the wire and parsing stays cheap.  Validation errors
 carry the JSON path of the offending field.
@@ -10,20 +10,15 @@ carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .errors import InputError
-from .lattice import CurveRecord, DivisorClass, SurfaceModel
+from .lattice import CurveRecord, DivisorClass, SurfaceModel, rational_string
 from .polygon import FlagSpec
 from .qext import format_exact
 from .toric import ToricDivisor, ToricFan
 
 SCHEMA_VERSION = 1
-# CPython's default limit on converting a decimal string (and so a JSON
-# integer) to an int
-MAX_DIGITS = 4300
-_RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -32,12 +27,10 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            if _RATIONAL.fullmatch(value):
-                return Fraction(value)
-        except ZeroDivisionError:
-            pass
-        raise InputError(f"{where}: cannot parse rational {value[:40]!r}")
+        q = rational_string(value)
+        if q is None:
+            raise InputError(f"{where}: cannot parse rational {value[:40]!r}")
+        return q
     if isinstance(value, float):
         raise InputError(f"{where}: floats are not exact; write \"p/q\" instead")
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}")

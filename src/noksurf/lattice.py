@@ -7,6 +7,7 @@ declarations.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -17,15 +18,37 @@ from .qext import QExt, as_exact
 
 inertia = linalg.inertia  # exact Sylvester inertia of a symmetric matrix
 
+# CPython's default limit on converting a decimal string (and so a JSON
+# integer) to an int
+MAX_DIGITS = 4300
+_RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
+
+
+def rational_string(text: str) -> Fraction | None:
+    """The rational a string `-?digits` or `-?digits/digits` spells, at most
+    MAX_DIGITS digits a side; None for any other string or a zero
+    denominator."""
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    return None
+
 
 def _coord(x):
     if isinstance(x, QExt):
         return as_exact(x)
+    if isinstance(x, str):
+        q = rational_string(x)
+        if q is None:
+            raise InputError(f"coordinate {x[:40]!r} is not a number of the form -?digits(/digits)?")
+        return q
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"coordinate {x!r} is not exact")
     try:
         return Fraction(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"coordinate {x!r} is not a number") from None
 
 
@@ -138,7 +161,7 @@ class SurfaceModel:
             if any(not isinstance(x, int) or isinstance(x, bool) for x in c.cls):
                 raise InputError(f"curve {c.label!r} must have an integer class")
             recs.append(c)
-        witness = tuple(Fraction(x) for x in ample_witness)
+        witness = tuple(_coord(x) for x in ample_witness)
         if len(witness) != rank:
             raise InputError("ample witness has wrong length")
         object.__setattr__(self, "rank", rank)
@@ -211,7 +234,8 @@ def _lookup(table: dict, label):
         raise InputError(f"unknown curve label {label!r}") from None
 
 
-def _exact(total, den):
+def exact_quotient(total, den):
+    """total/den for an integer den > 0: a Fraction for an integer total."""
     if type(total) is int:
         return Fraction(total, den)
     return as_exact(total / den)  # a class with a QExt coordinate
@@ -230,7 +254,7 @@ def pair(model: SurfaceModel, u, v):
             for j, g in rows[i]:
                 acc += g * v[j]
             total += ui * acc
-    return _exact(total, du * dv)
+    return exact_quotient(total, du * dv)
 
 
 def pair_curve(model: SurfaceModel, v, label: str):
@@ -239,7 +263,20 @@ def pair_curve(model: SurfaceModel, v, label: str):
     total = 0
     for j, g in _lookup(model._duals, label):
         total += g * v[j]
-    return _exact(total, den)
+    return exact_quotient(total, den)
+
+
+def curve_pairings(model: SurfaceModel, v, labels) -> tuple[int, dict]:
+    """(den, {l: den*v.C_l}) for the listed curves: v's integer numerators
+    over its common denominator den, dotted with each dual row."""
+    v, den = as_divisor(v, model.rank)._scaled()
+    out = {}
+    for l in labels:
+        total = 0
+        for j, g in _lookup(model._duals, l):
+            total += g * v[j]
+        out[l] = total
+    return den, out
 
 
 def sorted_labels(model: SurfaceModel, labels, what: str) -> list[str]:
@@ -251,15 +288,18 @@ def sorted_labels(model: SurfaceModel, labels, what: str) -> list[str]:
     return out
 
 
-def subtract_curves(model: SurfaceModel, v, terms) -> DivisorClass:
-    """v - sum a_l*C_l over the (label, a_l) pairs in `terms`, in one pass
-    over the curves' integer classes."""
-    acc = list(as_divisor(v, model.rank).coords)
-    for label, a in terms:
-        if a:
-            for j, x in _lookup(model._sparse, label):
-                acc[j] -= a * x
-    return DivisorClass._of(acc)
+def subtract_curves(model: SurfaceModel, v, terms, den: int = 1) -> DivisorClass:
+    """v - (sum x_l*C_l)/den over the (label, x_l) pairs in `terms`, den > 0,
+    in one pass over the curves' integer classes; with integer x_l and a
+    rational v every sum is a Python int over the one denominator."""
+    acc, dv = as_divisor(v, model.rank)._scaled()
+    acc = [a * den for a in acc]
+    for label, x in terms:
+        if x:
+            x *= dv
+            for j, c in _lookup(model._sparse, label):
+                acc[j] -= x * c
+    return DivisorClass._of(exact_quotient(a, dv * den) for a in acc)
 
 
 def curve_products(model: SurfaceModel, label: str) -> dict[str, int]:

@@ -6,8 +6,9 @@ solutions and the signs of the leading minors) and runs the same
 fraction-free elimination of Bareiss (Math. Comp. 22 (1968)): after k steps
 each entry is a (k+1)-minor of the input, the update
 (p*x - f*y) // prev is exact by Sylvester's identity, and the last pivot of
-a square system is its determinant.  No Fraction is built until a solution
-is returned, and no floating point is involved.
+a square system is its determinant.  Solutions come back as integer
+numerators over one positive denominator; `solve_many` alone turns them into
+Fractions.  No floating point is involved.
 """
 from __future__ import annotations
 
@@ -69,8 +70,9 @@ def _augmented(a, columns) -> list[list[int]]:
     return [_integer_row([*row, *(c[i] for c in columns)]) for i, row in enumerate(a)]
 
 
-def _back_substitute(m: list[list[int]], det: int, ncols: int) -> list[list[Fraction]]:
-    """Solutions of the triangular system in `m`, one per augmented column.
+def _back_substitute(m: list[list[int]], det: int, ncols: int) -> tuple[int, list[list[int]]]:
+    """Solutions of the triangular system in `m`, one per augmented column,
+    as (|det|, integer numerators over it).
 
     Row i reads m_ii x_i + sum_{l>i} m_il x_l = b_i; the unknowns det*x_i are
     integers by Cramer's rule, so each division is exact.
@@ -85,8 +87,8 @@ def _back_substitute(m: list[list[int]], det: int, ncols: int) -> list[list[Frac
             for l in range(i + 1, n):
                 acc -= row[l] * dx[l]
             dx[i] = acc // row[i]
-        out.append([Fraction(x, det) for x in dx])
-    return out
+        out.append([-x for x in dx] if det < 0 else dx)
+    return abs(det), out
 
 
 def solve_many(a, columns) -> list[list[Fraction]]:
@@ -104,20 +106,23 @@ def solve_many(a, columns) -> list[list[Fraction]]:
             raise SingularSystem
         m[k], m[piv] = m[piv], m[k]
         prev = _eliminate(m, k, k, prev)
-    return _back_substitute(m, prev, len(columns))
+    den, nums = _back_substitute(m, prev, len(columns))
+    return [[Fraction(x, den) for x in col] for col in nums]
 
 
 def solve(a, b) -> list[Fraction]:
     return solve_many(a, [b])[0]
 
 
-def solve_negative_definite(gram, columns) -> list[list[Fraction]]:
+def solve_negative_definite(gram, columns) -> tuple[int, list[list[int]]]:
     """Certify that the symmetric `gram` is negative definite and solve
     gram*x = b for each right-hand side in `columns`, in one pass.
 
     Eliminates without pivoting and checks Sylvester's criterion on the way:
     (-1)^k d_k > 0 for every leading minor d_k, each of which is a pivot.
-    Raises NotNegativeDefinite as soon as a minor fails.
+    Raises NotNegativeDefinite as soon as a minor fails.  Returns
+    (den, numerators): den > 0 is |det| of the row-scaled system and
+    x_i = numerators[c][i] / den for column c, every numerator an integer.
     """
     columns = [list(c) for c in columns]
     m = _augmented(require_symmetric(gram), columns)

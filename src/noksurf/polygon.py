@@ -280,7 +280,7 @@ def predict_interior_vertices(
     post-wall support contains an entering curve and meets the flag point;
     an upper vertex iff such a component meets C away from the flag point.
     """
-    _, cls = flag.validate(model)
+    flag.validate(model)
     out = []
     for seg_prev, seg in zip(profile.segments, profile.segments[1:]):
         t_star = seg.t_lo
@@ -294,7 +294,7 @@ def predict_interior_vertices(
                 continue
             if any(flag.mult(l) > 0 for l in comp):
                 lower = True
-            if any(pair_curve(model, cls, l) - flag.mult(l) > 0 for l in comp):
+            if any(profile.flag_pairing(l) - flag.mult(l) > 0 for l in comp):
                 upper = True
         out.append(InteriorPrediction(t_star, entering, lower, upper))
     return out
@@ -339,17 +339,16 @@ def side_slopes(
     lower = sum a_j1 (C_j.C)_p;  upper = sum a_j1 ((C_j.C)_p - C_j.C) - C^2.
     Cross-checked against the difference quotients of the given alpha and beta.
     """
-    _, cls = flag.validate(model)
-    csq = pair(model, cls, cls)
+    flag.validate(model)
     out = []
     for seg in profile.segments:
         lower = Fraction(0)
-        upper = -csq
+        upper = -profile.flag_square
         for l in seg.support:
             a1 = seg.coeffs[l][1]
             m = flag.mult(l)
             lower += a1 * m
-            upper += a1 * (m - pair_curve(model, cls, l))
+            upper += a1 * (m - profile.flag_pairing(l))
         out.append((lower, upper))
     if tuple(s[0] for s in out) != alpha.slopes() or tuple(
         s[1] for s in out
@@ -457,7 +456,7 @@ def vertex_bound_check(
     for comp in comps:
         if any(flag.mult(l) > 0 for l in comp):
             p_curves.update(comp)
-        if any(pair_curve(model, profile.flag_class, l) - flag.mult(l) > 0 for l in comp):
+        if any(profile.flag_pairing(l) - flag.mult(l) > 0 for l in comp):
             away_curves.update(comp)
     lower_bound = len(p_curves)
     upper_bound = len(away_curves)

@@ -12,8 +12,9 @@ single quadratic extension).
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import InputError, InternalError, ModelError
@@ -21,6 +22,7 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     as_divisor,
+    curve_pairings,
     curve_products,
     gram_matrix,
     pair,
@@ -64,6 +66,14 @@ class RayProfile:
     divisor: DivisorClass
     candidates: tuple[str, ...]
     decomposition: ZariskiResult  # of D itself, from which the walk starts
+    flag_square: Fraction  # F^2
+    # (w, {l: w*F.C_l}) for every candidate but the flag curve, in integers
+    scaled_flag_pairings: tuple[int, dict[str, int]] = field(compare=False, repr=False)
+
+    def flag_pairing(self, label: str) -> Fraction:
+        """F.C_l, as the walk paired it, for a candidate other than the flag curve."""
+        w, f_c = self.scaled_flag_pairings
+        return Fraction(f_c[label], w)
 
     def final_support(self) -> tuple[str, ...]:
         """Support of the negative part at mu (the largest support reached)."""
@@ -108,102 +118,158 @@ def nu(model: SurfaceModel, divisor, flag, candidates) -> Fraction:
 
 @dataclass(frozen=True)
 class _Ray:
-    """The once-per-walk intersection numbers of D - t*F: every pairing in
-    a chamber is an affine combination of these, the solved coefficients
-    and the model's integer curve products, because P_t is orthogonal to
-    the support."""
+    """The once-per-walk intersection numbers of D - t*F, as integers over
+    one positive denominator w.  Every pairing in a chamber is an integer
+    combination of these, the chamber's solve numerators and the model's
+    curve products, because P_t is orthogonal to the support."""
 
     divisor: DivisorClass
     flag_class: DivisorClass
-    d_c: dict  # label -> D.C_l
-    f_c: dict  # label -> F.C_l
-    dd: Fraction
-    df: Fraction
-    ff: Fraction
+    w: int
+    d_c: dict  # label -> w*D.C_l
+    f_c: dict  # label -> w*F.C_l
+    dd: int  # w*D^2
+    df: int  # w*D.F
+    ff: int  # w*F^2
+
+
+def _ray(divisor, flag_class, d_c, f_c, dd, df, ff) -> _Ray:
+    """The ray from D.C_l and F.C_l as (den, {l: numerator}) pairs and the
+    rationals D^2, D.F, F^2, brought to their least common denominator."""
+    w = lcm(d_c[0], f_c[0], dd.denominator, df.denominator, ff.denominator)
+
+    def scaled(den, nums):
+        k = w // den
+        return nums if k == 1 else {l: k * x for l, x in nums.items()}
+
+    return _Ray(
+        divisor, flag_class, w, scaled(*d_c), scaled(*f_c),
+        *(x.numerator * (w // x.denominator) for x in (dd, df, ff)),
+    )
+
+
+def _at(q0, q1, t):
+    """q0 + t*q1 times t's denominator, in integers for a rational t, and in
+    Q(sqrt d) at an irrational mu; its sign is that of q0 + t*q1."""
+    if type(t) is Fraction:
+        return q0 * t.denominator + t.numerator * q1
+    return q0 + t * q1
+
+
+def _earliest_wall(outside, t):
+    """(num, den) with den > 0 of the earliest time at which a decreasing
+    outside pairing (l, Q0, Q1) reaches zero, Q0/-Q1, found by
+    cross-multiplying; None when none decreases.  A pairing negative at the
+    segment start t, or zero there and decreasing, is an InternalError."""
+    wall = None
+    for l, q0, q1 in outside:
+        val = _at(q0, q1, t)
+        if val < 0 or (val == 0 and q1 < 0):
+            raise InternalError(f"pairing against {l!r} already negative at segment start")
+        if q1 < 0 and (wall is None or q0 * wall[1] < wall[0] * -q1):
+            wall = (q0, -q1)
+    return wall
+
+
+def _missed_wall(outside, t_hi, wall):
+    """The first outside curve whose pairing is negative at the segment end,
+    or None; `wall` is the `_earliest_wall` of the segment.  Each pairing is
+    nonnegative at the start, so at an irrational mu some pairing is negative
+    iff mu passes the earliest wall, and mu is compared with it once."""
+    if type(t_hi) is Fraction or (wall is not None and t_hi > Fraction(*wall)):
+        for l, q0, q1 in outside:
+            if _at(q0, q1, t_hi) < 0:
+                return l
+    return None
 
 
 def _segment_system(model, ray, support):
-    """Affine solution on a support: coefficients and the moving positive part.
+    """Integer solution on a support: (s, {l: (x0, x1)}) with coefficients
+    a_l(t) = (x0 + x1*t)/(s*w), from one fraction-free elimination whose
+    right-hand sides w*D.C_l and -w*F.C_l are read from the ray."""
+    if not support:
+        return 1, {}
+    gram = gram_matrix(model, support)
+    rhs0 = [ray.d_c[l] for l in support]
+    rhs1 = [-ray.f_c[l] for l in support]
+    try:
+        s, (x0, x1) = linalg.solve_negative_definite(gram, [rhs0, rhs1])
+    except linalg.NotNegativeDefinite:
+        raise ModelError(
+            f"support {list(support)} is not negative definite "
+            f"(inertia {linalg.inertia(gram)})"
+        ) from None
+    return s, dict(zip(support, zip(x0, x1)))
 
-    Returns (coeffs, p0, p1) with a_j(t) = a0_j + a1_j*t and
-    P_t = p0 + t*p1.  The right-hand sides D.C_l and -F.C_l are read from
-    the ray, which paired D and F with every candidate once.
-    """
-    if support:
-        gram = gram_matrix(model, support)
-        rhs0 = [ray.d_c[l] for l in support]
-        rhs1 = [-ray.f_c[l] for l in support]
-        try:
-            a0, a1 = linalg.solve_negative_definite(gram, [rhs0, rhs1])
-        except linalg.NotNegativeDefinite:
-            raise ModelError(
-                f"support {list(support)} is not negative definite "
-                f"(inertia {linalg.inertia(gram)})"
-            ) from None
-    else:
-        a0, a1 = [], []
-    coeffs = {l: (a0[i], a1[i]) for i, l in enumerate(support)}
-    p0 = subtract_curves(model, ray.divisor, zip(support, a0))
-    p1 = subtract_curves(model, -ray.flag_class, zip(support, a1))
+
+def _solution(model, ray, chamber):
+    """The chamber's (coeffs, p0, p1) as returned in a Segment: a_j(t) =
+    a0_j + a1_j*t and P_t = p0 + t*p1, each built from integer numerators."""
+    s, nums = chamber
+    e = s * ray.w
+    coeffs = {l: (Fraction(x0, e), Fraction(x1, e)) for l, (x0, x1) in nums.items()}
+    p0 = subtract_curves(model, ray.divisor, ((l, x0) for l, (x0, _) in nums.items()), e)
+    p1 = subtract_curves(model, -ray.flag_class, ((l, x1) for l, (_, x1) in nums.items()), e)
     return coeffs, p0, p1
 
 
-def _pairings(model, ray, labels, coeffs):
-    """[(l, P_0.C_l, p1.C_l)] for the listed curves, from the coefficients
-    (a0_j, a1_j) of the support: P_0.C_l = D.C_l - sum a0_j C_j.C_l and
-    p1.C_l = -F.C_l - sum a1_j C_j.C_l, summed over the nonzero products."""
-    q = {l: [ray.d_c[l], -ray.f_c[l]] for l in labels}
-    for j, (a0, a1) in coeffs.items():
-        for l, x in curve_products(model, j).items():
+def _pairings(model, ray, labels, chamber):
+    """[(l, Q0, Q1)] for the listed curves, P_0.C_l = Q0/(s*w) and
+    p1.C_l = Q1/(s*w): Q0 = s*w*D.C_l - sum x0_j C_j.C_l and
+    Q1 = -s*w*F.C_l - sum x1_j C_j.C_l, summed over the nonzero products."""
+    s, nums = chamber
+    q = {l: [s * ray.d_c[l], -s * ray.f_c[l]] for l in labels}
+    for j, (x0, x1) in nums.items():
+        for l, g in curve_products(model, j).items():
             v = q.get(l)
             if v is not None:
-                v[0] -= a0 * x
-                v[1] -= a1 * x
+                v[0] -= x0 * g
+                v[1] -= x1 * g
     return [(l, q0, q1) for l, (q0, q1) in q.items()]
 
 
-def _outside_pairings(model, ray, entry_order, support, coeffs):
-    """(l, P_0.C_l, slope) for every candidate outside `support`."""
+def _outside_pairings(model, ray, entry_order, support, chamber):
+    """(l, Q0, Q1) for every candidate outside `support`."""
     inside = set(support)
-    return _pairings(model, ray, [l for l in entry_order if l not in inside], coeffs)
+    return _pairings(model, ray, [l for l in entry_order if l not in inside], chamber)
 
 
-def _enlarge_support(model, ray, support, t_star, outside, solution):
+def _enlarge_support(model, ray, support, t_star, outside, chamber):
     """Fixed point of the derivative test at a wall.
 
-    `solution` is the `_segment_system` result on `support` and `outside`
+    `chamber` is the `_segment_system` result on `support` and `outside`
     its `_outside_pairings`.  Candidates sitting on the wall (pairing
     exactly 0 at t_star) join the support as long as their pairing against
     the refreshed positive part still decreases; entrants whose solved
     coefficient is identically zero are wall-touchers and are dropped again.
-    Returns (kept, solution on kept): a dropped coefficient is zero, so
+    Returns (kept, chamber on kept): a dropped coefficient is zero, so
     restricting the last solve is exact.
     """
     # wall candidates with their slope against the current positive part
-    wall = [(l, q1) for l, q0, q1 in outside if q0 + t_star * q1 == 0]
+    wall = [(l, q1) for l, q0, q1 in outside if _at(q0, q1, t_star) == 0]
     current = list(support)
     while True:
         adds = [l for l, q1 in wall if q1 < 0]
         if not adds:
             break
         current = current + adds
-        solution = _segment_system(model, ray, current)
+        chamber = _segment_system(model, ray, current)
         rest = [l for l, _ in wall if l not in current]
-        wall = [(l, q1) for l, _, q1 in _pairings(model, ray, rest, solution[0])]
-    coeffs, p0, p1 = solution
+        wall = [(l, q1) for l, _, q1 in _pairings(model, ray, rest, chamber)]
+    s, nums = chamber
     kept = list(support)
     for l in current[len(support) :]:
-        a0, a1 = coeffs[l]
-        if a0 + a1 * t_star != 0:
+        x0, x1 = nums[l]
+        if _at(x0, x1, t_star) != 0:
             raise InternalError(f"entrant {l!r} has nonzero coefficient at its wall")
-        if a1 < 0:
+        if x1 < 0:
             raise ModelError(
                 f"support decreased; invalid model input (entrant {l!r} "
-                f"solves to negative slope {a1})"
+                f"solves to negative slope {Fraction(x1, s * ray.w)})"
             )
-        if a1 > 0:
+        if x1 > 0:
             kept.append(l)
-    return kept, ({l: coeffs[l] for l in kept}, p0, p1)
+    return kept, (s, {l: nums[l] for l in kept})
 
 
 def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur):
@@ -231,17 +297,23 @@ def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur
 
 def _exit_first(p0sq, cross, p1sq, t_cur, t_wall):
     """Whether q(t) = p0sq + 2*cross*t + p1sq*t^2, positive at t_cur, first
-    vanishes at or before t_wall > t_cur (None: no wall), by sign tests in Q;
-    None when q has no root beyond t_cur (for p1sq > 0: unless the vertex
-    lies ahead and the discriminant is >= 0)."""
-    if p1sq > 0 and (-cross <= p1sq * t_cur or cross * cross < p1sq * p0sq):
+    vanishes at or before t_wall > t_cur (None: no wall), by sign tests with
+    the times' numerators and denominators; None when q has no root beyond
+    t_cur (for p1sq > 0: unless the vertex lies ahead and the discriminant
+    is >= 0).  Scaling p0sq, cross and p1sq by one positive factor changes
+    no answer."""
+    cn, cd = t_cur.numerator, t_cur.denominator
+    if p1sq > 0 and (-cross * cd <= p1sq * cn or cross * cross < p1sq * p0sq):
         return None
     if p1sq == 0 and cross >= 0:
         return None
+    if t_wall is None:
+        return True
     # past the first root q(t_wall) <= 0, or, convex, past both with the vertex
-    return t_wall is None or (
-        p0sq + 2 * cross * t_wall + p1sq * t_wall * t_wall <= 0
-        or (p1sq > 0 and -cross < p1sq * t_wall)
+    wn, wd = t_wall.numerator, t_wall.denominator
+    return (
+        p0sq * wd * wd + 2 * cross * wn * wd + p1sq * wn * wn <= 0
+        or (p1sq > 0 and -cross * wd < p1sq * wn)
     )
 
 
@@ -271,23 +343,23 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     if pair(model, p_nu, p_nu) <= 0 or pair(model, p_nu, model._witness) <= 0:
         raise ModelError("divisor is not big against the model")
 
-    ray = _Ray(
-        divisor=divisor,
-        flag_class=flag_class,
-        d_c=dec0.pairings,
-        f_c={l: pair_curve(model, flag_class, l) for l in entry_order},
-        dd=pair(model, divisor, divisor),
-        df=pair(model, divisor, flag_class),
-        ff=pair(model, flag_class, flag_class),
+    ray = _ray(
+        divisor,
+        flag_class,
+        dec0.scaled_pairings,
+        curve_pairings(model, flag_class, entry_order),
+        pair(model, divisor, divisor),
+        pair(model, divisor, flag_class),
+        pair(model, flag_class, flag_class),
     )
     support = sorted(dec_nu.support, key=model.declaration_index)
     appearance: dict[str, Fraction] = {l: t_nu for l in support}
     # a wall may sit exactly at nu; enlarge before the first segment
-    solution = _segment_system(model, ray, support)
-    outside = _outside_pairings(model, ray, entry_order, support, solution[0])
-    enlarged, solution = _enlarge_support(model, ray, support, t_nu, outside, solution)
+    chamber = _segment_system(model, ray, support)
+    outside = _outside_pairings(model, ray, entry_order, support, chamber)
+    enlarged, chamber = _enlarge_support(model, ray, support, t_nu, outside, chamber)
     if len(enlarged) > len(support):
-        outside = _outside_pairings(model, ray, entry_order, enlarged, solution[0])
+        outside = _outside_pairings(model, ray, entry_order, enlarged, chamber)
     support = enlarged
     for l in support:
         appearance.setdefault(l, t_nu)
@@ -297,34 +369,34 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     mu = None
     radicand = 0
     for _ in range(len(entry_order) + 2):
-        coeffs, p0, p1 = solution
-        # candidate walls ahead of t_cur
-        events: list[tuple[Fraction, str]] = []
-        for l, q0, q1 in outside:
-            val = q0 + t_cur * q1
-            if val < 0 or (val == 0 and q1 < 0):
-                raise InternalError(f"pairing against {l!r} already negative at segment start")
-            if q1 < 0:
-                events.append((-q0 / q1, l))
+        # every number below is an integer numerator: Q0, Q1 and the
+        # coefficients over e = s*w, the flag numbers and P_0^2 over e*w
+        s, nums = chamber
+        e = s * ray.w
+        wall = _earliest_wall(outside, t_cur)
 
         # P_0.F, p1.F and P_0^2 from the once-per-walk numbers; p0 and p1
         # are orthogonal to the support, so P_0.p1 = -P_0.F, p1^2 = -p1.F
-        f0, fslope, p0sq = ray.df, -ray.ff, ray.dd
-        for j, (a0, a1) in coeffs.items():
-            f0 -= a0 * ray.f_c[j]
-            fslope -= a1 * ray.f_c[j]
-            p0sq -= a0 * ray.d_c[j]
-        cross, p1sq = -f0, -fslope
+        f0, fslope, p0sq = ray.df * e, -ray.ff * e, ray.dd * e
+        for j, (x0, x1) in nums.items():
+            fj = ray.f_c[j]
+            f0 -= x0 * fj
+            fslope -= x1 * fj
+            p0sq -= x0 * ray.d_c[j]
 
-        # exit of the big cone, decided in Q; its root is taken only on exit
-        if p0sq + 2 * cross * t_cur + p1sq * t_cur * t_cur <= 0:
+        # exit of the big cone, decided in integers; its root is taken only on exit
+        cn, cd = t_cur.numerator, t_cur.denominator
+        if p0sq * cd * cd - 2 * f0 * cn * cd - fslope * cn * cn <= 0:
             raise InternalError("positive part lost its positivity inside a segment")
-        next_event = min((te for te, _ in events), default=None)
-        exits = _exit_first(p0sq, cross, p1sq, t_cur, next_event)
+        next_event = None if wall is None else Fraction(*wall)
+        exits = _exit_first(p0sq, -f0, -fslope, t_cur, next_event)
         if exits is None:
             raise ModelError("ray never exits big cone in model")
+        ew = e * ray.w
         if exits:
-            mu = t_hi = _first_quadratic_root(p0sq, cross, p1sq, t_cur)
+            mu = t_hi = _first_quadratic_root(
+                Fraction(p0sq, ew), Fraction(-f0, ew), Fraction(-fslope, ew), t_cur
+            )
             if mu is None:
                 raise InternalError("the sign tests found an exit with no root")
             if isinstance(mu, QExt):
@@ -333,48 +405,46 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             t_hi = next_event
 
         # flag monitor: its pairing must stay nonnegative up to the segment end
-        fval = f0 + t_cur * fslope
+        fval = _at(f0, fslope, t_cur)
         if fval < 0 or (fval == 0 and fslope < 0):
             raise ModelError("flag curve pairs negatively along the ray; invalid model input")
-        if fslope < 0 and -f0 / fslope < t_hi:
+        if fslope < 0 and _at(f0, fslope, t_hi) < 0:
             raise ModelError(
                 "flag curve enters the negative part inside the ray; invalid model input"
             )
 
-        for l in support:
-            a0, a1 = coeffs[l]
-            if a0 + a1 * t_hi <= 0:
+        for l, (x0, x1) in nums.items():
+            if _at(x0, x1, t_hi) <= 0:
                 raise ModelError(
                     f"support decreased; invalid model input (coefficient of {l!r} "
                     f"vanishes before the segment ends)"
                 )
-        for l, q0, q1 in outside:
-            if q0 + t_hi * q1 < 0:
-                raise InternalError(f"missed a wall for {l!r}")
+        missed = _missed_wall(outside, t_hi, wall)
+        if missed is not None:
+            raise InternalError(f"missed a wall for {missed!r}")
 
+        coeffs, p0, p1 = _solution(model, ray, chamber)
         segments.append(
             Segment(
                 t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=coeffs,
-                p0=p0, p1=p1, f0=f0, fslope=fslope,
+                p0=p0, p1=p1, f0=Fraction(f0, ew), fslope=Fraction(fslope, ew),
             )
         )
         if mu is not None:
             break
 
-        new_support, solution = _enlarge_support(model, ray, support, t_hi, outside, solution)
+        new_support, chamber = _enlarge_support(model, ray, support, t_hi, outside, chamber)
         if len(new_support) == len(support):
             raise InternalError("wall event produced no support growth")
         # continuity: both chambers agree at the wall
-        new_coeffs = solution[0]
+        s2, nums2 = chamber
         for l in support:
-            a0, a1 = coeffs[l]
-            b0, b1 = new_coeffs[l]
-            if a0 + a1 * t_hi != b0 + b1 * t_hi:
+            if _at(*nums[l], t_hi) * s2 != _at(*nums2[l], t_hi) * s:
                 raise InternalError(f"coefficient of {l!r} jumps across the wall")
         for l in new_support[len(support) :]:
             appearance[l] = t_hi
         support = new_support
-        outside = _outside_pairings(model, ray, entry_order, support, new_coeffs)
+        outside = _outside_pairings(model, ray, entry_order, support, chamber)
         t_cur = t_hi
     else:
         raise InternalError("walk did not terminate")
@@ -390,6 +460,8 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         divisor=divisor,
         candidates=tuple(cands_full),
         decomposition=dec0,
+        flag_square=Fraction(ray.ff, ray.w),
+        scaled_flag_pairings=(ray.w, ray.f_c),
     )
 
 

@@ -10,6 +10,7 @@ without affecting correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -18,7 +19,9 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     as_divisor,
+    curve_pairings,
     curve_products,
+    exact_quotient,
     gram_matrix,
     pair_curve,
     sorted_labels,
@@ -29,12 +32,18 @@ from .lattice import (
 @dataclass(frozen=True)
 class ZariskiResult:
     """Certified decomposition: support, positive coefficients, nef remainder,
-    and the pairings D.C_l with every candidate it was solved from."""
+    and the pairings D.C_l with every candidate it was solved from, kept as
+    `scaled_pairings` = (den, {l: den*D.C_l}) in integers."""
 
     support: tuple[str, ...]
     coeffs: dict[str, Fraction] = field(compare=False)
     positive_part: DivisorClass = field(compare=False)
-    pairings: dict[str, Fraction] = field(compare=False)
+    scaled_pairings: tuple[int, dict[str, int]] = field(compare=False, repr=False)
+
+    @cached_property
+    def pairings(self) -> dict[str, Fraction]:
+        den, nums = self.scaled_pairings
+        return {l: exact_quotient(x, den) for l, x in nums.items()}
 
     def negative_part(self, model: SurfaceModel) -> DivisorClass:
         return subtract_curves(
@@ -46,13 +55,14 @@ class ZariskiResult:
 
 
 def _solve_support(model, labels, rhs):
-    """Coefficients a_i with (D - sum a_i C_i).C_j = 0 for every j in labels,
-    given rhs[j] = D.C_j, or None when the Gram matrix of `labels` is not
-    negative definite."""
+    """(den, x) with x_i/den the coefficients a_i of (D - sum a_i C_i).C_j = 0
+    for every j in labels, given rhs[j] = D.C_j in integers, or None when
+    the Gram matrix of `labels` is not negative definite."""
     try:
-        return linalg.solve_negative_definite(gram_matrix(model, labels), [rhs])[0]
+        den, (x,) = linalg.solve_negative_definite(gram_matrix(model, labels), [rhs])
     except linalg.NotNegativeDefinite:
         return None
+    return den, x
 
 
 def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult:
@@ -60,49 +70,52 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
 
     Results mean "Zariski decomposition relative to the declared curves":
     the candidate list is trusted to contain every curve the true negative
-    part could involve.
+    part could involve.  Every pairing is an integer numerator over one
+    positive denominator: D.C_l = d_c[l]/w, and on a support with solve
+    denominator e each coefficient is x_j/(e*w) and each remainder pairing
+    (e*d_c[l] - sum x_j C_j.C_l)/(e*w).
     """
     divisor = as_divisor(divisor, model.rank)
     cands = sorted_labels(model, candidates, "candidate")
 
-    d_c = {l: pair_curve(model, divisor, l) for l in cands}
+    w, d_c = curve_pairings(model, divisor, cands)
     support = [l for l in cands if d_c[l] < 0]
-    coeffs: list[Fraction] = []
+    e, xs = 1, []
     while True:
         if support:
-            coeffs = _solve_support(model, support, [d_c[l] for l in support])
-            if coeffs is None:
+            sol = _solve_support(model, support, [d_c[l] for l in support])
+            if sol is None:
                 sig = linalg.inertia(gram_matrix(model, support))
                 raise ModelError(
                     "candidate set contains non-negative-definite support: "
                     f"{support} has inertia {sig}"
                 )
-            for l, a in zip(support, coeffs):
-                if a < 0:
+            e, xs = sol
+            for l, x in zip(support, xs):
+                if x < 0:
                     raise ModelError(
                         "class not pseudo-effective within model, or candidate "
-                        f"set inconsistent (coefficient of {l!r} solved to {a})"
+                        f"set inconsistent (coefficient of {l!r} solved to {Fraction(x, e * w)})"
                     )
-        # (D - sum a_j C_j).C_l = D.C_l - sum a_j C_j.C_l off the support
         inside = set(support)
-        rest = {l: d_c[l] for l in cands if l not in inside}
-        for j, a in zip(support, coeffs):
-            for l, x in curve_products(model, j).items():
+        rest = {l: e * d_c[l] for l in cands if l not in inside}
+        for j, x in zip(support, xs):
+            for l, g in curve_products(model, j).items():
                 if l in rest:
-                    rest[l] -= a * x
+                    rest[l] -= x * g
         violators = [l for l, q in rest.items() if q < 0]
         if not violators:
             break
         support = sorted(support + violators, key=model.declaration_index)
 
-    positive = subtract_curves(model, divisor, zip(support, coeffs))
+    positive = subtract_curves(model, divisor, zip(support, xs), e * w)
 
-    kept = [(l, a) for l, a in zip(support, coeffs) if a != 0]
+    kept = [(l, x) for l, x in zip(support, xs) if x != 0]
     result = ZariskiResult(
         support=tuple(l for l, _ in kept),
-        coeffs={l: a for l, a in kept},
+        coeffs={l: Fraction(x, e * w) for l, x in kept},
         positive_part=positive,
-        pairings=d_c,
+        scaled_pairings=(w, d_c),
     )
     # orthogonality certificate
     for l in result.support:
@@ -121,10 +134,12 @@ def relative_negative_part(model: SurfaceModel, divisor, subset) -> dict[str, Fr
     labels = sorted_labels(model, subset, "subset")
     if not labels:
         return {}
-    sol = _solve_support(model, labels, [pair_curve(model, divisor, l) for l in labels])
+    w, d_c = curve_pairings(model, divisor, labels)
+    sol = _solve_support(model, labels, [d_c[l] for l in labels])
     if sol is None:
         sig = linalg.inertia(gram_matrix(model, labels))
         if sig[2] > 0:
             raise ModelError(f"Gram matrix of {labels} is singular (inertia {sig})")
         raise ModelError(f"subset {labels} is not negative definite (inertia {sig})")
-    return dict(zip(labels, sol))
+    e, xs = sol
+    return {l: Fraction(x, e * w) for l, x in zip(labels, xs)}

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import noksurf
-from noksurf.cli import main
+from noksurf.cli import build_parser, main
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 
@@ -331,3 +331,30 @@ def test_zero_budget_exit_2(capsys):
     doc = str(CASES_DIR / "flag_search_chain.json")
     assert main(["flag-search", doc, "--budget", "0"]) == 2
     assert "--budget must be at least 1" in capsys.readouterr().err
+
+
+def test_successive_main_calls_match_fresh_runs(capsys):
+    # the parser is built once per process; options of one call (a format,
+    # a budget) must not leak into the next, and each call must print and
+    # exit exactly as a fresh interpreter does
+    runs = [
+        ["polygon", "ex1_on_point", "--format", "text"],
+        ["polygon", "ex1_on_point"],
+        ["flag-search", "flag_search_chain", "--budget", "0"],
+        ["flag-search", "flag_search_chain"],
+        ["zariski", "zariski_a2", "--format", "text"],
+        ["check-lattice", "check_lattice_chain"],
+    ]
+    src = str(Path(noksurf.__file__).resolve().parent.parent)
+    for command, name, *flags in runs:
+        argv = [command, str(CASES_DIR / f"{name}.json"), *flags]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "noksurf.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert main(argv) == fresh.returncode, argv
+        assert capsys.readouterr().out == fresh.stdout, argv
+    assert build_parser() is build_parser()

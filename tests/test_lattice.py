@@ -83,6 +83,20 @@ def test_model_rejects_bad_witness():
         SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], (0, -1))
 
 
+@pytest.mark.parametrize("witness", [(2.1, -1), (True, -1), (2, False), ("2e3", -1), ("2", "-1/0")])
+def test_model_rejects_an_inexact_witness(witness):
+    # each coordinate goes through the class coordinate check: no float,
+    # bool, exponent form or zero denominator becomes a rational silently
+    with pytest.raises(InputError):
+        SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], witness)
+
+
+def test_model_takes_a_witness_in_the_rational_grammar():
+    m = SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], ("5/2", "-1"))
+    assert m.ample_witness == (Fraction(5, 2), -1)
+    assert all(type(x) is Fraction for x in m.ample_witness)
+
+
 def test_model_rejects_malformed_curves():
     with pytest.raises(InputError):
         SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("Z", (0, 0))], (2, -1))
@@ -234,7 +248,13 @@ def test_arithmetic_results_stay_exact():
         DivisorClass((0.5, 1))
 
 
-@pytest.mark.parametrize("coord", [None, ["E"], "x"])
+@pytest.mark.parametrize(
+    "coord", [None, ["E"], "x", "1e1000", "1.5", " 3", "+3", "3/0", "1" * 4301, "1/" + "1" * 4301]
+)
 def test_non_number_coordinate_is_an_input_error(coord):
     with pytest.raises(InputError, match="is not a number"):
         DivisorClass([coord, 1])
+
+
+def test_coordinate_strings_in_the_grammar():
+    assert DivisorClass(["-3", "3/2", "1" * 4300]).coords == (-3, Fraction(3, 2), int("1" * 4300))

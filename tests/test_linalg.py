@@ -170,15 +170,26 @@ def test_inertia_and_definite_solve_match_oracles(m, data):
         with pytest.raises(NotNegativeDefinite):
             solve_negative_definite(m, cols)
     else:
-        assert solve_negative_definite(m, cols) == gauss_jordan(m, cols)[1]
+        den, nums = solve_negative_definite(m, cols)
+        assert den > 0 and all(type(x) is int for col in nums for x in col)
+        assert _over(den, nums) == gauss_jordan(m, cols)[1]
+
+
+def _over(den, nums):
+    return [[Fraction(x, den) for x in col] for col in nums]
 
 
 def test_solve_negative_definite_examples():
-    assert solve_negative_definite([[-2, 1], [1, -2]], [[-1, 0], [3, 3]]) == [
+    assert solve_negative_definite([[-2, 1], [1, -2]], [[-1, 0], [3, 3]]) == (3, [[2, 1], [-9, -9]])
+    assert _over(*solve_negative_definite([[-2, 1], [1, -2]], [[-1, 0], [3, 3]])) == [
         [Fraction(2, 3), Fraction(1, 3)],
         [-3, -3],
     ]
-    assert solve_negative_definite([], [[]]) == [[]]
+    # odd size: the determinant -4 is negative, the returned denominator is not
+    assert solve_negative_definite([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], [[1, 0, 0]]) == (
+        4, [[-3, -2, -1]]
+    )
+    assert solve_negative_definite([], [[]]) == (1, [[]])
     for bad in ([[-1, 2], [2, -3]], [[-1, -1], [-1, -1]], [[0, 1], [1, 0]], [[1]]):
         with pytest.raises(NotNegativeDefinite):
             solve_negative_definite(bad, [[1] * len(bad)])

@@ -1,14 +1,17 @@
 from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus, forest_corpus
+from helpers import corpus, forest_corpus, gauss_jordan
 from noksurf import (
     CurveRecord,
     DivisorClass,
     InputError,
+    InternalError,
     ModelError,
     QExt,
     SurfaceModel,
@@ -19,7 +22,18 @@ from noksurf import (
     zariski_decompose,
 )
 import noksurf.raywalk as raywalk
-from noksurf.raywalk import _exit_first, _first_quadratic_root, _Ray, _segment_system
+from noksurf.lattice import pair_curve
+from noksurf.raywalk import (
+    _at,
+    _earliest_wall,
+    _exit_first,
+    _first_quadratic_root,
+    _missed_wall,
+    _pairings,
+    _ray,
+    _segment_system,
+    _solution,
+)
 
 BL1 = SurfaceModel(
     2,
@@ -198,17 +212,17 @@ def test_walk_monotone_support_and_positivity_on_corpus():
             # a fresh solve on a ray whose pairings are taken here with `pair`
             d, f = prof.divisor, prof.flag_class
             classes = {l: case.model.class_of(l) for l in seg.support}
-            fresh_ray = _Ray(
-                divisor=d,
-                flag_class=f,
-                d_c={l: pair(case.model, d, c) for l, c in classes.items()},
-                f_c={l: pair(case.model, f, c) for l, c in classes.items()},
-                dd=pair(case.model, d, d),
-                df=pair(case.model, d, f),
-                ff=pair(case.model, f, f),
+            fresh_ray = _ray(
+                d,
+                f,
+                _over_lcm({l: pair(case.model, d, c) for l, c in classes.items()}),
+                _over_lcm({l: pair(case.model, f, c) for l, c in classes.items()}),
+                pair(case.model, d, d),
+                pair(case.model, d, f),
+                pair(case.model, f, f),
             )
             fresh = _segment_system(case.model, fresh_ray, list(seg.support))
-            assert (seg.coeffs, seg.p0, seg.p1) == fresh
+            assert (seg.coeffs, seg.p0, seg.p1) == _solution(case.model, fresh_ray, fresh)
         # P^2 positive strictly inside, zero at mu
         last = prof.segments[-1]
         p0, p1 = last.p0, last.p1
@@ -227,6 +241,12 @@ def test_walk_monotone_support_and_positivity_on_corpus():
                     + t * t * pair(case.model, p1, p1)
                 )
                 assert val > 0
+
+
+def _over_lcm(values: dict) -> tuple[int, dict]:
+    """Rationals as (den, {key: den*value}) over their least common denominator."""
+    den = lcm(*(x.denominator for x in values.values()))
+    return den, {k: x.numerator * (den // x.denominator) for k, x in values.items()}
 
 
 def test_profile_keeps_the_decomposition_of_d():
@@ -317,6 +337,7 @@ def _interior_point(seg) -> Fraction:
         pytest.param(lambda: corpus(seed=2718, count=40), id="corpus"),
         pytest.param(lambda: forest_corpus(seed=8, count=12, rho=8), id="rank8"),
         pytest.param(lambda: forest_corpus(seed=16, count=6, rho=16), id="rank16"),
+        pytest.param(lambda: forest_corpus(seed=32, count=3, rho=32), id="rank32"),
     ],
 )
 def test_segments_match_pointwise_zariski(cases):
@@ -346,3 +367,146 @@ def test_segments_match_pointwise_zariski(cases):
                 assert q == 0 if l in want else q >= 0, (case.name, l)
             segments += 1
     assert segments > len(cases)
+
+
+_WALK_CORPORA = [
+    pytest.param(lambda: corpus(seed=2718, count=40), id="corpus"),
+    pytest.param(lambda: forest_corpus(seed=8, count=6, rho=8), id="rank8"),
+    pytest.param(lambda: forest_corpus(seed=16, count=4, rho=16), id="rank16"),
+    pytest.param(lambda: forest_corpus(seed=32, count=3, rho=32), id="rank32"),
+]
+
+
+@pytest.mark.parametrize("cases", _WALK_CORPORA)
+def test_integer_pairings_are_those_of_the_segment_vectors(cases, monkeypatch):
+    # every outside pairing the walk decides with, an integer pair (Q0, Q1)
+    # over s*w, is P_0.C_l and p1.C_l of the segment it returns
+    seen = []
+
+    def recorded(model, ray, entry_order, support, chamber):
+        out = outside_pairings(model, ray, entry_order, support, chamber)
+        seen.append((tuple(support), chamber[0] * ray.w, set(entry_order), out))
+        return out
+
+    outside_pairings = raywalk._outside_pairings
+    monkeypatch.setattr(raywalk, "_outside_pairings", recorded)
+    checked = 0
+    for case in cases():
+        model = case.model
+        seen.clear()
+        prof = walk_ray(model, case.divisor, case.flag, case.candidates)
+        by_support = {support: (den, order, out) for support, den, order, out in seen}
+        for seg in prof.segments:
+            den, order, out = by_support[seg.support]
+            assert {l for l, _, _ in out} == order - set(seg.support), case.name
+            for l, q0, q1 in out:
+                c = model.class_of(l)
+                assert Fraction(q0, den) == pair(model, seg.p0, c), (case.name, l)
+                assert Fraction(q1, den) == pair(model, seg.p1, c), (case.name, l)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("cases", _WALK_CORPORA[:2])
+def test_profile_carries_the_flag_pairings(cases):
+    for case in cases():
+        model = case.model
+        prof = walk_ray(model, case.divisor, case.flag, case.candidates)
+        f = prof.flag_class
+        assert prof.flag_square == pair(model, f, f), case.name
+        others = [l for l in prof.candidates if l != prof.flag_label]
+        assert set(prof.scaled_flag_pairings[1]) == set(others), case.name
+        for l in others:
+            assert prof.flag_pairing(l) == pair_curve(model, f, l), (case.name, l)
+
+
+_SMALL = st.integers(min_value=-3, max_value=3)
+_PAIRING = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_decisions_agree_with_rational_evaluation(data):
+    # a support of 1-4 curves (odd sizes have a negative determinant) with a
+    # negative definite Gram matrix -(B*B^T + K), outside curves with random
+    # products against it (the last may copy the first: a tie), and rational
+    # D.C_l, F.C_l; the integer core is checked against Fraction/QExt sums
+    n = data.draw(st.integers(1, 4), label="support size")
+    k = data.draw(st.integers(1, 4), label="outside curves")
+    support = [f"S{i}" for i in range(n)]
+    outside = [f"O{i}" for i in range(k)]
+    b = [[data.draw(_SMALL) for _ in range(n)] for _ in range(n)]
+    gram = [
+        [-sum(x * y for x, y in zip(b[i], b[j])) - (data.draw(st.integers(1, 3)) if i == j else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    gram = [[gram[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    cross = {(j, l): data.draw(_SMALL) for j in support for l in outside}
+    d_c = {l: data.draw(_PAIRING) for l in support + outside}
+    # F.C_l mostly positive off the support, so most pairings decrease
+    f_c = {l: data.draw(_PAIRING) for l in support}
+    f_c.update({l: data.draw(st.fractions(-1, 8, max_denominator=6)) for l in outside})
+    if k > 1 and data.draw(st.booleans(), label="tie"):
+        twin, first = outside[-1], outside[0]
+        for j in support:
+            cross[j, twin] = cross[j, first]
+        d_c[twin], f_c[twin] = d_c[first], f_c[first]
+    products = {l: {} for l in support + outside}
+    for i, a in enumerate(support):
+        for j, c in enumerate(support):
+            if gram[i][j]:
+                products[a][c] = gram[i][j]
+        for l in outside:
+            if cross[a, l]:
+                products[a][l] = products[l][a] = cross[a, l]
+    model = SimpleNamespace(_products=products)
+    zero = Fraction(0)
+    ray = _ray(None, None, _over_lcm(d_c), _over_lcm(f_c), zero, zero, zero)
+
+    chamber = _segment_system(model, ray, support)
+    s, nums = chamber
+    assert s > 0
+    a0, a1 = gauss_jordan(gram, [[d_c[l] for l in support], [-f_c[l] for l in support]])[1]
+    e = s * ray.w
+    assert [Fraction(nums[l][0], e) for l in support] == a0
+    assert [Fraction(nums[l][1], e) for l in support] == a1
+    want = {
+        l: (
+            d_c[l] - sum(a * cross[j, l] for j, a in zip(support, a0)),
+            -f_c[l] - sum(a * cross[j, l] for j, a in zip(support, a1)),
+        )
+        for l in outside
+    }
+    got = _pairings(model, ray, outside, chamber)
+    assert {l: (Fraction(q0, e), Fraction(q1, e)) for l, q0, q1 in got} == want
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    # the sign at a rational t, which may be a wall time (a tie at zero)
+    walls = {l: -q0 / q1 for l, (q0, q1) in want.items() if q1 < 0}
+    where = data.draw(st.sampled_from(["at the first wall", "before it", "anywhere"]))
+    if walls and where != "anywhere":
+        t = min(walls.values()) - (0 if where == "at the first wall" else data.draw(_PAIRING.map(abs)))
+    else:
+        t = data.draw(_PAIRING)
+    for l, q0, q1 in got:
+        assert sign(_at(q0, q1, t)) == sign(want[l][0] + t * want[l][1])
+    # the earliest wall, over the curves whose pairing is nonnegative at t
+    # and not zero and decreasing there; any other curve is an InternalError
+    ahead = [(l, q0, q1) for l, q0, q1 in got if q0 + t * q1 > 0 or (q0 + t * q1 == 0 and q1 >= 0)]
+    if len(ahead) < len(got):
+        with pytest.raises(InternalError, match="already negative at segment start"):
+            _earliest_wall(got, t)
+    wall = _earliest_wall(ahead, t)
+    walls = [w for l, w in walls.items() if l in {l for l, _, _ in ahead}]
+    earliest = min(walls, default=None)
+    assert (None if wall is None else Fraction(*wall)) == earliest
+    # a missed wall at a segment end past t: a rational one, or an irrational mu
+    rad = data.draw(st.sampled_from([2, 3, 5, 7]))
+    mu = t + QExt(data.draw(_PAIRING.map(abs)), data.draw(st.fractions(0, 2)), rad)
+    end = mu if data.draw(st.booleans()) or earliest is None else earliest + data.draw(_PAIRING)
+    assume(end > t)
+    first = next((l for l, q0, q1 in ahead if want[l][0] + end * want[l][1] < 0), None)
+    assert _missed_wall(ahead, end, wall) == first
