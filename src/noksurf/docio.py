@@ -27,10 +27,10 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        q = rational_string(value)
-        if q is None:
-            raise InputError(f"{where}: cannot parse rational {value[:40]!r}")
-        return q
+        try:
+            return rational_string(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{where}: cannot parse rational {value[:40]!r}") from None
     if isinstance(value, float):
         raise InputError(f"{where}: floats are not exact; write \"p/q\" instead")
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}")

@@ -24,32 +24,24 @@ MAX_DIGITS = 4300
 _RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
 
 
-def rational_string(text: str) -> Fraction | None:
-    """The rational a string `-?digits` or `-?digits/digits` spells, at most
-    MAX_DIGITS digits a side; None for any other string or a zero
-    denominator."""
-    if _RATIONAL.fullmatch(text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            pass
-    return None
+def rational_string(text: str) -> Fraction:
+    """The rational a string `-?digits(/digits)?` spells, at most MAX_DIGITS
+    digits a side; ValueError for any other string, ZeroDivisionError for a
+    zero denominator."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational: {text[:40]!r}")
+    return Fraction(text)
 
 
 def _coord(x):
     if isinstance(x, QExt):
         return as_exact(x)
-    if isinstance(x, str):
-        q = rational_string(x)
-        if q is None:
-            raise InputError(f"coordinate {x[:40]!r} is not a number of the form -?digits(/digits)?")
-        return q
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"coordinate {x!r} is not exact")
     try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"coordinate {x!r} is not a number") from None
+        return rational_string(x) if isinstance(x, str) else Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"coordinate {x!r:.60} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -259,16 +251,13 @@ def pair(model: SurfaceModel, u, v):
 
 def pair_curve(model: SurfaceModel, v, label: str):
     """Intersection product v.C_l with a declared curve, from the dual row G.c_l."""
-    v, den = as_divisor(v, model.rank)._scaled()
-    total = 0
-    for j, g in _lookup(model._duals, label):
-        total += g * v[j]
-    return exact_quotient(total, den)
+    den, nums = curve_pairings(model, v, (label,))
+    return exact_quotient(nums[label], den)
 
 
 def curve_pairings(model: SurfaceModel, v, labels) -> tuple[int, dict]:
     """(den, {l: den*v.C_l}) for the listed curves: v's integer numerators
-    over its common denominator den, dotted with each dual row."""
+    over their common denominator, dotted with each dual row G.c_l."""
     v, den = as_divisor(v, model.rank)._scaled()
     out = {}
     for l in labels:

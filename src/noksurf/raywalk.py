@@ -116,51 +116,34 @@ def nu(model: SurfaceModel, divisor, flag, candidates) -> Fraction:
     return dec.coefficient(flag_label) if flag_label is not None else Fraction(0)
 
 
-@dataclass(frozen=True)
 class _Ray:
-    """The once-per-walk intersection numbers of D - t*F, as integers over
-    one positive denominator w.  Every pairing in a chamber is an integer
-    combination of these, the chamber's solve numerators and the model's
-    curve products, because P_t is orthogonal to the support."""
+    """The once-per-walk numbers of D - t*F over one denominator w: d_c[l] =
+    w*D.C_l, dd = w*D^2, ..., from D.C_l and F.C_l as (den, {l: numerator})
+    and the rationals D^2, D.F, F^2.  Every chamber pairing is an integer
+    combination of these, the solve numerators and the curve products."""
 
-    divisor: DivisorClass
-    flag_class: DivisorClass
-    w: int
-    d_c: dict  # label -> w*D.C_l
-    f_c: dict  # label -> w*F.C_l
-    dd: int  # w*D^2
-    df: int  # w*D.F
-    ff: int  # w*F^2
-
-
-def _ray(divisor, flag_class, d_c, f_c, dd, df, ff) -> _Ray:
-    """The ray from D.C_l and F.C_l as (den, {l: numerator}) pairs and the
-    rationals D^2, D.F, F^2, brought to their least common denominator."""
-    w = lcm(d_c[0], f_c[0], dd.denominator, df.denominator, ff.denominator)
-
-    def scaled(den, nums):
-        k = w // den
-        return nums if k == 1 else {l: k * x for l, x in nums.items()}
-
-    return _Ray(
-        divisor, flag_class, w, scaled(*d_c), scaled(*f_c),
-        *(x.numerator * (w // x.denominator) for x in (dd, df, ff)),
-    )
+    def __init__(self, divisor, flag_class, d_c, f_c, dd, df, ff):
+        self.divisor, self.flag_class = divisor, flag_class
+        self.w = w = lcm(d_c[0], f_c[0], dd.denominator, df.denominator, ff.denominator)
+        self.d_c, self.f_c = (
+            nums if den == w else {l: w // den * x for l, x in nums.items()}
+            for den, nums in (d_c, f_c)
+        )
+        self.dd, self.df, self.ff = (x.numerator * (w // x.denominator) for x in (dd, df, ff))
 
 
 def _at(q0, q1, t):
-    """q0 + t*q1 times t's denominator, in integers for a rational t, and in
-    Q(sqrt d) at an irrational mu; its sign is that of q0 + t*q1."""
+    """q0 + t*q1 times t's denominator: in integers for a rational t, in
+    Q(sqrt d) at an irrational mu."""
     if type(t) is Fraction:
         return q0 * t.denominator + t.numerator * q1
     return q0 + t * q1
 
 
 def _earliest_wall(outside, t):
-    """(num, den) with den > 0 of the earliest time at which a decreasing
-    outside pairing (l, Q0, Q1) reaches zero, Q0/-Q1, found by
-    cross-multiplying; None when none decreases.  A pairing negative at the
-    segment start t, or zero there and decreasing, is an InternalError."""
+    """The least Q0/-Q1 over the outside pairings (l, Q0, Q1) with Q1 < 0,
+    found by cross-multiplying, or None; each pairing must be positive at
+    the segment start t, or zero and not decreasing."""
     wall = None
     for l, q0, q1 in outside:
         val = _at(q0, q1, t)
@@ -168,18 +151,15 @@ def _earliest_wall(outside, t):
             raise InternalError(f"pairing against {l!r} already negative at segment start")
         if q1 < 0 and (wall is None or q0 * wall[1] < wall[0] * -q1):
             wall = (q0, -q1)
-    return wall
+    return None if wall is None else Fraction(*wall)
 
 
 def _missed_wall(outside, t_hi, wall):
     """The first outside curve whose pairing is negative at the segment end,
-    or None; `wall` is the `_earliest_wall` of the segment.  Each pairing is
-    nonnegative at the start, so at an irrational mu some pairing is negative
-    iff mu passes the earliest wall, and mu is compared with it once."""
-    if type(t_hi) is Fraction or (wall is not None and t_hi > Fraction(*wall)):
-        for l, q0, q1 in outside:
-            if _at(q0, q1, t_hi) < 0:
-                return l
+    or None.  Past the start some pairing is negative iff the end passes the
+    earliest wall, so an irrational mu is compared with `wall` alone."""
+    if type(t_hi) is Fraction or (wall is not None and t_hi > wall):
+        return next((l for l, q0, q1 in outside if _at(q0, q1, t_hi) < 0), None)
     return None
 
 
@@ -297,11 +277,10 @@ def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur
 
 def _exit_first(p0sq, cross, p1sq, t_cur, t_wall):
     """Whether q(t) = p0sq + 2*cross*t + p1sq*t^2, positive at t_cur, first
-    vanishes at or before t_wall > t_cur (None: no wall), by sign tests with
-    the times' numerators and denominators; None when q has no root beyond
-    t_cur (for p1sq > 0: unless the vertex lies ahead and the discriminant
-    is >= 0).  Scaling p0sq, cross and p1sq by one positive factor changes
-    no answer."""
+    vanishes at or before t_wall > t_cur (None: no wall), by sign tests in
+    integers, invariant under one positive scale of p0sq, cross and p1sq;
+    None when q has no root beyond t_cur (for p1sq > 0: unless the vertex
+    lies ahead and the discriminant is >= 0)."""
     cn, cd = t_cur.numerator, t_cur.denominator
     if p1sq > 0 and (-cross * cd <= p1sq * cn or cross * cross < p1sq * p0sq):
         return None
@@ -343,7 +322,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     if pair(model, p_nu, p_nu) <= 0 or pair(model, p_nu, model._witness) <= 0:
         raise ModelError("divisor is not big against the model")
 
-    ray = _ray(
+    ray = _Ray(
         divisor,
         flag_class,
         dec0.scaled_pairings,
@@ -373,7 +352,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         # coefficients over e = s*w, the flag numbers and P_0^2 over e*w
         s, nums = chamber
         e = s * ray.w
-        wall = _earliest_wall(outside, t_cur)
+        next_event = _earliest_wall(outside, t_cur)
 
         # P_0.F, p1.F and P_0^2 from the once-per-walk numbers; p0 and p1
         # are orthogonal to the support, so P_0.p1 = -P_0.F, p1^2 = -p1.F
@@ -388,7 +367,6 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         cn, cd = t_cur.numerator, t_cur.denominator
         if p0sq * cd * cd - 2 * f0 * cn * cd - fslope * cn * cn <= 0:
             raise InternalError("positive part lost its positivity inside a segment")
-        next_event = None if wall is None else Fraction(*wall)
         exits = _exit_first(p0sq, -f0, -fslope, t_cur, next_event)
         if exits is None:
             raise ModelError("ray never exits big cone in model")
@@ -419,7 +397,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
                     f"support decreased; invalid model input (coefficient of {l!r} "
                     f"vanishes before the segment ends)"
                 )
-        missed = _missed_wall(outside, t_hi, wall)
+        missed = _missed_wall(outside, t_hi, next_event)
         if missed is not None:
             raise InternalError(f"missed a wall for {missed!r}")
 

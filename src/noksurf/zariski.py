@@ -54,26 +54,13 @@ class ZariskiResult:
         return self.coeffs.get(label, Fraction(0))
 
 
-def _solve_support(model, labels, rhs):
-    """(den, x) with x_i/den the coefficients a_i of (D - sum a_i C_i).C_j = 0
-    for every j in labels, given rhs[j] = D.C_j in integers, or None when
-    the Gram matrix of `labels` is not negative definite."""
-    try:
-        den, (x,) = linalg.solve_negative_definite(gram_matrix(model, labels), [rhs])
-    except linalg.NotNegativeDefinite:
-        return None
-    return den, x
-
-
 def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult:
     """Decompose `divisor` against the given candidate curves.
 
     Results mean "Zariski decomposition relative to the declared curves":
     the candidate list is trusted to contain every curve the true negative
-    part could involve.  Every pairing is an integer numerator over one
-    positive denominator: D.C_l = d_c[l]/w, and on a support with solve
-    denominator e each coefficient is x_j/(e*w) and each remainder pairing
-    (e*d_c[l] - sum x_j C_j.C_l)/(e*w).
+    part could involve.  Everything is decided in integers: D.C_l = d_c[l]/w,
+    a_j = x_j/(e*w) and (D - sum a_j C_j).C_l = rest[l]/(e*w).
     """
     divisor = as_divisor(divisor, model.rank)
     cands = sorted_labels(model, candidates, "candidate")
@@ -83,14 +70,14 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
     e, xs = 1, []
     while True:
         if support:
-            sol = _solve_support(model, support, [d_c[l] for l in support])
-            if sol is None:
-                sig = linalg.inertia(gram_matrix(model, support))
+            gram = gram_matrix(model, support)
+            try:
+                e, (xs,) = linalg.solve_negative_definite(gram, [[d_c[l] for l in support]])
+            except linalg.NotNegativeDefinite:
                 raise ModelError(
                     "candidate set contains non-negative-definite support: "
-                    f"{support} has inertia {sig}"
-                )
-            e, xs = sol
+                    f"{support} has inertia {linalg.inertia(gram)}"
+                ) from None
             for l, x in zip(support, xs):
                 if x < 0:
                     raise ModelError(
@@ -135,11 +122,12 @@ def relative_negative_part(model: SurfaceModel, divisor, subset) -> dict[str, Fr
     if not labels:
         return {}
     w, d_c = curve_pairings(model, divisor, labels)
-    sol = _solve_support(model, labels, [d_c[l] for l in labels])
-    if sol is None:
-        sig = linalg.inertia(gram_matrix(model, labels))
+    gram = gram_matrix(model, labels)
+    try:
+        e, (xs,) = linalg.solve_negative_definite(gram, [[d_c[l] for l in labels]])
+    except linalg.NotNegativeDefinite:
+        sig = linalg.inertia(gram)
         if sig[2] > 0:
-            raise ModelError(f"Gram matrix of {labels} is singular (inertia {sig})")
-        raise ModelError(f"subset {labels} is not negative definite (inertia {sig})")
-    e, xs = sol
+            raise ModelError(f"Gram matrix of {labels} is singular (inertia {sig})") from None
+        raise ModelError(f"subset {labels} is not negative definite (inertia {sig})") from None
     return {l: Fraction(x, e * w) for l, x in zip(labels, xs)}

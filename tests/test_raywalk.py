@@ -30,7 +30,7 @@ from noksurf.raywalk import (
     _first_quadratic_root,
     _missed_wall,
     _pairings,
-    _ray,
+    _Ray,
     _segment_system,
     _solution,
 )
@@ -212,14 +212,14 @@ def test_walk_monotone_support_and_positivity_on_corpus():
             # a fresh solve on a ray whose pairings are taken here with `pair`
             d, f = prof.divisor, prof.flag_class
             classes = {l: case.model.class_of(l) for l in seg.support}
-            fresh_ray = _ray(
-                d,
-                f,
-                _over_lcm({l: pair(case.model, d, c) for l, c in classes.items()}),
-                _over_lcm({l: pair(case.model, f, c) for l, c in classes.items()}),
-                pair(case.model, d, d),
-                pair(case.model, d, f),
-                pair(case.model, f, f),
+            fresh_ray = _Ray(
+                divisor=d,
+                flag_class=f,
+                d_c=_over_lcm({l: pair(case.model, d, c) for l, c in classes.items()}),
+                f_c=_over_lcm({l: pair(case.model, f, c) for l, c in classes.items()}),
+                dd=pair(case.model, d, d),
+                df=pair(case.model, d, f),
+                ff=pair(case.model, f, f),
             )
             fresh = _segment_system(case.model, fresh_ray, list(seg.support))
             assert (seg.coeffs, seg.p0, seg.p1) == _solution(case.model, fresh_ray, fresh)
@@ -462,7 +462,7 @@ def test_integer_decisions_agree_with_rational_evaluation(data):
                 products[a][l] = products[l][a] = cross[a, l]
     model = SimpleNamespace(_products=products)
     zero = Fraction(0)
-    ray = _ray(None, None, _over_lcm(d_c), _over_lcm(f_c), zero, zero, zero)
+    ray = _Ray(None, None, _over_lcm(d_c), _over_lcm(f_c), zero, zero, zero)
 
     chamber = _segment_system(model, ray, support)
     s, nums = chamber
@@ -502,7 +502,7 @@ def test_integer_decisions_agree_with_rational_evaluation(data):
     wall = _earliest_wall(ahead, t)
     walls = [w for l, w in walls.items() if l in {l for l, _, _ in ahead}]
     earliest = min(walls, default=None)
-    assert (None if wall is None else Fraction(*wall)) == earliest
+    assert wall == earliest
     # a missed wall at a segment end past t: a rational one, or an irrational mu
     rad = data.draw(st.sampled_from([2, 3, 5, 7]))
     mu = t + QExt(data.draw(_PAIRING.map(abs)), data.draw(st.fractions(0, 2)), rad)

@@ -14,7 +14,8 @@ faster from cached bytecode, so both sides must import from source.
 output file keeps both sides' result lines for every pair, and for every
 end-to-end metric the pairs the head wins, the median and quartiles of each
 side, the median gain (positive is better) and the base's interquartile
-range over its median.  Entries already in the file for other
+range over its median; stdout gets one line per workload, seed and metric
+with those figures.  Entries already in the file for other
 workload/seed combinations are kept.  Exit status: 0 when every run
 attempted operations and failed none, 1 otherwise, 2 when a checkout is
 refused or a run cannot start.
@@ -143,12 +144,12 @@ def main(argv=None) -> int:
             for side in ("base", "head"):
                 r = p[side]
                 ok = ok and r["attempted"] > 0 and r["failed"] == 0
-        s = e["summary"]["ops_per_s"]
-        print(
-            f"{e['workload']} seed {e['seed']}: ops/s median {s['base']['median']:.1f} -> "
-            f"{s['head']['median']:.1f} ({s['median_gain']:+.1%}), head wins "
-            f"{s['head_wins']}/{s['pairs']}, base IQR/median {s['base_iqr_over_median']:.3f}"
-        )
+        for name, s in e["summary"].items():
+            print(
+                f"{e['workload']} seed {e['seed']} {name}: median {s['base']['median']:.4g} -> "
+                f"{s['head']['median']:.4g} ({s['median_gain']:+.1%}), head wins "
+                f"{s['head_wins']}/{s['pairs']}, base IQR/median {s['base_iqr_over_median']:.3f}"
+            )
     return 0 if ok else 1
 
 
