@@ -194,8 +194,9 @@ class SurfaceModel:
         object.__setattr__(self, "_witness", w)
         if pair(self, w, w) <= 0:
             raise InputError("ample witness has nonpositive self-intersection")
+        _, w_c = curve_pairings(self, w, self._index)
         for c in recs:
-            if pair_curve(self, w, c.label) <= 0:
+            if w_c[c.label] <= 0:
                 raise InputError(
                     f"ample witness does not pair positively with curve {c.label!r}"
                 )
@@ -349,4 +350,4 @@ def is_model_ample(model: SurfaceModel, cls) -> bool:
     c = as_divisor(cls, model.rank)
     if pair(model, c, c) <= 0:
         return False
-    return all(pair_curve(model, c, rec.label) > 0 for rec in model.curves)
+    return all(x > 0 for x in curve_pairings(model, c, model._index)[1].values())
