@@ -26,7 +26,6 @@ from .lattice import (
     curve_products,
     gram_matrix,
     pair,
-    pair_curve,
     sorted_labels,
     subtract_curves,
 )
