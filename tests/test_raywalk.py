@@ -425,7 +425,7 @@ _PAIRING = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
 
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_integer_decisions_agree_with_rational_evaluation(data):
     # a support of 1-4 curves (odd sizes have a negative determinant) with a
     # negative definite Gram matrix -(B*B^T + K), outside curves with random
