@@ -157,14 +157,7 @@ def parse_flag(doc: dict, model: SurfaceModel):
 def parse_candidates(doc: dict, model: SurfaceModel) -> list[str]:
     if "candidates" not in doc:
         return list(model.labels())
-    cands = doc["candidates"]
-    if not isinstance(cands, list):
-        raise InputError("candidates: must be a list of labels")
-    for i, l in enumerate(cands):
-        if not isinstance(l, str):
-            raise InputError(f"candidates[{i}]: must be a label")
-        model.curve(l)
-    return list(cands)
+    return parse_labels(doc, model, "candidates")
 
 
 def parse_labels(doc: dict, model: SurfaceModel, key: str) -> list[str]:

@@ -16,35 +16,30 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from . import linalg
 from .errors import InputError, InternalError, ModelError
 from .lattice import (
     DivisorClass,
     SurfaceModel,
     as_divisor,
     curve_pairings,
-    curve_products,
-    gram_matrix,
     pair,
     sorted_labels,
-    subtract_curves,
 )
 from .qext import QExt, as_exact, sqrt_fraction
-from .zariski import ZariskiResult, zariski_decompose
+from .zariski import ZariskiResult, residual_pairings, solve_support, zariski_decompose
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One chamber of the walk: support, affine coefficients, the moving
-    positive part P_t = p0 + t*p1 on [t_lo, t_hi] and its pairing
-    P_t.F = f0 + t*fslope with the flag class F."""
+    """One chamber of the walk: support and affine coefficients on
+    [t_lo, t_hi], and the pairing P_t.F = f0 + t*fslope of the moving
+    positive part P_t = P_0 + t*p1 = D - t*F - sum_l (a0_l + a1_l*t)*C_l
+    with the flag class F."""
 
     t_lo: Fraction
     t_hi: Fraction | QExt
     support: tuple[str, ...]  # in order of appearance
     coeffs: dict[str, tuple[Fraction, Fraction]]  # label -> (a0, a1)
-    p0: DivisorClass
-    p1: DivisorClass
     f0: Fraction  # P_0.F
     fslope: Fraction  # p1.F
 
@@ -121,8 +116,7 @@ class _Ray:
     and the rationals D^2, D.F, F^2.  Every chamber pairing is an integer
     combination of these, the solve numerators and the curve products."""
 
-    def __init__(self, divisor, flag_class, d_c, f_c, dd, df, ff):
-        self.divisor, self.flag_class = divisor, flag_class
+    def __init__(self, d_c, f_c, dd, df, ff):
         self.w = w = lcm(d_c[0], f_c[0], dd.denominator, df.denominator, ff.denominator)
         self.d_c, self.f_c = (
             nums if den == w else {l: w // den * x for l, x in nums.items()}
@@ -166,45 +160,31 @@ def _segment_system(model, ray, support):
     """Integer solution on a support: (s, {l: (x0, x1)}) with coefficients
     a_l(t) = (x0 + x1*t)/(s*w), from one fraction-free elimination whose
     right-hand sides w*D.C_l and -w*F.C_l are read from the ray."""
-    if not support:
-        return 1, {}
-    gram = gram_matrix(model, support)
-    rhs0 = [ray.d_c[l] for l in support]
-    rhs1 = [-ray.f_c[l] for l in support]
-    try:
-        s, (x0, x1) = linalg.solve_negative_definite(gram, [rhs0, rhs1])
-    except linalg.NotNegativeDefinite:
-        raise ModelError(
-            f"support {list(support)} is not negative definite "
-            f"(inertia {linalg.inertia(gram)})"
-        ) from None
+    s, (x0, x1) = solve_support(
+        model, support, [[ray.d_c[l] for l in support], [-ray.f_c[l] for l in support]],
+        lambda sig: f"support {list(support)} is not negative definite (inertia {sig})",
+    )
     return s, dict(zip(support, zip(x0, x1)))
 
 
-def _solution(model, ray, chamber):
-    """The chamber's (coeffs, p0, p1) as returned in a Segment: a_j(t) =
-    a0_j + a1_j*t and P_t = p0 + t*p1, each built from integer numerators."""
+def _solution(ray, chamber):
+    """The chamber's coefficients as returned in a Segment: a_j(t) =
+    a0_j + a1_j*t, each built from integer numerators."""
     s, nums = chamber
     e = s * ray.w
-    coeffs = {l: (Fraction(x0, e), Fraction(x1, e)) for l, (x0, x1) in nums.items()}
-    p0 = subtract_curves(model, ray.divisor, ((l, x0) for l, (x0, _) in nums.items()), e)
-    p1 = subtract_curves(model, -ray.flag_class, ((l, x1) for l, (_, x1) in nums.items()), e)
-    return coeffs, p0, p1
+    return {l: (Fraction(x0, e), Fraction(x1, e)) for l, (x0, x1) in nums.items()}
 
 
 def _pairings(model, ray, labels, chamber):
     """[(l, Q0, Q1)] for the listed curves, P_0.C_l = Q0/(s*w) and
     p1.C_l = Q1/(s*w): Q0 = s*w*D.C_l - sum x0_j C_j.C_l and
-    Q1 = -s*w*F.C_l - sum x1_j C_j.C_l, summed over the nonzero products."""
+    Q1 = -s*w*F.C_l - sum x1_j C_j.C_l."""
     s, nums = chamber
-    q = {l: [s * ray.d_c[l], -s * ray.f_c[l]] for l in labels}
-    for j, (x0, x1) in nums.items():
-        for l, g in curve_products(model, j).items():
-            v = q.get(l)
-            if v is not None:
-                v[0] -= x0 * g
-                v[1] -= x1 * g
-    return [(l, q0, q1) for l, (q0, q1) in q.items()]
+    q0, q1 = residual_pairings(
+        model, nums, zip(*nums.values()),
+        [{l: s * ray.d_c[l] for l in labels}, {l: -s * ray.f_c[l] for l in labels}],
+    )
+    return [(l, q, q1[l]) for l, q in q0.items()]
 
 
 def _outside_pairings(model, ray, entry_order, support, chamber):
@@ -322,8 +302,6 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         raise ModelError("divisor is not big against the model")
 
     ray = _Ray(
-        divisor,
-        flag_class,
         dec0.scaled_pairings,
         curve_pairings(model, flag_class, entry_order),
         pair(model, divisor, divisor),
@@ -331,22 +309,31 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         pair(model, flag_class, flag_class),
     )
     support = sorted(dec_nu.support, key=model.declaration_index)
-    appearance: dict[str, Fraction] = {l: t_nu for l in support}
-    # a wall may sit exactly at nu; enlarge before the first segment
+    appearance: dict[str, Fraction] = dict.fromkeys(support, t_nu)
     chamber = _segment_system(model, ray, support)
     outside = _outside_pairings(model, ray, entry_order, support, chamber)
-    enlarged, chamber = _enlarge_support(model, ray, support, t_nu, outside, chamber)
-    if len(enlarged) > len(support):
-        outside = _outside_pairings(model, ray, entry_order, enlarged, chamber)
-    support = enlarged
-    for l in support:
-        appearance.setdefault(l, t_nu)
 
     segments: list[Segment] = []
     t_cur = t_nu
     mu = None
     radicand = 0
     for _ in range(len(entry_order) + 2):
+        # the first pass enlarges at nu, where a wall may sit; each later
+        # pass at the wall the previous segment ended on
+        new_support, new_chamber = _enlarge_support(model, ray, support, t_cur, outside, chamber)
+        if len(new_support) > len(support):
+            # continuity: both chambers agree at the wall
+            (s, nums), (s2, nums2) = chamber, new_chamber
+            for l in support:
+                if _at(*nums[l], t_cur) * s2 != _at(*nums2[l], t_cur) * s:
+                    raise InternalError(f"coefficient of {l!r} jumps across the wall")
+            for l in new_support[len(support) :]:
+                appearance[l] = t_cur
+            outside = _outside_pairings(model, ray, entry_order, new_support, new_chamber)
+        elif segments:
+            raise InternalError("wall event produced no support growth")
+        support, chamber = new_support, new_chamber
+
         # every number below is an integer numerator: Q0, Q1 and the
         # coefficients over e = s*w, the flag numbers and P_0^2 over e*w
         s, nums = chamber
@@ -400,28 +387,14 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         if missed is not None:
             raise InternalError(f"missed a wall for {missed!r}")
 
-        coeffs, p0, p1 = _solution(model, ray, chamber)
         segments.append(
             Segment(
-                t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=coeffs,
-                p0=p0, p1=p1, f0=Fraction(f0, ew), fslope=Fraction(fslope, ew),
+                t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=_solution(ray, chamber),
+                f0=Fraction(f0, ew), fslope=Fraction(fslope, ew),
             )
         )
         if mu is not None:
             break
-
-        new_support, chamber = _enlarge_support(model, ray, support, t_hi, outside, chamber)
-        if len(new_support) == len(support):
-            raise InternalError("wall event produced no support growth")
-        # continuity: both chambers agree at the wall
-        s2, nums2 = chamber
-        for l in support:
-            if _at(*nums[l], t_hi) * s2 != _at(*nums2[l], t_hi) * s:
-                raise InternalError(f"coefficient of {l!r} jumps across the wall")
-        for l in new_support[len(support) :]:
-            appearance[l] = t_hi
-        support = new_support
-        outside = _outside_pairings(model, ray, entry_order, support, chamber)
         t_cur = t_hi
     else:
         raise InternalError("walk did not terminate")

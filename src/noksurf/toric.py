@@ -31,18 +31,6 @@ def _det(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _angular_key(v):
-    """Sort key realizing the counterclockwise order from the positive x-axis."""
-    x, y = v
-    if y > 0:
-        half = 0
-    elif y < 0:
-        half = 1
-    else:
-        half = 0 if x > 0 else 1
-    return half, Fraction(-x, y) if y != 0 else Fraction(-10**9)
-
-
 @dataclass(frozen=True)
 class ToricFan:
     """Complete smooth fan: primitive rays, counterclockwise, unimodular steps."""
@@ -67,13 +55,10 @@ class ToricFan:
                     f"consecutive rays {v}, {w} are not a positively oriented "
                     "unimodular pair"
                 )
-        # one full counterclockwise sweep: exactly one wrap in the angular order
-        wraps = sum(
-            1
-            for i in range(len(rr))
-            if _angular_key(rr[(i + 1) % len(rr)]) < _angular_key(rr[i])
-        )
-        if wraps != 1:
+        # one full counterclockwise sweep: det = 1 turns each step by less
+        # than pi, so exactly one step goes from angles [pi, 2pi) into [0, pi)
+        upper = [y > 0 or (y == 0 and x > 0) for x, y in rr]
+        if sum(upper[i] and not upper[i - 1] for i in range(len(rr))) != 1:
             raise InputError("rays do not sweep the plane exactly once")
         object.__setattr__(self, "rays", rr)
 

@@ -10,7 +10,6 @@ without affecting correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -21,7 +20,6 @@ from .lattice import (
     as_divisor,
     curve_pairings,
     curve_products,
-    exact_quotient,
     gram_matrix,
     pair_curve,
     sorted_labels,
@@ -40,11 +38,6 @@ class ZariskiResult:
     positive_part: DivisorClass = field(compare=False)
     scaled_pairings: tuple[int, dict[str, int]] = field(compare=False, repr=False)
 
-    @cached_property
-    def pairings(self) -> dict[str, Fraction]:
-        den, nums = self.scaled_pairings
-        return {l: exact_quotient(x, den) for l, x in nums.items()}
-
     def negative_part(self, model: SurfaceModel) -> DivisorClass:
         return subtract_curves(
             model, [0] * model.rank, ((l, -a) for l, a in self.coeffs.items())
@@ -52,6 +45,37 @@ class ZariskiResult:
 
     def coefficient(self, label: str) -> Fraction:
         return self.coeffs.get(label, Fraction(0))
+
+
+def solve_support(model: SurfaceModel, support, columns, failure):
+    """Certify that the Gram matrix of `support` is negative definite and
+    solve it against each right-hand side in `columns`, in one fraction-free
+    elimination: (den, numerators) with x_j = numerators[c][j]/den.  When
+    the matrix is not negative definite, raises ModelError(failure(inertia)).
+    """
+    if not support:
+        return 1, [[] for _ in columns]
+    gram = gram_matrix(model, support)
+    try:
+        return linalg.solve_negative_definite(gram, columns)
+    except linalg.NotNegativeDefinite:
+        raise ModelError(failure(linalg.inertia(gram))) from None
+
+
+def residual_pairings(model: SurfaceModel, support, columns, rhs):
+    """b_l - sum_j x_j*C_j.C_l for every l in each right-hand side.
+
+    `columns` holds one solution x over `support` per right-hand side, and
+    `rhs` one {l: b_l} per column; each is updated in place, and `rhs` is
+    returned.  Only the nonzero curve products are summed.
+    """
+    for side, xs in zip(rhs, columns):
+        for j, x in zip(support, xs):
+            if x:
+                for l, g in curve_products(model, j).items():
+                    if l in side:
+                        side[l] -= x * g
+    return rhs
 
 
 def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult:
@@ -67,29 +91,22 @@ def zariski_decompose(model: SurfaceModel, divisor, candidates) -> ZariskiResult
 
     w, d_c = curve_pairings(model, divisor, cands)
     support = [l for l in cands if d_c[l] < 0]
-    e, xs = 1, []
     while True:
-        if support:
-            gram = gram_matrix(model, support)
-            try:
-                e, (xs,) = linalg.solve_negative_definite(gram, [[d_c[l] for l in support]])
-            except linalg.NotNegativeDefinite:
+        e, (xs,) = solve_support(
+            model, support, [[d_c[l] for l in support]],
+            lambda sig: "candidate set contains non-negative-definite support: "
+            f"{support} has inertia {sig}",
+        )
+        for l, x in zip(support, xs):
+            if x < 0:
                 raise ModelError(
-                    "candidate set contains non-negative-definite support: "
-                    f"{support} has inertia {linalg.inertia(gram)}"
-                ) from None
-            for l, x in zip(support, xs):
-                if x < 0:
-                    raise ModelError(
-                        "class not pseudo-effective within model, or candidate "
-                        f"set inconsistent (coefficient of {l!r} solved to {Fraction(x, e * w)})"
-                    )
+                    "class not pseudo-effective within model, or candidate "
+                    f"set inconsistent (coefficient of {l!r} solved to {Fraction(x, e * w)})"
+                )
         inside = set(support)
-        rest = {l: e * d_c[l] for l in cands if l not in inside}
-        for j, x in zip(support, xs):
-            for l, g in curve_products(model, j).items():
-                if l in rest:
-                    rest[l] -= x * g
+        (rest,) = residual_pairings(
+            model, support, [xs], [{l: e * d_c[l] for l in cands if l not in inside}]
+        )
         violators = [l for l, q in rest.items() if q < 0]
         if not violators:
             break
@@ -119,15 +136,11 @@ def relative_negative_part(model: SurfaceModel, divisor, subset) -> dict[str, Fr
     """
     divisor = as_divisor(divisor, model.rank)
     labels = sorted_labels(model, subset, "subset")
-    if not labels:
-        return {}
     w, d_c = curve_pairings(model, divisor, labels)
-    gram = gram_matrix(model, labels)
-    try:
-        e, (xs,) = linalg.solve_negative_definite(gram, [[d_c[l] for l in labels]])
-    except linalg.NotNegativeDefinite:
-        sig = linalg.inertia(gram)
-        if sig[2] > 0:
-            raise ModelError(f"Gram matrix of {labels} is singular (inertia {sig})") from None
-        raise ModelError(f"subset {labels} is not negative definite (inertia {sig})") from None
+    e, (xs,) = solve_support(
+        model, labels, [[d_c[l] for l in labels]],
+        lambda sig: f"Gram matrix of {labels} is singular (inertia {sig})"
+        if sig[2] > 0
+        else f"subset {labels} is not negative definite (inertia {sig})",
+    )
     return {l: Fraction(x, e * w) for l, x in zip(labels, xs)}

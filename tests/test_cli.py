@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import noksurf
+from noksurf import zariski_decompose
 from noksurf.cli import build_parser, main
+from noksurf.docio import parse_surface
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 
@@ -129,6 +132,23 @@ def test_field_diagnostics(tmp_path, capsys):
     assert "surface.matrix[1][1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "candidates,message",
+    [
+        ("E", "candidates: must be a list of labels"),
+        (["E", 1], "candidates[1]: must be a label"),
+        (["X"], "unknown curve label 'X'"),
+    ],
+)
+def test_candidate_diagnostics(candidates, message, tmp_path, capsys):
+    doc = json.loads((CASES_DIR / "ex1_on_point.json").read_text())
+    doc["candidates"] = candidates
+    path = tmp_path / "badcandidates.json"
+    path.write_text(json.dumps(doc))
+    assert main(["polygon", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("curves", [5, None])
 def test_curves_must_be_a_list(curves, tmp_path, capsys):
     doc = tmp_path / "badcurves.json"
@@ -156,6 +176,40 @@ def test_model_error_exit_2(tmp_path, capsys):
         )
     )
     assert main(["polygon", str(doc)]) == 2
+
+
+# D decomposes with support {C1, C2} and nu = 16/7, but D - nu*C1 meets C0
+# negatively, and C0.C2 = -2 makes {C0, C2} indefinite: only the second
+# decomposition, at nu, finds that
+SECOND_DECOMPOSITION_AT_NU = {
+    "schema": 1,
+    "surface": {
+        "rank": 3,
+        "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "curves": [
+            {"label": "C0", "class": [1, -1, 0]},
+            {"label": "C1", "class": [-1, 2, 2]},
+            {"label": "C2", "class": [0, -2, 2]},
+            {"label": "C3", "class": [1, 1, -2]},
+        ],
+        "ample_witness": [5, -1, -2],
+    },
+    "divisor": [2, 0, 7],
+    "flag": {"curve": "C1"},
+}
+
+
+@pytest.mark.parametrize("command", ["ray-profile", "polygon"])
+def test_second_decomposition_at_nu_exit_2(command, tmp_path, capsys):
+    model = parse_surface(SECOND_DECOMPOSITION_AT_NU)
+    assert zariski_decompose(model, [2, 0, 7], model.labels()).coefficient("C1") == Fraction(16, 7)
+    path = tmp_path / "at_nu.json"
+    path.write_text(json.dumps(SECOND_DECOMPOSITION_AT_NU))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: candidate set contains non-negative-definite support: "
+        "['C0', 'C2'] has inertia (1, 1, 0)\n"
+    )
 
 
 def test_divisor_in_the_negative_light_cone_exit_2(tmp_path, capsys):

@@ -174,9 +174,9 @@ def test_walk_names_inertia_of_singular_support():
         [CurveRecord("E1", (0, 1, 0)), CurveRecord("E1b", (0, 1, 0))],
         (3, -1, -1),
     )
-    msg = r"support \['E1', 'E1b'\] is not negative definite \(inertia \(0, 1, 1\)\)"
-    with pytest.raises(ModelError, match=msg):
+    with pytest.raises(ModelError) as err:
         walk_ray(m, DivisorClass((3, -1, -1)), DivisorClass((1, -1, 0)), ["E1", "E1b"])
+    assert str(err.value) == "support ['E1', 'E1b'] is not negative definite (inertia (0, 1, 1))"
 
 
 def test_walk_monotone_support_and_positivity_on_corpus():
@@ -194,27 +194,19 @@ def test_walk_monotone_support_and_positivity_on_corpus():
         # flag never in support
         for seg in prof.segments:
             assert prof.flag_label not in seg.support
-        # the carried positive part is the chamber's own solution
+        # the positive part built from the carried coefficients is orthogonal
+        # to the support, and the carried flag pairings are its pairings
         for seg in prof.segments:
-            p0 = prof.divisor
-            p1 = -prof.flag_class
+            p0, p1 = _positive_part(case.model, prof, seg)
             for l in seg.support:
-                a0, a1 = seg.coeffs[l]
-                p0 = p0 - case.model.class_of(l).scale(a0)
-                p1 = p1 - case.model.class_of(l).scale(a1)
-            assert (seg.p0, seg.p1) == (p0, p1)
-            for l in seg.support:
-                assert pair(case.model, seg.p0, case.model.class_of(l)) == 0
-                assert pair(case.model, seg.p1, case.model.class_of(l)) == 0
-            # the carried flag pairings are those of the carried vectors
-            assert seg.f0 == pair(case.model, seg.p0, prof.flag_class)
-            assert seg.fslope == pair(case.model, seg.p1, prof.flag_class)
+                assert pair(case.model, p0, case.model.class_of(l)) == 0
+                assert pair(case.model, p1, case.model.class_of(l)) == 0
+            assert seg.f0 == pair(case.model, p0, prof.flag_class)
+            assert seg.fslope == pair(case.model, p1, prof.flag_class)
             # a fresh solve on a ray whose pairings are taken here with `pair`
             d, f = prof.divisor, prof.flag_class
             classes = {l: case.model.class_of(l) for l in seg.support}
             fresh_ray = _Ray(
-                divisor=d,
-                flag_class=f,
                 d_c=_over_lcm({l: pair(case.model, d, c) for l, c in classes.items()}),
                 f_c=_over_lcm({l: pair(case.model, f, c) for l, c in classes.items()}),
                 dd=pair(case.model, d, d),
@@ -222,16 +214,15 @@ def test_walk_monotone_support_and_positivity_on_corpus():
                 ff=pair(case.model, f, f),
             )
             fresh = _segment_system(case.model, fresh_ray, list(seg.support))
-            assert (seg.coeffs, seg.p0, seg.p1) == _solution(case.model, fresh_ray, fresh)
+            assert seg.coeffs == _solution(fresh_ray, fresh)
         # P^2 positive strictly inside, zero at mu
-        last = prof.segments[-1]
-        p0, p1 = last.p0, last.p1
+        p0, p1 = _positive_part(case.model, prof, prof.segments[-1])
         a = pair(case.model, p1, p1)
         b = pair(case.model, p0, p1)
         c = pair(case.model, p0, p0)
         assert c + 2 * b * prof.mu + a * prof.mu * prof.mu == 0
         for seg in prof.segments:
-            p0, p1 = seg.p0, seg.p1
+            p0, p1 = _positive_part(case.model, prof, seg)
             mid = (seg.t_lo + (seg.t_lo + 1)) / 2  # inside only if < t_hi
             ts = [seg.t_lo, mid] if mid < seg.t_hi else [seg.t_lo]
             for t in ts:
@@ -241,6 +232,16 @@ def test_walk_monotone_support_and_positivity_on_corpus():
                     + t * t * pair(case.model, p1, p1)
                 )
                 assert val > 0
+
+
+def _positive_part(model, prof, seg):
+    """(P_0, p1) with P_t = P_0 + t*p1 = D - t*F - sum (a0_l + a1_l*t)*C_l,
+    built from the segment's coefficients with class arithmetic."""
+    p0, p1 = prof.divisor, -prof.flag_class
+    for l, (a0, a1) in seg.coeffs.items():
+        c = model.class_of(l)
+        p0, p1 = p0 - c.scale(a0), p1 - c.scale(a1)
+    return p0, p1
 
 
 def _over_lcm(values: dict) -> tuple[int, dict]:
@@ -262,7 +263,8 @@ def test_profile_keeps_the_decomposition_of_d():
         assert kept.support == fresh.support, case.name
         assert kept.coeffs == fresh.coeffs, case.name
         assert kept.positive_part == fresh.positive_part, case.name
-        assert kept.pairings == {
+        den, nums = kept.scaled_pairings
+        assert {l: Fraction(x, den) for l, x in nums.items()} == {
             l: pair(case.model, case.divisor, case.model.class_of(l)) for l in cands
         }, case.name
         flag_coeff = kept.coefficient(prof.flag_label) if prof.flag_label else 0
@@ -399,10 +401,11 @@ def test_integer_pairings_are_those_of_the_segment_vectors(cases, monkeypatch):
         for seg in prof.segments:
             den, order, out = by_support[seg.support]
             assert {l for l, _, _ in out} == order - set(seg.support), case.name
+            p0, p1 = _positive_part(model, prof, seg)
             for l, q0, q1 in out:
                 c = model.class_of(l)
-                assert Fraction(q0, den) == pair(model, seg.p0, c), (case.name, l)
-                assert Fraction(q1, den) == pair(model, seg.p1, c), (case.name, l)
+                assert Fraction(q0, den) == pair(model, p0, c), (case.name, l)
+                assert Fraction(q1, den) == pair(model, p1, c), (case.name, l)
                 checked += 1
     assert checked > 0
 
@@ -462,7 +465,7 @@ def test_integer_decisions_agree_with_rational_evaluation(data):
                 products[a][l] = products[l][a] = cross[a, l]
     model = SimpleNamespace(_products=products)
     zero = Fraction(0)
-    ray = _Ray(None, None, _over_lcm(d_c), _over_lcm(f_c), zero, zero, zero)
+    ray = _Ray(_over_lcm(d_c), _over_lcm(f_c), zero, zero, zero)
 
     chamber = _segment_system(model, ray, support)
     s, nums = chamber

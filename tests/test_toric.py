@@ -41,6 +41,30 @@ def test_fan_validation():
         ToricFan([(1, 0), (0, -1), (-1, 0), (0, 1)])  # clockwise
 
 
+@pytest.mark.parametrize(
+    "rays",
+    [
+        [(1, 0), (10**10, 1), (-1, 0), (0, -1)],
+        [(-1, 0), (-(10**10), -1), (1, 0), (0, 1)],
+    ],
+    ids=["steep", "steep-mirror"],
+)
+def test_fan_with_a_steep_ray_sweeps_once(rays):
+    # a Hirzebruch surface in other coordinates: |x/y| of the second ray is 10^10
+    assert ToricFan(rays).rays == tuple(rays)
+    assert self_intersections(ToricFan(rays)) == [10**10, 0, -(10**10), 0]
+
+
+def test_fan_winding_twice_is_rejected():
+    # every consecutive pair is unimodular and positively oriented, but the
+    # rays go round the origin twice
+    rays = [(1, 0), (-2, 1), (-1, 0), (-2, -1), (-1, -1), (-1, -2),
+            (0, -1), (1, 1), (0, 1), (-1, 1), (1, -2), (1, -1)]
+    with pytest.raises(InputError) as err:
+        ToricFan(rays)
+    assert str(err.value) == "rays do not sweep the plane exactly once"
+
+
 def test_self_intersections():
     assert self_intersections(P2) == [-1, -1, -1]
     assert self_intersections(F0) == [0, 0, 0, 0]

@@ -72,11 +72,15 @@ def test_nonnegative_definite_candidate_set():
     # B has square -3 but D.B < 0 with D.E < 0 makes the pair {E, B} indefinite?
     # Gram of {E, B} is [[-1, 2], [2, -3]] with determinant -1: not definite.
     d = DivisorClass((-2, 3))
-    msg = r"\['E', 'B'\] has inertia \(1, 1, 0\)"
-    with pytest.raises(ModelError, match=msg):
+    with pytest.raises(ModelError) as err:
         zariski_decompose(m, d, ["E", "B"])
-    with pytest.raises(ModelError, match=r"not negative definite \(inertia \(1, 1, 0\)\)"):
+    assert str(err.value) == (
+        "candidate set contains non-negative-definite support: "
+        "['E', 'B'] has inertia (1, 1, 0)"
+    )
+    with pytest.raises(ModelError) as err:
         relative_negative_part(m, d, ["E", "B"])
+    assert str(err.value) == "subset ['E', 'B'] is not negative definite (inertia (1, 1, 0))"
 
 
 def test_duplicate_candidates_rejected():
@@ -109,10 +113,15 @@ def test_relative_negative_part_singular():
         [CurveRecord("E1", (0, 1, 0)), CurveRecord("E1b", (0, 1, 0))],
         (3, -1, -1),
     )
-    with pytest.raises(ModelError, match=r"is singular \(inertia \(0, 1, 1\)\)"):
+    with pytest.raises(ModelError) as err:
         relative_negative_part(m, DivisorClass((1, 0, 0)), ["E1", "E1b"])
-    with pytest.raises(ModelError, match=r"has inertia \(0, 1, 1\)"):
+    assert str(err.value) == "Gram matrix of ['E1', 'E1b'] is singular (inertia (0, 1, 1))"
+    with pytest.raises(ModelError) as err:
         zariski_decompose(m, DivisorClass((3, 1, -1)), ["E1", "E1b"])
+    assert str(err.value) == (
+        "candidate set contains non-negative-definite support: "
+        "['E1', 'E1b'] has inertia (0, 1, 1)"
+    )
 
 
 def _decomposable_cases():

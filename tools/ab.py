@@ -15,10 +15,11 @@ output file keeps both sides' result lines for every pair, and for every
 end-to-end metric the pairs the head wins, the median and quartiles of each
 side, the median gain (positive is better) and the base's interquartile
 range over its median; stdout gets one line per workload, seed and metric
-with those figures.  Entries already in the file for other
-workload/seed combinations are kept.  Exit status: 0 when every run
-attempted operations and failed none, 1 otherwise, 2 when a checkout is
-refused or a run cannot start.
+with those figures, and one line per workload and seed with each side's
+`src_lines` (the source line count the run reports).  Entries already in
+the file for other workload/seed combinations are kept.  Exit status: 0
+when every run attempted operations and failed none, 1 otherwise, 2 when
+a checkout is refused or a run cannot start.
 """
 from __future__ import annotations
 
@@ -144,6 +145,8 @@ def main(argv=None) -> int:
             for side in ("base", "head"):
                 r = p[side]
                 ok = ok and r["attempted"] > 0 and r["failed"] == 0
+        base_lines, head_lines = (e["info"][side]["env"]["src_lines"] for side in ("base", "head"))
+        print(f"{e['workload']} seed {e['seed']} src_lines: {base_lines} -> {head_lines}")
         for name, s in e["summary"].items():
             print(
                 f"{e['workload']} seed {e['seed']} {name}: median {s['base']['median']:.4g} -> "
