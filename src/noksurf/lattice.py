@@ -14,7 +14,6 @@ from math import lcm
 
 from . import linalg
 from .errors import InputError
-from .qext import QExt, as_exact
 
 inertia = linalg.inertia  # exact Sylvester inertia of a symmetric matrix
 
@@ -34,8 +33,8 @@ def rational_string(text: str) -> Fraction:
 
 
 def _coord(x):
-    if isinstance(x, QExt):
-        return as_exact(x)
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise InputError(f"coordinate {x!r} is not exact")
     try:
@@ -46,7 +45,7 @@ def _coord(x):
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """A class in NS(S) with exact coordinates (rational, or in Q(sqrt(d)))."""
+    """A class in NS(S) with rational coordinates, kept as Fractions."""
 
     coords: tuple
 
@@ -59,29 +58,19 @@ class DivisorClass:
     def __iter__(self):
         return iter(self.coords)
 
-    @classmethod
-    def _of(cls, coords) -> "DivisorClass":
-        """An arithmetic result: Fraction coordinates pass unchecked, anything
-        else (a QExt, or a float from a float factor) goes through _coord."""
-        out = object.__new__(cls)
-        object.__setattr__(
-            out, "coords", tuple(x if type(x) is Fraction else _coord(x) for x in coords)
-        )
-        return out
-
     def __add__(self, other):
         other = as_divisor(other, len(self))
-        return DivisorClass._of(a + b for a, b in zip(self.coords, other.coords))
+        return DivisorClass(a + b for a, b in zip(self.coords, other.coords))
 
     def __sub__(self, other):
         other = as_divisor(other, len(self))
-        return DivisorClass._of(a - b for a, b in zip(self.coords, other.coords))
+        return DivisorClass(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self):
-        return DivisorClass._of(-a for a in self.coords)
+        return DivisorClass(-a for a in self.coords)
 
     def scale(self, k):
-        return DivisorClass._of(k * a for a in self.coords)
+        return DivisorClass(k * a for a in self.coords)
 
     def __rmul__(self, k):
         return self.scale(k)
@@ -91,14 +80,12 @@ class DivisorClass:
 
     def _scaled(self):
         """(integer numerators, one positive common denominator), kept as a
-        non-field attribute on first use; a QExt class keeps its coords over 1."""
+        non-field attribute on first use."""
         try:
             return self._ints
         except AttributeError:
-            c, den = self.coords, 1
-            if all(type(x) is Fraction for x in c):
-                den = lcm(*(x.denominator for x in c))
-                c = tuple(x.numerator * (den // x.denominator) for x in c)
+            den = lcm(*(x.denominator for x in self.coords))
+            c = tuple(x.numerator * (den // x.denominator) for x in self.coords)
             object.__setattr__(self, "_ints", (c, den))
             return c, den
 
@@ -227,13 +214,6 @@ def _lookup(table: dict, label):
         raise InputError(f"unknown curve label {label!r}") from None
 
 
-def exact_quotient(total, den):
-    """total/den for an integer den > 0: a Fraction for an integer total."""
-    if type(total) is int:
-        return Fraction(total, den)
-    return as_exact(total / den)  # a class with a QExt coordinate
-
-
 def pair(model: SurfaceModel, u, v):
     """Intersection product u.v through the model's bilinear form, summed
     over the integer numerators of both classes."""
@@ -247,13 +227,13 @@ def pair(model: SurfaceModel, u, v):
             for j, g in rows[i]:
                 acc += g * v[j]
             total += ui * acc
-    return exact_quotient(total, du * dv)
+    return Fraction(total, du * dv)
 
 
 def pair_curve(model: SurfaceModel, v, label: str):
     """Intersection product v.C_l with a declared curve, from the dual row G.c_l."""
     den, nums = curve_pairings(model, v, (label,))
-    return exact_quotient(nums[label], den)
+    return Fraction(nums[label], den)
 
 
 def curve_pairings(model: SurfaceModel, v, labels) -> tuple[int, dict]:
@@ -280,8 +260,8 @@ def sorted_labels(model: SurfaceModel, labels, what: str) -> list[str]:
 
 def subtract_curves(model: SurfaceModel, v, terms, den: int = 1) -> DivisorClass:
     """v - (sum x_l*C_l)/den over the (label, x_l) pairs in `terms`, den > 0,
-    in one pass over the curves' integer classes; with integer x_l and a
-    rational v every sum is a Python int over the one denominator."""
+    in one pass over the curves' integer classes; with integer x_l every
+    sum is a Python int over the one denominator."""
     acc, dv = as_divisor(v, model.rank)._scaled()
     acc = [a * den for a in acc]
     for label, x in terms:
@@ -289,7 +269,7 @@ def subtract_curves(model: SurfaceModel, v, terms, den: int = 1) -> DivisorClass
             x *= dv
             for j, c in _lookup(model._sparse, label):
                 acc[j] -= x * c
-    return DivisorClass._of(exact_quotient(a, dv * den) for a in acc)
+    return DivisorClass(Fraction(a, dv * den) for a in acc)
 
 
 def curve_products(model: SurfaceModel, label: str) -> dict[str, int]:

@@ -73,7 +73,7 @@ class PiecewiseLinear:
         for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
             if not x0 < x1:
                 raise InputError("breakpoints must be strictly increasing")
-            slopes.append(as_exact((y1 - y0) / (x1 - x0)))
+            slopes.append((y1 - y0) / (x1 - x0))
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "values", ys)
         object.__setattr__(self, "_slopes", tuple(slopes))
@@ -88,7 +88,7 @@ class PiecewiseLinear:
         i = 0
         while t > xs[i + 1]:
             i += 1
-        return as_exact(self.values[i] + self._slopes[i] * (t - xs[i]))
+        return self.values[i] + self._slopes[i] * (t - xs[i])
 
     def integral(self):
         """Exact integral over the whole domain (trapezoid per piece)."""
@@ -98,7 +98,7 @@ class PiecewiseLinear:
             zip(self.values, self.values[1:]),
         ):
             total = total + (y0 + y1) * (x1 - x0) / 2
-        return as_exact(total)
+        return total
 
     def is_convex(self) -> bool:
         s = self._slopes
@@ -137,8 +137,8 @@ def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
         b0 = a0 + seg.f0
         b1 = a1 + seg.fslope
         lo, hi = seg.t_lo, seg.t_hi
-        alo, ahi = a0 + a1 * lo, as_exact(a0 + a1 * hi)
-        blo, bhi = b0 + b1 * lo, as_exact(b0 + b1 * hi)
+        alo, ahi = a0 + a1 * lo, a0 + a1 * hi
+        blo, bhi = b0 + b1 * lo, b0 + b1 * hi
         if prev_alpha is not None and (prev_alpha != alo or prev_beta != blo):
             raise InternalError("boundary functions are discontinuous at a wall")
         if prev_alpha is None:
@@ -254,7 +254,6 @@ def polygon_area2(polygon: OkPolygon):
     vs = polygon.vertices
     for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
         total = total + (x0 * y1 - x1 * y0)
-    total = as_exact(total)
     if isinstance(total, QExt):
         raise InternalError("polygon area came out irrational")
     return total
@@ -279,8 +278,8 @@ def predict_interior_vertices(
     A wall contributes a lower vertex iff a connected component of the
     post-wall support contains an entering curve and meets the flag point;
     an upper vertex iff such a component meets C away from the flag point.
+    `flag` is the one alpha_beta accepted for the profile.
     """
-    flag.validate(model)
     out = []
     for seg_prev, seg in zip(profile.segments, profile.segments[1:]):
         t_star = seg.t_lo
@@ -318,7 +317,7 @@ def rightmost_count(model: SurfaceModel, profile: RayProfile) -> RightmostReport
     ]
     in_v = linalg.in_span(span, list(cls.coords))
     last = profile.segments[-1]
-    width = as_exact(last.f0 + profile.mu * last.fslope)
+    width = last.f0 + profile.mu * last.fslope
     observed = 1 if width == 0 else 2
     if in_v:
         return RightmostReport(1, True, observed, True)
@@ -338,8 +337,8 @@ def side_slopes(
 
     lower = sum a_j1 (C_j.C)_p;  upper = sum a_j1 ((C_j.C)_p - C_j.C) - C^2.
     Cross-checked against the difference quotients of the given alpha and beta.
+    `flag` is the one alpha_beta accepted for the profile.
     """
-    flag.validate(model)
     out = []
     for seg in profile.segments:
         lower = Fraction(0)
@@ -370,7 +369,7 @@ def side_lengths(polygon: OkPolygon) -> list[Side]:
     vs = polygon.vertices
     out = []
     for a, b in zip(vs, vs[1:] + vs[:1]):
-        out.append(Side(a, b, as_exact(b[0] - a[0]), as_exact(b[1] - a[1])))
+        out.append(Side(a, b, b[0] - a[0], b[1] - a[1]))
     return out
 
 
@@ -379,7 +378,7 @@ def leftmost_vertical_length(polygon: OkPolygon):
     leftmost vertex)."""
     t_min = min(v[0] for v in polygon.vertices)
     svals = [v[1] for v in polygon.vertices if v[0] == t_min]
-    return as_exact(max(svals) - min(svals))
+    return max(svals) - min(svals)
 
 
 def leftmost_side_check(model: SurfaceModel, profile: RayProfile):

@@ -5,6 +5,10 @@ integer >= 0.  Rational values normalize to d == 0, so mixing a rational with
 any extension element is always fine; combining two genuinely irrational
 values with different radicands raises InputError, since a single ray
 computation only ever produces one radicand.
+
+One convention holds for every exact value the package computes: it is a
+Fraction, or a QExt with q != 0.  Arithmetic and sqrt_fraction return a
+Fraction whenever the result is rational, so no caller has to normalize.
 """
 from __future__ import annotations
 
@@ -18,9 +22,11 @@ Rat = Fraction
 
 
 def _to_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool):
         raise InputError("boolean is not a number")
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         raise InputError("floating point values are not allowed in exact arithmetic")
@@ -53,12 +59,13 @@ class QExt:
         object.__setattr__(self, "d", d)
 
     @classmethod
-    def _of(cls, p: Fraction, q: Fraction, d: int) -> "QExt":
+    def _of(cls, p: Fraction, q: Fraction, d: int):
         """An arithmetic result: p, q rational and d from _join, so already
-        square-free and never 1; skips the factoring in __init__."""
-        out = object.__new__(cls)
+        square-free and never 1; skips the factoring in __init__.  A
+        rational result is returned as the Fraction p."""
         if q == 0 or d == 0:
-            q, d = Fraction(0), 0
+            return p
+        out = object.__new__(cls)
         object.__setattr__(out, "p", p)
         object.__setattr__(out, "q", q)
         object.__setattr__(out, "d", d)
@@ -78,8 +85,8 @@ class QExt:
             raise InputError(f"{self} is irrational")
         return self.p
 
-    def conjugate(self) -> "QExt":
-        return QExt(self.p, -self.q, self.d)
+    def conjugate(self):
+        return QExt._of(self.p, -self.q, self.d)
 
     # -- coercion ----------------------------------------------------------
 
@@ -140,7 +147,7 @@ class QExt:
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "QExt":
+    def _inverse(self):
         # d square-free (never 1), so the norm vanishes only for 0 itself
         norm = self.p * self.p - self.q * self.q * self.d
         if norm == 0:
@@ -180,7 +187,10 @@ class QExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self - o).sign()
+        diff = self - o
+        if type(diff) is Fraction:
+            return (diff > 0) - (diff < 0)
+        return diff.sign()
 
     def __eq__(self, other):
         c = self._cmp(other)
@@ -222,13 +232,15 @@ class QExt:
         return format_exact(self)
 
 
-def sqrt_fraction(x) -> QExt:
-    """Exact square root of a nonnegative rational, as a QExt value."""
+def sqrt_fraction(x):
+    """Exact square root of a nonnegative rational: a Fraction for a perfect
+    square, else a QExt."""
     x = _to_fraction(x)
     if x < 0:
         raise InputError("square root of a negative rational")
     s, d = squarefree_part(x.numerator * x.denominator)
-    return QExt(0, Fraction(s, x.denominator), d)
+    root = Fraction(s, x.denominator)
+    return root if d == 1 else QExt._of(Fraction(0), root, d)
 
 
 def as_exact(x):

@@ -25,7 +25,7 @@ from .lattice import (
     pair,
     sorted_labels,
 )
-from .qext import QExt, as_exact, sqrt_fraction
+from .qext import QExt, sqrt_fraction
 from .zariski import ZariskiResult, residual_pairings, solve_support, zariski_decompose
 
 
@@ -248,7 +248,7 @@ def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur
     # sq >= 0, so the sign of p1sq says which root is the smaller
     low, high = -cross - sq, -cross + sq
     for num in (low, high) if p1sq > 0 else (high, low):
-        r = as_exact(num / p1sq)
+        r = num / p1sq
         if r > t_cur:
             return r
     return None

@@ -22,7 +22,6 @@ from .polygon import (
     polygon_area2,
 )
 from .raywalk import walk_ray
-from .qext import as_exact
 
 Point = tuple[Fraction, Fraction]
 
@@ -310,13 +309,9 @@ def crosscheck(fan: ToricFan, div: ToricDivisor, flag_index: int) -> CrosscheckR
     profile = walk_ray(model, d_class, flag_label, model.labels())
     flag = FlagSpec(flag_label, {next_label: 1})
     poly = build_polygon(*alpha_beta(model, profile, flag))
-    walk_pts = []
-    for t, s in poly.vertices:
-        t, s = as_exact(t), as_exact(s)
-        if not isinstance(t, Fraction) or not isinstance(s, Fraction):
-            raise OracleMismatch("walk polygon has irrational vertices on toric input")
-        walk_pts.append((t, s))
-    walk_pts = _rotate_to_lex_min(walk_pts)
+    if any(type(x) is not Fraction for v in poly.vertices for x in v):
+        raise OracleMismatch("walk polygon has irrational vertices on toric input")
+    walk_pts = _rotate_to_lex_min(list(poly.vertices))
 
     mono_pts = monomial_okounkov(fan, div, flag_index)
     area2 = polygon_area2(poly)

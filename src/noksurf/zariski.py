@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import ModelError
@@ -39,9 +40,10 @@ class ZariskiResult:
     scaled_pairings: tuple[int, dict[str, int]] = field(compare=False, repr=False)
 
     def negative_part(self, model: SurfaceModel) -> DivisorClass:
-        return subtract_curves(
-            model, [0] * model.rank, ((l, -a) for l, a in self.coeffs.items())
-        )
+        """sum a_l*C_l, as integer numerators over the coefficients' lcm."""
+        den = lcm(*(a.denominator for a in self.coeffs.values()))
+        terms = ((l, -a.numerator * (den // a.denominator)) for l, a in self.coeffs.items())
+        return subtract_curves(model, [0] * model.rank, terms, den)
 
     def coefficient(self, label: str) -> Fraction:
         return self.coeffs.get(label, Fraction(0))

@@ -8,6 +8,7 @@ values.
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +26,15 @@ from noksurf import (
     predict_interior_vertices,
     relative_negative_part,
     rightmost_count,
+    side_lengths,
+    side_slopes,
     vertex_bound_check,
     walk_ray,
     zariski_decompose,
 )
+from noksurf import docio
 from noksurf.flagbuilder import scan_vertex_counts
-from noksurf.qext import as_exact
+from noksurf.qext import QExt, as_exact
 from noksurf.toric import ToricDivisor, ToricFan, crosscheck
 
 BL1 = SurfaceModel(
@@ -41,6 +45,8 @@ BL1 = SurfaceModel(
 )
 
 CORPUS = corpus(seed=777001, count=220)
+CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
+POLYGON_CASES = ["ex1_on_point", "ex1_off_point", "ex2_negative_flag", "ex3_tight", "p2_cubic"]
 
 
 def _polygon(model, divisor, flag_target, mults, candidates):
@@ -180,6 +186,50 @@ def test_criterion_6_theorem_suite(corpus_runs):
     print(
         f"ACCEPTANCE 6 PASS: vertex bounds, interior predictor and rightmost "
         f"count agree on 100% of {len(corpus_runs)} models"
+    )
+
+
+def _computed_numbers(model, profile, spec, alpha, beta, poly):
+    """Every number the polygon pipeline computes for one document."""
+    for seg in profile.segments:
+        yield seg.t_lo, seg.t_hi, seg.f0, seg.fslope
+        yield from seg.coeffs.values()
+    yield profile.nu, profile.mu
+    yield alpha.breakpoints + alpha.values + alpha.slopes()
+    yield beta.breakpoints + beta.values + beta.slopes()
+    yield from poly.vertices
+    for side in side_lengths(poly):
+        yield side.dt, side.ds
+    yield (polygon_area2(poly),)
+    yield from side_slopes(model, profile, spec, alpha, beta)
+
+
+def test_one_number_convention(corpus_runs):
+    """A computed value is a Fraction, or a QExt with q != 0 on a ray whose mu
+    is irrational: no int, and no QExt holding a rational."""
+    runs = [(case.model, prof, case.spec, *rest) for case, prof, *rest in corpus_runs]
+    for name in POLYGON_CASES:
+        doc = docio.load_document(str(CASES_DIR / f"{name}.json"))
+        model = docio.parse_surface(doc)
+        target, spec = docio.parse_flag(doc, model)
+        divisor = docio.parse_divisor(doc, model)
+        profile = walk_ray(model, divisor, target, docio.parse_candidates(doc, model))
+        alpha, beta = alpha_beta(model, profile, spec)
+        runs.append((model, profile, spec, alpha, beta, build_polygon(alpha, beta)))
+    irrational = 0
+    for run in runs:
+        profile = run[1]
+        for group in _computed_numbers(*run):
+            for x in group:
+                if type(x) is QExt:
+                    assert x.q != 0 and x.d == profile.radicand != 0
+                    irrational += 1
+                else:
+                    assert type(x) is Fraction, repr(x)
+    assert irrational > 0
+    print(
+        f"ACCEPTANCE PASS: every computed number on {len(runs)} documents is a "
+        f"Fraction or an irrational QExt ({irrational} of the latter)"
     )
 
 

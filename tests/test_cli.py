@@ -365,6 +365,20 @@ def test_polygon_resolves_flag_and_decomposes_d_once(monkeypatch, capsys):
     assert len(decompositions) == 1
 
 
+def test_polygon_validates_the_flag_twice(monkeypatch, capsys):
+    # once when the document's flag is parsed and once by alpha_beta; the
+    # certificates take the flag alpha_beta accepted
+    validate, calls = noksurf.FlagSpec.validate, []
+
+    def counted(self, model):
+        calls.append(None)
+        return validate(self, model)
+
+    monkeypatch.setattr(noksurf.FlagSpec, "validate", counted)
+    assert main(["polygon", str(CASES_DIR / "ex3_tight.json")]) == 0
+    assert len(calls) == 2
+
+
 def test_scan_walks_no_realization_twice(monkeypatch, capsys):
     # one walk per trial the probes accept and one per realization; no
     # replay of the search's last trial or of the realization

@@ -164,6 +164,14 @@ def _random_model(rng, n):
     return SurfaceModel(n, gram, curves, witness), gram
 
 
+def _split(xs):
+    """Rational classes x0, x1 with x = x0 + x1*sqrt(d) coordinatewise."""
+    return (
+        DivisorClass([x.p if isinstance(x, QExt) else x for x in xs]),
+        DivisorClass([x.q if isinstance(x, QExt) else 0 for x in xs]),
+    )
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_tables_match_double_sum(data):
@@ -174,20 +182,34 @@ def test_tables_match_double_sum(data):
     if data.draw(st.booleans()):
         d = data.draw(st.sampled_from([2, 3, 5]))
         coord = st.builds(lambda p, q: QExt(p, q, d), rat, rat)
+        root = QExt(0, 1, d)
     else:
-        coord = rat
-    v = DivisorClass([data.draw(coord) for _ in range(n)])
-    u = DivisorClass([data.draw(st.one_of(rat, coord)) for _ in range(n)])
-    fresh = DivisorClass(u.coords)
+        coord, root = rat, Fraction(0)
+    v = [data.draw(coord) for _ in range(n)]
+    u = [data.draw(st.one_of(rat, coord)) for _ in range(n)]
+    # a class holds rationals only: a Q(sqrt d) vector x is paired as
+    # x0 + x1*sqrt(d), with x0 and x1 rational classes
+    v0, v1 = _split(v)
+    u0, u1 = _split(u)
+    fresh = [DivisorClass(u0.coords), DivisorClass(u1.coords)]
     for rec in model.curves:
-        want = as_exact(_double_sum(gram, v.coords, rec.cls))
-        for got in (pair_curve(model, v, rec.label), pair(model, v, rec.cls)):
+        want = as_exact(_double_sum(gram, v, rec.cls))
+        for pairing in (
+            lambda x: pair_curve(model, x, rec.label),
+            lambda x: pair(model, x, rec.cls),
+        ):
+            got = pairing(v0) + root * pairing(v1)
             assert got == want and type(got) is type(want)  # rational: a Fraction
-    want = as_exact(_double_sum(gram, u.coords, v.coords))
-    got = pair(model, u, v)
+    want = as_exact(_double_sum(gram, u, v))
+    got = (
+        pair(model, u0, v0)
+        + root * (pair(model, u0, v1) + pair(model, u1, v0))
+        + root * root * pair(model, u1, v1)
+    )
     assert got == want and type(got) is type(want)
     # the integer form a pairing keeps is not part of the value
-    assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
+    for x, y in zip((u0, u1), fresh):
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
     labels = list(model.labels())
     products = [[_double_sum(gram, a.cls, b.cls) for b in model.curves] for a in model.curves]
     assert gram_matrix(model, labels) == products
@@ -238,8 +260,10 @@ def test_arithmetic_results_stay_exact():
     v = DivisorClass((1, Fraction(1, 2)))
     assert v + (1, 1) == DivisorClass((2, Fraction(3, 2)))
     assert -v == DivisorClass((-1, Fraction(-1, 2)))
-    assert v.scale(QExt(0, 1, 2)).coords == (QExt(0, 1, 2), QExt(0, Fraction(1, 2), 2))
-    # a rational QExt result collapses to a Fraction, as in the constructor
+    # a class is rational: an irrational factor is an input error, and a
+    # rational QExt factor gives Fraction coordinates
+    with pytest.raises(InputError):
+        v.scale(QExt(0, 1, 2))
     assert v.scale(QExt(2, 0, 0)).coords == (2, 1)
     assert all(type(x) is Fraction for x in v.scale(QExt(2, 0, 0)).coords)
     with pytest.raises(InputError):
@@ -256,6 +280,13 @@ def test_arithmetic_results_stay_exact():
 def test_non_number_coordinate_is_an_input_error(coord):
     with pytest.raises(InputError, match="is not a number"):
         DivisorClass([coord, 1])
+
+
+def test_qext_coordinate_is_an_input_error():
+    with pytest.raises(InputError, match="is not a number"):
+        DivisorClass([QExt(0, 1, 2), 1])
+    with pytest.raises(InputError, match="is not a number"):
+        SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], (QExt(2, 1, 2), -1))
 
 
 def test_coordinate_strings_in_the_grammar():

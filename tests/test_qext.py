@@ -27,6 +27,8 @@ def test_normalization():
 
 def test_sqrt_fraction():
     assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
+    assert type(sqrt_fraction(Fraction(9, 4))) is Fraction
+    assert type(sqrt_fraction(0)) is Fraction
     r = sqrt_fraction(Fraction(1, 2))  # 1/2 * sqrt(2)
     assert r.q == Fraction(1, 2) and r.d == 2
     assert r * r == Fraction(1, 2)
@@ -62,6 +64,26 @@ def test_ring_laws(d, data):
     assert a * b == b * a
     assert a + b == b + a
     assert (a - b) + b == a
+
+
+def _parts(x):
+    return (x.p, x.q) if isinstance(x, QExt) else (x, 0)
+
+
+@given(d=radicands, data=st.data())
+@settings(max_examples=200)
+def test_rational_results_are_fractions(d, data):
+    # a result is a QExt exactly when its sqrt(d) coefficient is nonzero
+    a = data.draw(qexts(d) | rationals)
+    b = data.draw(qexts(d) | rationals)
+    (pa, qa), (pb, qb) = _parts(a), _parts(b)
+    results = [(a + b, qa + qb), (a - b, qa - qb), (a * b, pa * qb + qa * pb), (-a, -qa)]
+    if b != 0:
+        results.append((a / b, qa * pb - pa * qb))
+    if a != 0:
+        results.append((b / a, qb * pa - pb * qa))
+    for r, q in results:
+        assert type(r) is (QExt if q != 0 else Fraction)
 
 
 @given(d=radicands, data=st.data())
