@@ -361,7 +361,7 @@ def test_polygon_resolves_flag_and_decomposes_d_once(monkeypatch, capsys):
     resolves = _count_calls(monkeypatch, "raywalk", "resolve_flag")
     decompositions = _count_calls(monkeypatch, "zariski", "zariski_decompose")
     assert main(["polygon", str(CASES_DIR / "ex3_tight.json")]) == 0
-    assert len(resolves) <= 5
+    assert len(resolves) == 3
     assert len(decompositions) == 1
 
 
