@@ -84,9 +84,10 @@ def parse_surface(doc: dict) -> SurfaceModel:
     for i, row in enumerate(matrix):
         if not isinstance(row, list):
             raise InputError(f"surface.matrix[{i}]: must be a list")
-        rows.append(
-            [parse_int(x, f"surface.matrix[{i}][{j}]") for j, x in enumerate(row)]
-        )
+        if not all(type(x) is int for x in row):
+            for j, x in enumerate(row):
+                parse_int(x, f"surface.matrix[{i}][{j}]")
+        rows.append(row)
     declared = surf.get("curves", [])
     if not isinstance(declared, list):
         raise InputError("surface.curves: must be a list of curve objects")
@@ -101,12 +102,10 @@ def parse_surface(doc: dict) -> SurfaceModel:
         cls = _expect(cv, "class", where)
         if not isinstance(cls, list):
             raise InputError(f"{where}.class: must be a list of integers")
-        curves.append(
-            CurveRecord(
-                label,
-                tuple(parse_int(x, f"{where}.class[{j}]") for j, x in enumerate(cls)),
-            )
-        )
+        if not all(type(x) is int for x in cls):
+            for j, x in enumerate(cls):
+                parse_int(x, f"{where}.class[{j}]")
+        curves.append(CurveRecord(label, tuple(cls)))
     witness = _expect(surf, "ample_witness", "surface")
     if not isinstance(witness, list):
         raise InputError("surface.ample_witness: must be a list")

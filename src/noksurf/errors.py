@@ -29,5 +29,10 @@ class DegenerateInput(InputError):
     """The half-plane system is infeasible."""
 
 
+class FactorBudgetExhausted(InputError):
+    """An integer has no split within the factoring budget; a search that
+    meets it stops instead of spending the budget again on the next trial."""
+
+
 class SearchFailure(NoksurfError):
     """A constructive search exhausted its budget; the message records the last verified state."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .errors import InputError, ModelError, SearchFailure, TheoremViolation
+from .errors import FactorBudgetExhausted, InputError, ModelError, SearchFailure, TheoremViolation
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -50,9 +50,13 @@ class OrderedFlagCertificate:
 def _walk_matches(
     model: SurfaceModel, divisor, flag_class, config: list[str]
 ) -> RayProfile | None:
-    """Replay the ray and accept only the exact ordered chamber story."""
+    """Replay the ray and accept only the exact ordered chamber story.  A
+    walk that exhausts the factoring budget ends the search: the next trial
+    would spend it again."""
     try:
         profile = walk_ray(model, divisor, flag_class, model.labels())
+    except FactorBudgetExhausted:
+        raise
     except (InputError, ModelError):
         return None
     times = [profile.appearance.get(l) for l in config]

@@ -3,13 +3,13 @@
 Inputs stay at desk scale, but everything here remains exact for arbitrary
 precision integers; no floating point is ever involved.  Factoring is
 bounded: a radicand with two prime factors beyond about 10**11 is reported
-as an InputError rather than searched for.
+as FactorBudgetExhausted, an InputError, rather than searched for.
 """
 from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .errors import InputError
+from .errors import FactorBudgetExhausted
 
 # Pollard-Brent steps allowed for one split: a second or two at desk
 # scale.  It finds prime factors up to about 10**11 reliably; a composite
@@ -174,7 +174,7 @@ def factor(n: int) -> dict[int, int]:
             continue
         d = _pollard_brent(m)
         if d is None:
-            raise InputError(
+            raise FactorBudgetExhausted(
                 f"cannot factor {radicand} to make it square-free within "
                 f"{_RHO_BUDGET} Pollard-Brent steps"
             )

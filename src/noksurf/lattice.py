@@ -116,10 +116,11 @@ class SurfaceModel:
         g = tuple(tuple(row) for row in gram)
         if len(g) != rank or any(len(row) != rank for row in g):
             raise InputError("intersection matrix must be rank x rank")
-        for row in g:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError("intersection matrix entries must be integers")
+        if not all(type(x) is int for row in g for x in row):
+            for row in g:
+                for x in row:
+                    if not isinstance(x, int) or isinstance(x, bool):
+                        raise InputError("intersection matrix entries must be integers")
         sig = linalg.inertia([list(r) for r in g])
         if sig != (1, rank - 1, 0):
             raise InputError(
@@ -127,6 +128,7 @@ class SurfaceModel:
             )
         recs = []
         seen = set()
+        sparse = {}
         for c in curves:
             if not isinstance(c, CurveRecord):
                 c = CurveRecord(str(c[0]), tuple(int(x) for x in c[1]))
@@ -135,11 +137,15 @@ class SurfaceModel:
             seen.add(c.label)
             if len(c.cls) != rank:
                 raise InputError(f"curve {c.label!r} has a class of wrong length")
-            if all(x == 0 for x in c.cls):
-                raise InputError(f"curve {c.label!r} has zero class")
-            if any(not isinstance(x, int) or isinstance(x, bool) for x in c.cls):
-                raise InputError(f"curve {c.label!r} must have an integer class")
+            # fast path: a nonzero all-int class; anything else takes the
+            # per-entry checks, the zero class first
+            if not (all(type(x) is int for x in c.cls) and any(c.cls)):
+                if all(x == 0 for x in c.cls):
+                    raise InputError(f"curve {c.label!r} has zero class")
+                if any(not isinstance(x, int) or isinstance(x, bool) for x in c.cls):
+                    raise InputError(f"curve {c.label!r} must have an integer class")
             recs.append(c)
+            sparse[c.label] = tuple((j, x) for j, x in enumerate(c.cls) if x)
         witness = tuple(_coord(x) for x in ample_witness)
         if len(witness) != rank:
             raise InputError("ample witness has wrong length")
@@ -147,33 +153,28 @@ class SurfaceModel:
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "curves", tuple(recs))
         object.__setattr__(self, "ample_witness", witness)
-        # Integer tables, built once; not fields, so eq/hash/repr ignore them.
-        # _rows[i]: nonzero (j, G_ij); _duals[l]: nonzero (i, (G.c_l)_i);
-        # _sparse[l]: nonzero (j, c_l_j); _products[l]: {k: C_k.C_l} over
-        # the nonzero products; _index[l]: declaration order.  _classes
-        # caches each curve's DivisorClass on first use (see class_of).
+        # Integer tables, in time linear in the document; not fields, so
+        # eq/hash/repr ignore them.  _rows[i]: nonzero (j, G_ij); _sparse[l]:
+        # nonzero (j, c_l_j); _duals[l]: nonzero (i, (G.c_l)_i), the sum of
+        # c_l_j * _rows[j]; _having[j]: (k, c_k_j) for every curve k with a
+        # nonzero coordinate j; _index[l]: declaration order.  _products[l]
+        # ({k: C_k.C_l} over the nonzero products, see curve_products) and
+        # _classes[l] (see class_of) are built on first use.
         rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in g)
         duals = {}
-        sparse = {}
-        having = [[] for _ in range(rank)]  # coordinate j -> [(k, c_k_j)]
-        for c in recs:
-            nz = tuple((j, x) for j, x in enumerate(c.cls) if x)
-            dual = (sum(g[i][j] * x for j, x in nz) for i in range(rank))
-            duals[c.label] = tuple((i, y) for i, y in enumerate(dual) if y)
-            sparse[c.label] = nz
-            for j, x in nz:
-                having[j].append((c.label, x))
-        products = {}
+        having = [[] for _ in range(rank)]
         for c in recs:
             acc = {}
-            for i, y in duals[c.label]:
-                for k, x in having[i]:
-                    acc[k] = acc.get(k, 0) + x * y
-            products[c.label] = {k: x for k, x in acc.items() if x}
+            for j, x in sparse[c.label]:
+                having[j].append((c.label, x))
+                for i, y in rows[j]:  # G is symmetric: G_ij = G_ji
+                    acc[i] = acc.get(i, 0) + x * y
+            duals[c.label] = tuple(sorted((i, y) for i, y in acc.items() if y))
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_duals", duals)
         object.__setattr__(self, "_sparse", sparse)
-        object.__setattr__(self, "_products", products)
+        object.__setattr__(self, "_having", having)
+        object.__setattr__(self, "_products", {})
         object.__setattr__(self, "_classes", {})
         object.__setattr__(self, "_index", {c.label: i for i, c in enumerate(recs)})
         # the witness as a class, so its integer form is built once
@@ -273,8 +274,19 @@ def subtract_curves(model: SurfaceModel, v, terms, den: int = 1) -> DivisorClass
 
 
 def curve_products(model: SurfaceModel, label: str) -> dict[str, int]:
-    """{k: C_k.C_label} for every declared curve k with a nonzero product."""
-    return _lookup(model._products, label)
+    """{k: C_k.C_label} for every declared curve k with a nonzero product,
+    summed from the dual row G.c_label on first use and kept."""
+    try:
+        return model._products[label]
+    except (KeyError, TypeError):  # first use, or an unknown label
+        pass
+    acc = {}
+    having = model._having
+    for i, y in _lookup(model._duals, label):
+        for k, x in having[i]:
+            acc[k] = acc.get(k, 0) + x * y
+    row = model._products[label] = {k: x for k, x in acc.items() if x}
+    return row
 
 
 def gram_matrix(model: SurfaceModel, labels) -> list[list[int]]:

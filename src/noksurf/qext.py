@@ -19,6 +19,7 @@ from .errors import InputError
 from .intmath import squarefree_part
 
 Rat = Fraction
+_ZERO = Fraction(0)
 
 
 def _to_fraction(x) -> Fraction:
@@ -96,8 +97,12 @@ class QExt:
             return x
         if isinstance(x, bool):
             return NotImplemented
-        if isinstance(x, (int, Fraction)):
-            return QExt(x)
+        if isinstance(x, (int, Fraction)):  # p = x, q = 0, d = 0
+            out = object.__new__(QExt)
+            object.__setattr__(out, "p", x if isinstance(x, Fraction) else Fraction(x))
+            object.__setattr__(out, "q", _ZERO)
+            object.__setattr__(out, "d", 0)
+            return out
         return NotImplemented
 
     def _join(self, other: "QExt") -> int:

@@ -106,6 +106,25 @@ def test_rational_outside_the_grammar_exit_2_quickly(text, tmp_path):
     assert f"divisor[0]: cannot parse rational {text!r}" in res.stderr
 
 
+def test_flag_search_spends_one_factoring_budget(tmp_path):
+    # every trial walk of the search meets the same radicand; the first
+    # exhausted factoring budget ends the command instead of the next trial
+    doc = json.loads((CASES_DIR / "scan_chain3.json").read_text())
+    doc["surface"]["curves"][0]["class"][1] = 10**30
+    path = tmp_path / "bigclass.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(noksurf.__file__).resolve().parent.parent)
+    res = subprocess.run(
+        [sys.executable, "-m", "noksurf.cli", "scan-vertex-counts", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: cannot factor ")
+
+
 def test_schema_field_required(tmp_path, capsys):
     doc = tmp_path / "noschema.json"
     doc.write_text("{}")
@@ -130,6 +149,26 @@ def test_field_diagnostics(tmp_path, capsys):
     )
     assert main(["check-lattice", str(doc)]) == 2
     assert "surface.matrix[1][1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [True, 0.0, "0", [0]], ids=["bool", "float", "str", "list"])
+@pytest.mark.parametrize(
+    "field,path",
+    [
+        ("surface.matrix[1][2]", ("matrix", 1, 2)),
+        ("surface.curves[1].class[0]", ("curves", 1, "class", 0)),
+    ],
+)
+def test_integer_entry_diagnostics(entry, field, path, tmp_path, capsys):
+    doc = json.loads((CASES_DIR / "check_lattice_chain.json").read_text())
+    where = doc["surface"]
+    for key in path[:-1]:
+        where = where[key]
+    where[path[-1]] = entry
+    bad = tmp_path / "badentry.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-lattice", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {field}: expected an integer\n")
 
 
 @pytest.mark.parametrize(

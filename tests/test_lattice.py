@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_unimodular
+from helpers import forest_case, random_unimodular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,6 +107,28 @@ def test_model_rejects_malformed_curves():
             [CurveRecord("E", (0, 1)), CurveRecord("E", (0, 1))],
             (2, -1),
         )
+
+
+@pytest.mark.parametrize(
+    "cls,message",
+    [
+        ((0, True), "must have an integer class"),
+        ((True, 0), "must have an integer class"),
+        ((0, 1.0), "must have an integer class"),
+        # the zero class is reported before the entry types
+        ((0, False), "has zero class"),
+        ((0.0, 0), "has zero class"),
+    ],
+)
+def test_model_checks_class_entries(cls, message):
+    with pytest.raises(InputError, match=f"^curve 'E' {message}$"):
+        SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", cls)], (2, -1))
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1"])
+def test_model_checks_matrix_entries(entry):
+    with pytest.raises(InputError, match="^intersection matrix entries must be integers$"):
+        SurfaceModel(2, [[entry, 0], [0, -1]], [CurveRecord("E", (0, 1))], (2, -1))
 
 
 def test_negative_definite_examples():
@@ -246,6 +268,37 @@ def test_curve_tables_reject_unknown_label(label):
     ):
         with pytest.raises(InputError, match="unknown curve label"):
             lookup()
+
+
+@pytest.mark.parametrize("rho", [8, 16, 32])
+def test_lazy_tables_match_dense_double_sum(rho):
+    # the ranks of the benchmark's forest models: a fresh model holds no
+    # product row, each lookup builds exactly its own row, and every product
+    # row and dual row G.c_l equals the dense double sum
+    m = forest_case(random.Random(rho), rho).model
+    model = SurfaceModel(m.rank, m.gram, m.curves, m.ample_witness)
+    assert model._products == {}
+    gram, curves = model.gram, model.curves
+    labels = list(model.labels())
+    for c in curves:
+        dual = [sum(gram[i][j] * c.cls[j] for j in range(rho)) for i in range(rho)]
+        assert model._duals[c.label] == tuple((i, y) for i, y in enumerate(dual) if y)
+    dense = [[_double_sum(gram, a.cls, b.cls) for b in curves] for a in curves]
+    for i, b in enumerate(labels):
+        row = curve_products(model, b)
+        assert list(model._products) == labels[: i + 1]
+        assert row == {a: dense[k][i] for k, a in enumerate(labels) if dense[k][i]}
+        assert curve_products(model, b) is row
+    assert gram_matrix(model, labels) == dense
+    for label in ("nope", ["E"]):
+        for lookup in (
+            lambda: curve_products(model, label),
+            lambda: gram_matrix(model, [labels[0], label]),
+            lambda: dual_graph_components(model, [labels[0], label]),
+        ):
+            with pytest.raises(InputError, match="unknown curve label"):
+                lookup()
+    assert list(model._products) == labels
 
 
 def test_class_of_is_built_once():

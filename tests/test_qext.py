@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -138,3 +139,32 @@ def test_format_exact(value, text):
 def test_hash_consistent_with_fraction():
     assert hash(QExt(Fraction(3, 2))) == hash(Fraction(3, 2))
     assert QExt(Fraction(3, 2)) == Fraction(3, 2)
+
+
+
+def test_rational_operands_skip_the_constructor(monkeypatch):
+    # an int or Fraction operand is lifted to p + 0*sqrt(0) directly, with
+    # the results of lifting it through QExt(r) first
+    values = [QExt(1, 2, 3), QExt(Fraction(-1, 2), Fraction(1, 3), 3), QExt(0, -1, 7)]
+    rationals = [Fraction(5, 7), 3, Fraction(-2), 0, Fraction(1, 2)]
+    ops = [
+        operator.add, operator.sub, operator.mul, operator.truediv,
+        operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge,
+    ]
+    cases = [
+        (op, a, r) for op in ops for a in values for r in rationals
+        if r or op is not operator.truediv
+    ]
+    want = [(op(a, QExt(r)), op(QExt(r), a)) for op, a, r in cases]
+    calls = []
+    init = QExt.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QExt, "__init__", counting)
+    got = [(op(a, r), op(r, a)) for op, a, r in cases]
+    assert calls == []
+    assert got == want
+    assert [type(x) for pair in got for x in pair] == [type(x) for pair in want for x in pair]
