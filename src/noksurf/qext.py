@@ -99,7 +99,7 @@ class QExt:
             return NotImplemented
         if isinstance(x, (int, Fraction)):  # p = x, q = 0, d = 0
             out = object.__new__(QExt)
-            object.__setattr__(out, "p", x if isinstance(x, Fraction) else Fraction(x))
+            object.__setattr__(out, "p", _to_fraction(x))
             object.__setattr__(out, "q", _ZERO)
             object.__setattr__(out, "d", 0)
             return out
