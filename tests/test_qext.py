@@ -141,7 +141,6 @@ def test_hash_consistent_with_fraction():
     assert QExt(Fraction(3, 2)) == Fraction(3, 2)
 
 
-
 def test_rational_operands_skip_the_constructor(monkeypatch):
     # an int or Fraction operand is lifted to p + 0*sqrt(0) directly, with
     # the results of lifting it through QExt(r) first
