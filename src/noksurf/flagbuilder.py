@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from . import linalg
 from .errors import FactorBudgetExhausted, InputError, ModelError, SearchFailure, TheoremViolation
@@ -18,6 +18,7 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     as_divisor,
+    curve_pairings,
     dual_graph_components,
     is_model_ample,
     is_negative_definite,
@@ -27,7 +28,7 @@ from .lattice import (
 from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, mc, mv
 from .qext import QExt
 from .raywalk import RayProfile, walk_ray
-from .zariski import zariski_decompose
+from .zariski import residual_pairings, solve_support, zariski_decompose
 
 
 @dataclass(frozen=True)
@@ -85,21 +86,15 @@ def _sample_times(times: list[Fraction], top: Fraction) -> list[Fraction]:
 
 def _upper_bound_positive_range(model, base, label) -> Fraction:
     """Rational upper bound for sup{c > 0 : base - c*C_label is model-ample}."""
-    curve_cls = model.class_of(label)
-    bounds = []
-    for rec in model.curves:
-        num = pair_curve(model, base, rec.label)
-        den = pair_curve(model, curve_cls, rec.label)
-        if den > 0:
-            bounds.append(num / den)
+    bd, bn = curve_pairings(model, base, model._index)
+    cd, cn = curve_pairings(model, model.class_of(label), model._index)
+    bounds = [Fraction(bn[l] * cd, bd * x) for l, x in cn.items() if x > 0]
     bsq = pair(model, base, base)
-    cross = pair_curve(model, base, label)
-    csq = pair_curve(model, curve_cls, label)
+    cross = Fraction(bn[label], bd)
+    csq = Fraction(cn[label], cd)
     if csq < 0:
         # rational overestimate of the positive root of bsq - 2c*cross + c^2*csq
         disc = cross * cross - csq * bsq
-        from math import isqrt
-
         n, d = disc.numerator, disc.denominator
         r = isqrt(n * d)
         root_ub = Fraction(r if r * r == n * d else r + 1, d)
@@ -118,8 +113,8 @@ def find_ordered_ample_class(
 
     Induction over the configuration: subtract a small multiple of the next
     curve, halving the coefficient until the already-established chamber
-    structure, probed by exact decompositions at rational sample times and
-    then by a complete walk, is preserved.
+    structure, probed by certified decompositions at rational sample times
+    and then by a complete walk, is preserved.
     """
     divisor = as_divisor(divisor, model.rank)
     config = list(ordered_config)
@@ -134,6 +129,7 @@ def find_ordered_ample_class(
             "an independent flag class needs strictly fewer curves than rank-1"
         )
 
+    d_pairs = curve_pairings(model, divisor, model._index)
     current = divisor
     times: list[Fraction] = []
     coefficients: dict[str, Fraction] = {}
@@ -145,7 +141,7 @@ def find_ordered_ample_class(
         for _ in range(budget):
             trial = current - cls.scale(guess)
             if is_model_ample(model, trial) and _probe(
-                model, divisor, trial, config[: j + 1], times
+                model, divisor, trial, config[: j + 1], times, d_pairs
             ):
                 profile = _walk_matches(model, divisor, trial, config[: j + 1])
                 if profile is not None:
@@ -181,15 +177,46 @@ def find_ordered_ample_class(
     )
 
 
-def _probe(model, divisor, flag_class, config, prev_times) -> bool:
-    """Exact decompositions at sample times must show the expected prefixes."""
-    samples = _sample_times(prev_times, Fraction(1))
-    for s in samples:
-        dec = zariski_decompose(model, divisor - flag_class.scale(s), model.labels())
-        expect = {l for l, t in zip(config, prev_times) if t <= s}
-        if set(dec.support) != expect:
-            return False
+def _probe(model, divisor, flag_class, config, prev_times, d_pairs) -> bool:
+    """The decomposition of D - s*A at each sample time s must have the
+    expected prefix as its support.
+
+    Certified from D's curve_pairings `d_pairs` and A's: the decomposition
+    is unique, so positive coefficients on the expected support and a
+    remainder nef on every curve make it the decomposition.  Where the
+    certificate fails, a full decomposition decides, and raises what it
+    raises.
+    """
+    dd, dn = d_pairs
+    ad, an = curve_pairings(model, flag_class, model._index)
+    for s in _sample_times(prev_times, Fraction(1)):
+        expect = [l for l, t in zip(config, prev_times) if t <= s]
+        # W*(D - s*A).C_l with W = dd*ad*q > 0
+        p, q = s.numerator, s.denominator
+        b = {l: x * ad * q - p * an[l] * dd for l, x in dn.items()}
+        if not _certified(model, expect, b):
+            dec = zariski_decompose(model, divisor - flag_class.scale(s), model.labels())
+            if set(dec.support) != set(expect):
+                return False
     return True
+
+
+def _certified(model, support, b) -> bool:
+    """True when N = sum x_j*C_j solving (D - N).C_j = 0 on `support` has
+    every x_j > 0 and (D - N).C_l >= 0 for every other curve, given the
+    pairings D.C_l as integers b[l] over one positive denominator; the
+    support lies in the configuration, which is negative definite."""
+    e, (xs,) = solve_support(
+        model, support, [[b[l] for l in support]],
+        lambda sig: f"probe support {support} has inertia {sig}",
+    )
+    if any(x <= 0 for x in xs):
+        return False
+    inside = set(support)
+    (rest,) = residual_pairings(
+        model, support, [xs], [{l: e * x for l, x in b.items() if l not in inside}]
+    )
+    return all(r >= 0 for r in rest.values())
 
 
 def _perturb_independent(model, divisor, base, config, budget):
@@ -198,22 +225,25 @@ def _perturb_independent(model, divisor, base, config, budget):
     The perturbing class must pair nonnegatively with every declared curve,
     or it would drag extraneous walls into the ray.
     """
-    span = [list(divisor.coords)] + [list(model.class_of(l).coords) for l in config]
-    span_rank = linalg.rank(span)
-
-    def in_span(v) -> bool:
-        return linalg.rank(span + [list(v)]) == span_rank
-
+    in_span = linalg.span_test(
+        [divisor.coords] + [model.class_of(l).coords for l in config]
+    )
+    # e_i.C_l = (G.c_l)_i: +e_i pairs nonnegatively with every curve unless
+    # some (G.c_l)_i < 0, and -e_i unless some (G.c_l)_i > 0
+    pos, neg = [False] * model.rank, [False] * model.rank
+    for row in model._duals.values():
+        for i, y in row:
+            (pos if y > 0 else neg)[i] = True
     options = []
     for i in range(model.rank):
         unit = [0] * model.rank
         unit[i] = 1
         if in_span(unit):  # then -unit is in the span too
             continue
-        for sgn in (1, -1):
-            b = DivisorClass([sgn * x for x in unit])
-            if all(pair_curve(model, b, rec.label) >= 0 for rec in model.curves):
-                options.append(b)
+        if not neg[i]:
+            options.append(DivisorClass(unit))
+        if not pos[i]:
+            options.append(DivisorClass([-x for x in unit]))
     if not options:
         raise SearchFailure("no perturbation direction pairs nonnegatively with the model")
     for b in options:

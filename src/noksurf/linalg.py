@@ -190,27 +190,50 @@ def inertia(q) -> tuple[int, int, int]:
     return pos, neg, zer
 
 
-def rank(rows) -> int:
-    """Rank of a rational matrix: fraction-free echelon form, skipping
-    columns without a pivot."""
+def _echelon(rows) -> list[tuple[int, list[int], int]]:
+    """Fraction-free echelon form of a rational matrix, skipping columns
+    without a pivot: one (column, pivot row, previous pivot) per step."""
     m = [_integer_row(row) for row in rows]
-    if not m:
-        return 0
-    r = 0
+    steps = []
     prev = 1
-    for col in range(len(m[0])):
+    for col in range(len(m[0]) if m else 0):
+        r = len(steps)
         piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        steps.append((col, m[r], prev))
         prev = _eliminate(m, r, col, prev)
-        r += 1
-        if r == len(m):
+        if r + 1 == len(m):
             break
-    return r
+    return steps
+
+
+def rank(rows) -> int:
+    """Rank of a rational matrix."""
+    return len(_echelon(rows))
+
+
+def span_test(vectors):
+    """Predicate: does a vector lie in the rational span of `vectors`?
+
+    The vectors are eliminated once.  A query runs the same Bareiss steps
+    on its vector, as if it were one more row below them: it lies in the
+    span exactly when it would take no pivot, that is when every entry
+    outside the pivot columns is cleared.
+    """
+    steps = _echelon(vectors)
+    pivots = {col for col, _, _ in steps}
+
+    def contains(v) -> bool:
+        v = _integer_row(v)
+        for col, row, prev in steps:
+            _eliminate([row, v], 0, col, prev)
+        return not any(x for c, x in enumerate(v) if c not in pivots)
+
+    return contains
 
 
 def in_span(vectors, v) -> bool:
     """True when v lies in the rational span of `vectors`."""
-    base = [list(w) for w in vectors]
-    return rank(base) == rank(base + [list(v)])
+    return span_test(vectors)(v)

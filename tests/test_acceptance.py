@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import corpus
+from helpers import corpus, forest_corpus
 from noksurf import (
     CurveRecord,
     DivisorClass,
@@ -230,6 +230,29 @@ def test_one_number_convention(corpus_runs):
     print(
         f"ACCEPTANCE PASS: every computed number on {len(runs)} documents is a "
         f"Fraction or an irrational QExt ({irrational} of the latter)"
+    )
+
+
+def test_homogeneity_in_the_divisor(corpus_runs):
+    """Delta(k*D) = k*Delta(D) (Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009)):
+    scaling D by k scales every vertex by k and twice the area by k^2."""
+
+    def polygon(case, k):
+        divisor = case.divisor.scale(k)
+        spec = case.spec
+        return _polygon(case.model, divisor, case.flag, spec.local_mult, case.candidates)[4]
+
+    runs = [(case, poly) for case, *_, poly in corpus_runs]
+    forest = forest_corpus(seed=8008, count=3, rho=8) + forest_corpus(seed=1616, count=3, rho=16)
+    runs += [(case, polygon(case, 1)) for case in forest]
+    for case, poly in runs:
+        for k in (2, 3):
+            scaled = polygon(case, k)
+            assert scaled.vertices == tuple((k * t, k * s) for t, s in poly.vertices), case.name
+            assert polygon_area2(scaled) == k * k * polygon_area2(poly), case.name
+    print(
+        f"ACCEPTANCE PASS: vertices scale by k and areas by k^2 with D, k = 2, 3, "
+        f"on {len(runs)} models up to rank {max(case.model.rank for case, _ in runs)}"
     )
 
 

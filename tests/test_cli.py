@@ -426,6 +426,28 @@ def test_scan_walks_no_realization_twice(monkeypatch, capsys):
     assert len(walks) <= 13
 
 
+# (ample checks, walks, decompositions) when every probe sample ran a full
+# decomposition: flag-search 4, 2, 7 and scan-vertex-counts 13, 13, 20
+@pytest.mark.parametrize(
+    "command,name,ample_checks,walks,decompositions",
+    [
+        ("flag-search", "flag_search_chain", 4, 2, 7),
+        ("scan-vertex-counts", "scan_chain3", 13, 13, 20),
+    ],
+)
+def test_probe_certificates_replace_decompositions(
+    command, name, ample_checks, walks, decompositions, monkeypatch, capsys
+):
+    # the certified probes keep every trial and every walk, and decompose
+    # only where a certificate fails
+    checks = _count_calls(monkeypatch, "lattice", "is_model_ample")
+    walked = _count_calls(monkeypatch, "raywalk", "walk_ray")
+    decomposed = _count_calls(monkeypatch, "zariski", "zariski_decompose")
+    assert main([command, str(CASES_DIR / f"{name}.json")]) == 0
+    assert (len(checks), len(walked)) == (ample_checks, walks)
+    assert len(decomposed) < decompositions
+
+
 def test_render_svg_nonpositive_width_exit_2(tmp_path, capsys):
     out = tmp_path / "bad.svg"
     doc = str(CASES_DIR / "ex1_on_point.json")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,11 @@ from noksurf import (
     pair,
     vertex_bound_check,
     walk_ray,
+    zariski_decompose,
 )
+from noksurf import flagbuilder
+from noksurf.cli import main
+from noksurf.lattice import curve_pairings
 from noksurf.flagbuilder import (
     OrderedFlagCertificate,
     find_ordered_ample_class,
@@ -174,3 +179,60 @@ def test_scaling_invariance_of_vertex_count():
         assert len(poly.vertices) == len(r.polygon.vertices)
         # the time axis contracts by 1/m
         assert profile.mu * m == r.profile.mu
+
+
+def _decomposing_probe(model, divisor, flag_class, config, prev_times):
+    """The probe without certificates: one full decomposition of D - s*A at
+    0, at each midpoint of consecutive times and halfway from the last time
+    to 1, whose support must be the curves of `config` already crossed."""
+    samples = [Fraction(0)] + [(a + b) / 2 for a, b in zip(prev_times, prev_times[1:])]
+    if prev_times:
+        samples.append((prev_times[-1] + 1) / 2)
+    for s in samples:
+        dec = zariski_decompose(model, divisor - flag_class.scale(s), model.labels())
+        if set(dec.support) != {l for l, t in zip(config, prev_times) if t <= s}:
+            return False
+    return True
+
+
+def test_probe_certificate_matches_decompositions(monkeypatch, capsys):
+    probe, calls = flagbuilder._probe, []
+
+    def recording(*args):
+        calls.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(flagbuilder, "_probe", recording)
+    scan_vertex_counts(CHAIN4, D_CHAIN4, ["C1", "C2", "C3"])
+    find_ordered_ample_class(CHAIN4, D_CHAIN4, ["C3", "C2"])
+    find_ordered_ample_class(CHAIN3, D_CHAIN3.scale(Fraction(1, 2)), ["C2", "C1"])
+    find_ordered_ample_class(CHAIN4, D_CHAIN4, ["C2", "C1"], want_independent=True)
+    cases = Path(__file__).resolve().parent.parent / "cases"
+    assert main(["flag-search", str(cases / "flag_search_chain.json")]) == 0
+    assert main(["scan-vertex-counts", str(cases / "scan_chain3.json")]) == 0
+    monkeypatch.setattr(flagbuilder, "_probe", probe)
+    # samples on E's wall: at s = 2/3, (D - s*A).E = 0 and E, expected,
+    # solves to coefficient 0; at s = 0, H.E = 0 with E outside the support
+    for d, a, times in [
+        (D_BL1, DivisorClass((2, Fraction(-3, 2))), [Fraction(1, 3)]),
+        (DivisorClass((1, 0)), D_BL1, []),
+    ]:
+        calls.append((BL1, d, a, ["E"], times, curve_pairings(BL1, d, ["E"])))
+
+    decompose, fallbacks = flagbuilder.zariski_decompose, []
+
+    def counted(*args):
+        fallbacks.append(None)
+        return decompose(*args)
+
+    monkeypatch.setattr(flagbuilder, "zariski_decompose", counted)
+    outcomes = set()
+    for args in calls:
+        fallbacks.clear()
+        got = probe(*args)
+        assert got == _decomposing_probe(*args[:5]), args
+        # a certificate fails only at a sample whose decomposition has
+        # another support, and the probe stops at the first such sample
+        assert len(fallbacks) == (0 if got else 1), args
+        outcomes.add(got)
+    assert outcomes == {True, False}
