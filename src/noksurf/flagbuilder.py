@@ -28,7 +28,7 @@ from .lattice import (
 from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, mc, mv
 from .qext import QExt
 from .raywalk import RayProfile, walk_ray
-from .zariski import residual_pairings, solve_support, zariski_decompose
+from .zariski import residual_pairings, solve_support
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def find_ordered_ample_class(
         for _ in range(budget):
             trial = current - cls.scale(guess)
             if is_model_ample(model, trial) and _probe(
-                model, divisor, trial, config[: j + 1], times, d_pairs
+                model, trial, config[: j + 1], times, d_pairs
             ):
                 profile = _walk_matches(model, divisor, trial, config[: j + 1])
                 if profile is not None:
@@ -177,15 +177,14 @@ def find_ordered_ample_class(
     )
 
 
-def _probe(model, divisor, flag_class, config, prev_times, d_pairs) -> bool:
+def _probe(model, flag_class, config, prev_times, d_pairs) -> bool:
     """The decomposition of D - s*A at each sample time s must have the
     expected prefix as its support.
 
     Certified from D's curve_pairings `d_pairs` and A's: the decomposition
     is unique, so positive coefficients on the expected support and a
-    remainder nef on every curve make it the decomposition.  Where the
-    certificate fails, a full decomposition decides, and raises what it
-    raises.
+    remainder nef on every curve make it the decomposition.  A sample whose
+    certificate fails rejects the trial, as a walk that raises does.
     """
     dd, dn = d_pairs
     ad, an = curve_pairings(model, flag_class, model._index)
@@ -195,9 +194,7 @@ def _probe(model, divisor, flag_class, config, prev_times, d_pairs) -> bool:
         p, q = s.numerator, s.denominator
         b = {l: x * ad * q - p * an[l] * dd for l, x in dn.items()}
         if not _certified(model, expect, b):
-            dec = zariski_decompose(model, divisor - flag_class.scale(s), model.labels())
-            if set(dec.support) != set(expect):
-                return False
+            return False
     return True
 
 

@@ -131,7 +131,7 @@ class SurfaceModel:
         sparse = {}
         for c in curves:
             if not isinstance(c, CurveRecord):
-                c = CurveRecord(str(c[0]), tuple(int(x) for x in c[1]))
+                c = CurveRecord(str(c[0]), tuple(c[1]))
             if c.label in seen:
                 raise InputError(f"duplicate curve label {c.label!r}")
             seen.add(c.label)

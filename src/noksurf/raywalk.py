@@ -231,27 +231,14 @@ def _enlarge_support(model, ray, support, t_star, outside, chamber):
     return kept, (s, {l: nums[l] for l in kept})
 
 
-def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur):
-    """Smallest root > t_cur of p0sq + 2*cross*t + p1sq*t^2, exactly.
-
-    Returns None when the quadratic never reaches zero beyond t_cur.
-    """
+def _exit_root(p0sq, cross, p1sq):
+    """The first root past the segment start of p0sq + 2*cross*t + p1sq*t^2,
+    once _exit_first has found that it exists: q is positive at the start,
+    so that is the smaller root of a convex q and the larger of a concave
+    one, and for p1sq = 0 the one root."""
     if p1sq == 0:
-        if cross == 0:
-            return None
-        root = Fraction(-p0sq, 2 * cross)
-        return root if root > t_cur else None
-    half_disc = cross * cross - p1sq * p0sq  # (b/2)^2 - a*c
-    if half_disc < 0:
-        return None
-    sq = sqrt_fraction(half_disc)
-    # sq >= 0, so the sign of p1sq says which root is the smaller
-    low, high = -cross - sq, -cross + sq
-    for num in (low, high) if p1sq > 0 else (high, low):
-        r = num / p1sq
-        if r > t_cur:
-            return r
-    return None
+        return Fraction(-p0sq, 2 * cross)
+    return (-cross - sqrt_fraction(cross * cross - p1sq * p0sq)) / p1sq
 
 
 def _exit_first(p0sq, cross, p1sq, t_cur, t_wall):
@@ -349,7 +336,8 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             fslope -= x1 * fj
             p0sq -= x0 * ray.d_c[j]
 
-        # exit of the big cone, decided in integers; its root is taken only on exit
+        # exit of the big cone, decided in integers; only on exit is mu taken,
+        # in closed form over ew, so the radicand factored is in lowest terms
         cn, cd = t_cur.numerator, t_cur.denominator
         if p0sq * cd * cd - 2 * f0 * cn * cd - fslope * cn * cn <= 0:
             raise InternalError("positive part lost its positivity inside a segment")
@@ -358,10 +346,8 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             raise ModelError("ray never exits big cone in model")
         ew = e * ray.w
         if exits:
-            mu = t_hi = _first_quadratic_root(
-                Fraction(p0sq, ew), Fraction(-f0, ew), Fraction(-fslope, ew), t_cur
-            )
-            if mu is None:
+            mu = t_hi = _exit_root(Fraction(p0sq, ew), Fraction(-f0, ew), Fraction(-fslope, ew))
+            if not mu > t_cur:
                 raise InternalError("the sign tests found an exit with no root")
             if isinstance(mu, QExt):
                 radicand = mu.d

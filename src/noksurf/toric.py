@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import DegenerateInput, InputError, InternalError, OracleMismatch
@@ -37,12 +38,12 @@ class ToricFan:
     rays: tuple[tuple[int, int], ...]
 
     def __init__(self, rays):
-        rr = tuple((int(x), int(y)) for x, y in rays)
+        rr = tuple((x, y) for x, y in rays)
         if len(rr) < 3:
             raise InputError("a complete fan needs at least three rays")
-        from math import gcd
-
         for v in rr:
+            if not all(type(x) is int for x in v):
+                raise InputError(f"ray {v!r:.60} must have integer coordinates")
             if v == (0, 0) or gcd(abs(v[0]), abs(v[1])) != 1:
                 raise InputError(f"ray {v} is not primitive")
         if len(set(rr)) != len(rr):
@@ -74,7 +75,10 @@ class ToricDivisor:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in coeffs))
+        coeffs = tuple(coeffs)
+        if not all(type(a) is int for a in coeffs):
+            raise InputError("toric divisor coefficients must be integers")
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def _check_lengths(fan: ToricFan, div: ToricDivisor):

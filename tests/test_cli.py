@@ -439,7 +439,7 @@ def test_probe_certificates_replace_decompositions(
     command, name, ample_checks, walks, decompositions, monkeypatch, capsys
 ):
     # the certified probes keep every trial and every walk, and decompose
-    # only where a certificate fails
+    # nothing: only the walks decompose
     checks = _count_calls(monkeypatch, "lattice", "is_model_ample")
     walked = _count_calls(monkeypatch, "raywalk", "walk_ray")
     decomposed = _count_calls(monkeypatch, "zariski", "zariski_decompose")

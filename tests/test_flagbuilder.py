@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,9 +19,9 @@ from noksurf import (
     walk_ray,
     zariski_decompose,
 )
-from noksurf import flagbuilder
+from noksurf import cli, flagbuilder, zariski
 from noksurf.cli import main
-from noksurf.lattice import curve_pairings
+from noksurf.lattice import as_divisor, curve_pairings
 from noksurf.flagbuilder import (
     OrderedFlagCertificate,
     find_ordered_ample_class,
@@ -196,43 +197,57 @@ def _decomposing_probe(model, divisor, flag_class, config, prev_times):
 
 
 def test_probe_certificate_matches_decompositions(monkeypatch, capsys):
-    probe, calls = flagbuilder._probe, []
+    # _probe reads D only through its pairings, so the divisor for the
+    # decomposing oracle is taken from the search that runs the probe
+    search, probe, divisors, calls = flagbuilder.find_ordered_ample_class, flagbuilder._probe, [], []
+
+    def searching(model, divisor, *args, **kwargs):
+        divisors.append(as_divisor(divisor, model.rank))
+        return search(model, divisor, *args, **kwargs)
 
     def recording(*args):
-        calls.append(args)
+        calls.append((divisors[-1], args))
         return probe(*args)
 
+    for mod in (flagbuilder, cli):
+        monkeypatch.setattr(mod, "find_ordered_ample_class", searching)
     monkeypatch.setattr(flagbuilder, "_probe", recording)
     scan_vertex_counts(CHAIN4, D_CHAIN4, ["C1", "C2", "C3"])
-    find_ordered_ample_class(CHAIN4, D_CHAIN4, ["C3", "C2"])
-    find_ordered_ample_class(CHAIN3, D_CHAIN3.scale(Fraction(1, 2)), ["C2", "C1"])
-    find_ordered_ample_class(CHAIN4, D_CHAIN4, ["C2", "C1"], want_independent=True)
+    searching(CHAIN4, D_CHAIN4, ["C3", "C2"])
+    searching(CHAIN3, D_CHAIN3.scale(Fraction(1, 2)), ["C2", "C1"])
+    searching(CHAIN4, D_CHAIN4, ["C2", "C1"], True)
     cases = Path(__file__).resolve().parent.parent / "cases"
     assert main(["flag-search", str(cases / "flag_search_chain.json")]) == 0
     assert main(["scan-vertex-counts", str(cases / "scan_chain3.json")]) == 0
-    monkeypatch.setattr(flagbuilder, "_probe", probe)
+    monkeypatch.undo()
     # samples on E's wall: at s = 2/3, (D - s*A).E = 0 and E, expected,
     # solves to coefficient 0; at s = 0, H.E = 0 with E outside the support
     for d, a, times in [
         (D_BL1, DivisorClass((2, Fraction(-3, 2))), [Fraction(1, 3)]),
         (DivisorClass((1, 0)), D_BL1, []),
     ]:
-        calls.append((BL1, d, a, ["E"], times, curve_pairings(BL1, d, ["E"])))
+        calls.append((d, (BL1, a, ["E"], times, curve_pairings(BL1, d, ["E"]))))
 
-    decompose, fallbacks = flagbuilder.zariski_decompose, []
+    # every binding of zariski_decompose in the package, counted; the
+    # oracle calls this module's own binding
+    decompose, decomposed = zariski.zariski_decompose, []
 
     def counted(*args):
-        fallbacks.append(None)
+        decomposed.append(None)
         return decompose(*args)
 
-    monkeypatch.setattr(flagbuilder, "zariski_decompose", counted)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("noksurf"):
+            for key, val in list(vars(mod).items()):
+                if val is decompose:
+                    monkeypatch.setattr(mod, key, counted)
     outcomes = set()
-    for args in calls:
-        fallbacks.clear()
+    for d, args in calls:
+        decomposed.clear()
         got = probe(*args)
-        assert got == _decomposing_probe(*args[:5]), args
-        # a certificate fails only at a sample whose decomposition has
-        # another support, and the probe stops at the first such sample
-        assert len(fallbacks) == (0 if got else 1), args
+        # the certificate alone decides, whatever the outcome
+        assert not decomposed, args
+        model, flag_class, config, prev_times, _ = args
+        assert got == _decomposing_probe(model, d, flag_class, config, prev_times), args
         outcomes.add(got)
     assert outcomes == {True, False}

@@ -1,0 +1,77 @@
+"""Document fuzzer: one field of a case document set to a hostile value.
+
+Every command must end in a documented exit code (0, 2 or 3) within a time
+cap and never print a traceback.  Each document runs in its own
+interpreter, so a crash, a hang or a leak cannot hide behind the previous
+one.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import noksurf
+
+CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
+SRC = str(Path(noksurf.__file__).resolve().parent.parent)
+
+# (case stem, command) for every expected output
+COMMANDS = sorted(tuple(p.name.split(".")[:2]) for p in (CASES_DIR / "expected").glob("*.json"))
+
+DEEP = "deep nesting"  # replaced by 10**5 nested lists when the document is written
+BAD_VALUES = [True, False, 1.5, "1e3", "", [], {}, None, 10**30, -(10**30), 0, -1, "1/0", DEEP]
+
+
+def _paths(node, prefix=()):
+    """Every field path of a JSON document: object keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    stem, command = draw(st.sampled_from(COMMANDS))
+    doc = json.loads((CASES_DIR / f"{stem}.json").read_text())
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(st.sampled_from(BAD_VALUES))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    text = json.dumps(doc).replace(json.dumps(DEEP), "[" * 10**5 + "]" * 10**5)
+    return command, path, value, text
+
+
+@given(mutated_documents())
+@settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_mutated_document_exits_cleanly(tmp_path, mutation):
+    command, path, value, text = mutation
+    doc = tmp_path / "mutated.json"
+    doc.write_text(text)
+    res = subprocess.run(
+        [sys.executable, "-m", "noksurf.cli", command, str(doc)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    where = (command, path, value)
+    assert res.returncode in (0, 2, 3), (where, res.stderr[-2000:])
+    assert "Traceback" not in res.stderr, (where, res.stderr[-2000:])

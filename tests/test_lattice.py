@@ -125,6 +125,13 @@ def test_model_checks_class_entries(cls, message):
         SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", cls)], (2, -1))
 
 
+@pytest.mark.parametrize("cls", [[0.7, 1], [0, Fraction(1)], [0, "1"], [0, True]])
+def test_model_checks_entries_of_a_curve_given_as_a_pair(cls):
+    # a (label, class) pair is checked as a CurveRecord is, not truncated
+    with pytest.raises(InputError, match="^curve 'E' must have an integer class$"):
+        SurfaceModel(2, [[1, 0], [0, -1]], [("E", cls)], [2, -1])
+
+
 @pytest.mark.parametrize("entry", [True, 1.0, "1"])
 def test_model_checks_matrix_entries(entry):
     with pytest.raises(InputError, match="^intersection matrix entries must be integers$"):

@@ -23,11 +23,12 @@ from noksurf import (
 )
 import noksurf.raywalk as raywalk
 from noksurf.lattice import pair_curve
+from noksurf.qext import sqrt_fraction
 from noksurf.raywalk import (
     _at,
     _earliest_wall,
     _exit_first,
-    _first_quadratic_root,
+    _exit_root,
     _missed_wall,
     _pairings,
     _Ray,
@@ -129,11 +130,28 @@ def test_unhashable_candidate_is_an_input_error(call):
 _RAT = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
+def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur):
+    """Smallest root > t_cur of p0sq + 2*cross*t + p1sq*t^2, exactly, by
+    trying both roots in Q(sqrt d); None when there is none."""
+    if p1sq == 0:
+        if cross == 0:
+            return None
+        root = Fraction(-p0sq, 2 * cross)
+        return root if root > t_cur else None
+    half_disc = cross * cross - p1sq * p0sq  # (b/2)^2 - a*c
+    if half_disc < 0:
+        return None
+    sq = sqrt_fraction(half_disc)
+    roots = sorted([(-cross - sq) / p1sq, (-cross + sq) / p1sq])
+    return next((r for r in roots if r > t_cur), None)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_exit_decision_agrees_with_the_root(data):
     # the sign tests in Q say "no root", "root <= T" or "root > T" exactly
-    # when the root in Q(sqrt(d)) does, double roots and roots at T included
+    # when the root in Q(sqrt(d)) does, double roots and roots at T included;
+    # where there is a root, the closed form is it
     p0sq, cross, p1sq, t_cur = (data.draw(_RAT) for _ in range(4))
     if p1sq and data.draw(st.booleans()):
         p0sq = cross * cross / p1sq  # a double root at the vertex
@@ -146,6 +164,8 @@ def test_exit_decision_agrees_with_the_root(data):
     want = None if root is None else root <= t_wall
     assert _exit_first(p0sq, cross, p1sq, t_cur, t_wall) == want
     assert _exit_first(p0sq, cross, p1sq, t_cur, None) == (None if root is None else True)
+    if root is not None:
+        assert _exit_root(p0sq, cross, p1sq) == root
 
 
 def test_walk_takes_one_root(monkeypatch):
@@ -154,9 +174,9 @@ def test_walk_takes_one_root(monkeypatch):
 
     def counted(*args):
         calls.append(None)
-        return _first_quadratic_root(*args)
+        return _exit_root(*args)
 
-    monkeypatch.setattr(raywalk, "_first_quadratic_root", counted)
+    monkeypatch.setattr(raywalk, "_exit_root", counted)
     chambers = 0
     for case in corpus(seed=501, count=40) + forest_corpus(seed=8, count=6, rho=8):
         calls.clear()
@@ -164,6 +184,33 @@ def test_walk_takes_one_root(monkeypatch):
         assert len(calls) == 1, case.name
         chambers += len(prof.segments)
     assert chambers > 46
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(lambda: corpus(seed=777001, count=220), id="corpus"),
+        pytest.param(lambda: forest_corpus(seed=8, count=6, rho=8), id="rank8"),
+        pytest.param(lambda: forest_corpus(seed=16, count=4, rho=16), id="rank16"),
+        pytest.param(lambda: forest_corpus(seed=32, count=3, rho=32), id="rank32"),
+    ],
+)
+def test_mu_is_the_first_root_of_the_last_chamber(cases):
+    # P_0^2, P_0.p1 and p1^2 of the last chamber from class arithmetic; its
+    # first root past the chamber start, found by trying both, is mu
+    irrational = 0
+    for case in cases():
+        model = case.model
+        prof = walk_ray(model, case.divisor, case.flag, case.candidates)
+        last = prof.segments[-1]
+        p0, p1 = _positive_part(model, prof, last)
+        want = _first_quadratic_root(
+            pair(model, p0, p0), pair(model, p0, p1), pair(model, p1, p1), last.t_lo
+        )
+        assert prof.mu == want, case.name
+        assert prof.radicand == (want.d if isinstance(want, QExt) else 0), case.name
+        irrational += isinstance(want, QExt)
+    assert irrational
 
 
 def test_walk_names_inertia_of_singular_support():

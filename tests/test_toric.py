@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,26 @@ def test_fan_validation():
         ToricFan([(1, 0), (0, 1), (-1, -2)])  # last step not unimodular
     with pytest.raises(InputError):
         ToricFan([(1, 0), (0, -1), (-1, 0), (0, 1)])  # clockwise
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        [(1.5, 0), (0, 1), (-1, -1)],
+        [(True, 0), (0, 1), (-1, -1)],
+        [(1, 0), (0, "1"), (-1, -1)],
+        [(1, 0), (0, 1), (-1, Fraction(-1))],
+    ],
+)
+def test_fan_rejects_non_integer_rays(rays):
+    with pytest.raises(InputError, match="must have integer coordinates$"):
+        ToricFan(rays)
+
+
+@pytest.mark.parametrize("coeffs", [[1.9, 1, 1], [1, True, 1], [0, "1", 0], [0, 0, Fraction(1)]])
+def test_toric_divisor_rejects_non_integers(coeffs):
+    with pytest.raises(InputError, match="^toric divisor coefficients must be integers$"):
+        ToricDivisor(coeffs)
 
 
 @pytest.mark.parametrize(
