@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .lattice import CurveRecord, DivisorClass, SurfaceModel, rational_string
 from .polygon import FlagSpec
 from .qext import format_exact
@@ -65,7 +66,7 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise InputError(f"{path}: document root must be an object")
     schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise InputError(
             f"{path}: field 'schema' must be {SCHEMA_VERSION}, got {schema!r}"
         )
@@ -209,4 +210,50 @@ def fmt_point(p) -> list[str]:
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """`json.dumps(payload, indent=2) + "\\n"`, byte for byte, written directly:
+    with an indent the stdlib leaves its C encoder for a pure-Python one.
+    Payloads hold dicts with string keys, lists, strings, ints, booleans
+    and None; any other value is an InternalError."""
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write(x, newline: str, out: list) -> None:
+    kind = type(x)
+    if kind is str:
+        out.append(_quote(x))
+    elif kind is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in x.items():
+            if type(key) is not str:
+                raise InternalError(f"cannot write a {type(key).__name__} key as JSON")
+            out.append(sep + _quote(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(str(x))
+    elif kind is bool or x is None:
+        out.append(_LITERALS[x])
+    else:
+        raise InternalError(f"cannot write a {kind.__name__} as JSON")

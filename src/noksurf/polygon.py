@@ -176,28 +176,43 @@ _LOWER, _UPPER = 1, 2
 _LEVEL = {_LOWER: "lower", _UPPER: "upper", _LOWER | _UPPER: "degenerate"}
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _turn(e, d):
+    """Sign of the cross product e x d of edge directions, 1 for a left turn;
+    (1, m1) x (1, m2) = m2 - m1 and (-1, -m1) x (-1, -m2) = m1 - m2."""
+    if e[0] == d[0] == 1:
+        a, b = d[1], e[1]
+    elif e[0] == d[0] == -1:
+        a, b = e[1], d[1]
+    else:
+        a, b = e[0] * d[1], e[1] * d[0]
+    return (a > b) - (a < b)
 
 
-def _boundary_values(alpha: PiecewiseLinear, beta: PiecewiseLinear):
-    """[(t, alpha(t), beta(t))] at every breakpoint of either function, in
-    one left-to-right sweep; value_at fills in a breakpoint the other
-    function lacks."""
+def _edge(a, b):
+    return (b[0] - a[0], b[1] - a[1])
+
+
+def _boundary_rows(alpha: PiecewiseLinear, beta: PiecewiseLinear):
+    """[(t, alpha(t), beta(t), alpha slope, beta slope)] at every breakpoint
+    of either function, in one left-to-right sweep; value_at fills in a
+    breakpoint the other function lacks.  The slopes are those of the
+    interval that starts at t (None at the right end)."""
     xa, xb = alpha.breakpoints, beta.breakpoints
+    sa, sb = alpha._slopes + (None,), beta._slopes + (None,)
     i = j = 0
     out = []
     while i < len(xa) or j < len(xb):
         if i < len(xa) and j < len(xb) and xa[i] == xb[j]:
-            out.append((xa[i], alpha.values[i], beta.values[j]))
+            row = (xa[i], alpha.values[i], beta.values[j])
             i += 1
             j += 1
         elif j == len(xb) or (i < len(xa) and xa[i] < xb[j]):
-            out.append((xa[i], alpha.values[i], beta.value_at(xa[i])))
+            row = (xa[i], alpha.values[i], beta.value_at(xa[i]))
             i += 1
         else:
-            out.append((xb[j], alpha.value_at(xb[j]), beta.values[j]))
+            row = (xb[j], alpha.value_at(xb[j]), beta.values[j])
             j += 1
+        out.append((*row, sa[i - 1], sb[j - 1]))
     return out
 
 
@@ -206,38 +221,59 @@ def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
 
     Vertices run left to right along alpha, then right to left along beta,
     in one pass that merges repeated points (keeping both chains' flags)
-    and drops collinear ones.  With alpha convex and beta concave, as
-    alpha_beta certifies, the seam back to the first point can only repeat
-    it (alpha(nu) = beta(nu)); any other defect fails the strict-convexity
-    certificate.  Each vertex is tagged by its position against nu and mu
-    (the ends of alpha's domain) and by the boundary chains it lies on.
+    and drops collinear ones.  Turns come from edge directions: (1, m)
+    along a piece of alpha of slope m, (-1, -m) along beta, (0, 1) and
+    (0, -1) up the side at mu and down the side at nu.  Every edge is a
+    positive multiple of its direction, so cross(p0, p1, p2) =
+    |e1| |e2| (d1 x d2) has the sign of a rational determinant even at an
+    irrational mu; only opposite collinear directions, from a degenerate
+    input, merge by the points.  With alpha convex and beta concave, as
+    alpha_beta certifies, the seam back to the first point can only
+    repeat it; any other defect fails the strict-convexity certificate.
+    Each vertex is tagged by its position against nu and mu (the ends of
+    alpha's domain) and by the boundary chains it lies on.
     """
-    rows = _boundary_values(alpha, beta)
-    for t, a, b in rows:
+    rows = _boundary_rows(alpha, beta)
+    for t, a, b, _ma, _mb in rows:
+        # at an irrational mu, the one order decision no direction makes
         if a > b:
             raise InternalError(f"lower boundary exceeds upper boundary at t = {t}")
-    cycle = [((t, a), _LOWER) for t, a, _ in rows]
-    cycle += [((t, b), _UPPER) for t, _, b in reversed(rows)]
+    # every point with its chain and the direction of the edge that reaches it
+    cycle = []
+    m = None
+    for t, a, _b, ma, _mb in rows:
+        cycle.append(((t, a), _LOWER, (1, m)))
+        m = ma
+    for t, _a, b, _ma, mb in reversed(rows):
+        cycle.append(((t, b), _UPPER, (0, 1) if mb is None else (-1, -mb)))
 
     pts: list = []
     chains: list[int] = []  # _LOWER | _UPPER bits per point
-    for p, chain in cycle:
+    dirs: list = []  # direction of the edge from the previous point
+    for p, chain, d in cycle:
         if pts and pts[-1] == p:
             chains[-1] |= chain
             continue
-        while len(pts) >= 2 and _cross(pts[-2], pts[-1], p) == 0:
+        while len(pts) >= 2 and _turn(dirs[-1], d) == 0:
+            e = dirs.pop()
             pts.pop()
             chains.pop()
+            if e[0] * d[0] + e[1] * d[1] <= 0:  # opposite: merge by the points
+                d = _edge(pts[-1], p)
         pts.append(p)
         chains.append(chain)
+        dirs.append(d)
     if len(pts) > 1 and pts[-1] == pts[0]:
         chains[0] |= chains.pop()
         pts.pop()
+        dirs[0] = dirs.pop()
+    else:
+        dirs[0] = (0, -1)
 
     if len(pts) < 3:
         raise InternalError("polygon degenerated to fewer than three vertices")
     for i in range(len(pts)):
-        if _cross(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) <= 0:
+        if _turn(dirs[i - 1], dirs[i]) <= 0:
             raise InternalError("polygon is not strictly convex counterclockwise")
 
     t_nu, t_mu = alpha.breakpoints[0], alpha.breakpoints[-1]

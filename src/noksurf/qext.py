@@ -198,8 +198,13 @@ class QExt:
         return diff.sign()
 
     def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
+        # p + q*sqrt(d) is canonical (d square-free, q == 0 exactly when
+        # d == 0), so equal values have equal components
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        self._join(o)
+        return self.q == o.q and self.p == o.p
 
     def __lt__(self, other):
         c = self._cmp(other)

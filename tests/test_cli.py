@@ -6,10 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noksurf
-from noksurf import zariski_decompose
+from noksurf import cli, docio, zariski_decompose
 from noksurf.cli import build_parser, main
+from noksurf.errors import InternalError
 from noksurf.docio import parse_surface
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
@@ -130,6 +133,57 @@ def test_schema_field_required(tmp_path, capsys):
     doc.write_text("{}")
     assert main(["check-lattice", str(doc)]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schema,code", [(True, 2), (1.0, 2), ("1", 2), (1, 0)])
+def test_schema_must_be_the_integer_1(schema, code, tmp_path, capsys):
+    # True == 1 == 1.0 in Python; only the integer passes
+    doc = json.loads((CASES_DIR / "ex1_on_point.json").read_text())
+    doc["schema"] = schema
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
+    assert main(["polygon", str(path)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"field 'schema' must be 1, got {schema!r}" in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@settings(max_examples=300)
+def test_dump_json_matches_the_stdlib(value):
+    # non-ASCII, quotes, backslashes and control characters come from st.text
+    assert docio.dump_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_dump_json_edge_cases():
+    value = {
+        "": [], "e\u00e9\"\\\n\x00\x1f": {}, "\U0001f600": [[], {}, [{}]],
+        "big": [-(10**30), 0, True, False, None], "s": "tab\there \u2028",
+    }
+    assert docio.dump_json(value) == json.dumps(value, indent=2) + "\n"
+    assert docio.dump_json([]) == "[]\n"
+
+
+@pytest.mark.parametrize("value", [{"x": 0.5}, [Fraction(1, 2)], {1: "a"}, ("a",)])
+def test_dump_json_rejects_other_types(value):
+    with pytest.raises(InternalError):
+        docio.dump_json(value)
+
+
+def test_unwritable_payload_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setitem(cli._COMMANDS, "check-lattice", lambda doc, args: ({"x": 0.5}, None))
+    assert main(["check-lattice", str(CASES_DIR / "check_lattice_chain.json")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "internal error: cannot write a float as JSON\n"
 
 
 def test_field_diagnostics(tmp_path, capsys):

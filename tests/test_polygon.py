@@ -5,7 +5,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from helpers import _between_any
+from helpers import _between_any, corpus, forest_case
 from noksurf import (
     CurveRecord,
     DivisorClass,
@@ -31,6 +31,8 @@ from noksurf import (
     vertex_bound_check,
     walk_ray,
 )
+from noksurf import polygon as polygon_module
+from noksurf.polygon import OkPolygon
 
 BL1 = SurfaceModel(
     2,
@@ -355,17 +357,22 @@ def test_build_polygon_differing_breakpoints_by_hand():
     )
 
 
-def test_build_polygon_matches_hull_oracle_on_random_boundaries():
-    # convex alpha and concave beta on independent breakpoint sets with
-    # repeated slopes; beta is lifted to touch alpha (necessarily at nu or
-    # mu, where the concave beta - alpha is smallest) or to clear it
-    rng = random.Random(9)
-    checked = 0
-    for _ in range(300):
-        mu_ = Fraction(rng.randrange(1, 9), rng.choice([1, 2, 3]))
+def _random_boundaries(seed, count, radicands=()):
+    """Convex alpha and concave beta on independent breakpoint sets with
+    repeated slopes; beta is lifted to touch alpha (necessarily at nu or
+    mu, where the concave beta - alpha is smallest) or to clear it.  With
+    radicands, mu is p + q*sqrt(d) for one of them, past every rational
+    breakpoint, and a touch at mu lifts beta by an irrational amount.
+    Boundaries with no area are left out: that case is tested on its own."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        top = mu_ = Fraction(rng.randrange(1, 9), rng.choice([1, 2, 3]))
+        if radicands:
+            q = Fraction(rng.randrange(1, 4), rng.choice([1, 2, 3]))
+            mu_ = QExt(top, q, rng.choice(radicands))
 
         def breakpoints():
-            inner = {mu_ * Fraction(rng.randrange(1, 12), 12) for _ in range(rng.randrange(4))}
+            inner = {top * Fraction(rng.randrange(1, 12), 12) for _ in range(rng.randrange(4))}
             return (0, *sorted(inner), mu_)
 
         def slopes(n):
@@ -379,7 +386,13 @@ def test_build_polygon_matches_hull_oracle_on_random_boundaries():
         lift = max(_at(alpha, t) - _at(beta, t) for t in ts) + rng.choice([0, 0, 1, 3])
         beta = PiecewiseLinear(beta.breakpoints, tuple(v + lift for v in beta.values))
         if all(_at(alpha, t) == _at(beta, t) for t in ts):
-            continue  # no area: the degenerate case is tested on its own
+            continue
+        yield alpha, beta
+
+
+def test_build_polygon_matches_hull_oracle_on_random_boundaries():
+    checked = 0
+    for alpha, beta in _random_boundaries(9, 300):
         poly = build_polygon(alpha, beta)
         assert (poly.vertices, poly.tags) == _hull_oracle(alpha, beta)
         checked += 1
@@ -397,3 +410,189 @@ def test_build_polygon_error_messages():
         build_polygon(_pl((0, 1, 2), 0, (2, -2)), _pl((0, 2), 1, (0,)))
     with pytest.raises(InputError, match="outside the function's domain"):
         build_polygon(_pl((0, 2), 0, (0,)), _pl((0, 1, 3), 1, (0, 0)))
+
+
+# -- build_polygon against the point cross-product pass ------------------------
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _cross_product_polygon(alpha, beta):
+    """The chain pass of build_polygon with every turn decided by a cross
+    product of points, which computes in Q(sqrt(d)) at an irrational mu."""
+    xa, xb = alpha.breakpoints, beta.breakpoints
+    i = j = 0
+    rows = []
+    while i < len(xa) or j < len(xb):
+        if i < len(xa) and j < len(xb) and xa[i] == xb[j]:
+            rows.append((xa[i], alpha.values[i], beta.values[j]))
+            i += 1
+            j += 1
+        elif j == len(xb) or (i < len(xa) and xa[i] < xb[j]):
+            rows.append((xa[i], alpha.values[i], beta.value_at(xa[i])))
+            i += 1
+        else:
+            rows.append((xb[j], alpha.value_at(xb[j]), beta.values[j]))
+            j += 1
+    for t, a, b in rows:
+        if a > b:
+            raise InternalError(f"lower boundary exceeds upper boundary at t = {t}")
+    lower, upper = 1, 2
+    cycle = [((t, a), lower) for t, a, _ in rows]
+    cycle += [((t, b), upper) for t, _, b in reversed(rows)]
+
+    pts, chains = [], []
+    for p, chain in cycle:
+        if pts and pts[-1] == p:
+            chains[-1] |= chain
+            continue
+        while len(pts) >= 2 and _cross(pts[-2], pts[-1], p) == 0:
+            pts.pop()
+            chains.pop()
+        pts.append(p)
+        chains.append(chain)
+    if len(pts) > 1 and pts[-1] == pts[0]:
+        chains[0] |= chains.pop()
+        pts.pop()
+
+    if len(pts) < 3:
+        raise InternalError("polygon degenerated to fewer than three vertices")
+    for i in range(len(pts)):
+        if _cross(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) <= 0:
+            raise InternalError("polygon is not strictly convex counterclockwise")
+
+    level = {lower: "lower", upper: "upper", lower | upper: "degenerate"}
+    t_nu, t_mu = alpha.breakpoints[0], alpha.breakpoints[-1]
+    tags = []
+    for (t, _s), chain in zip(pts, chains):
+        position = "leftmost" if t == t_nu else "rightmost" if t == t_mu else "interior"
+        tags.append(f"{position}-{level[chain]}")
+    return OkPolygon(tuple(pts), tuple(tags))
+
+
+def _outcome(build, alpha, beta):
+    """The polygon build returns, or the error it raises."""
+    try:
+        return build(alpha, beta)
+    except (InputError, InternalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _tent_boundaries(seed, count):
+    """An affine alpha and beta = alpha + w up to an irrational mu, where w
+    rises along a line through the rational breakpoints and falls back to
+    0 at mu: the polygon touches alpha at both ends, and beta's last slope
+    is irrational."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        top = Fraction(rng.randrange(1, 9), rng.choice([1, 2, 3]))
+        mu_ = QExt(top, Fraction(rng.randrange(1, 4), rng.choice([1, 2, 3])), rng.choice([2, 3, 5]))
+        inner = sorted({top * Fraction(rng.randrange(1, 13), 12) for _ in range(rng.randrange(1, 4))})
+        a0, m = Fraction(rng.randrange(-2, 3)), Fraction(rng.randrange(-3, 4), rng.choice([1, 2]))
+        h = Fraction(rng.randrange(1, 5), rng.choice([1, 2]))
+        xs = (0, *inner, mu_)
+        alpha = PiecewiseLinear((0, mu_), (a0, a0 + m * mu_))
+        beta = PiecewiseLinear(xs, (a0, *(a0 + (m + h) * t for t in inner), a0 + m * mu_))
+        yield alpha, beta
+
+
+@pytest.fixture(scope="module")
+def pipeline_boundaries():
+    """alpha and beta of the 220-case acceptance corpus and of forest
+    models of rank 8, 16 and 32."""
+    cases = corpus(seed=777001, count=220)
+    cases += [forest_case(random.Random(rho), rho) for rho in (8, 16, 32)]
+    out = []
+    for case in cases:
+        prof = walk_ray(case.model, case.divisor, case.flag, case.candidates)
+        out.append(alpha_beta(case.model, prof, case.spec))
+    return out
+
+
+def test_build_polygon_matches_cross_products_on_random_boundaries():
+    for alpha, beta in _random_boundaries(9, 300):
+        assert _outcome(build_polygon, alpha, beta) == _outcome(_cross_product_polygon, alpha, beta)
+
+
+def test_build_polygon_matches_cross_products_with_irrational_mu():
+    touches = {"nu": 0, "mu": 0, "both": 0}
+    boundaries = list(_random_boundaries(11, 300, radicands=(2, 3, 5)))
+    boundaries += list(_tent_boundaries(13, 40))
+    for alpha, beta in boundaries:
+        assert isinstance(alpha.breakpoints[-1], QExt)
+        poly = build_polygon(alpha, beta)
+        assert poly == _cross_product_polygon(alpha, beta)
+        at_nu = "leftmost-degenerate" in poly.tags
+        at_mu = "rightmost-degenerate" in poly.tags
+        if at_nu or at_mu:
+            touches["both" if at_nu and at_mu else "nu" if at_nu else "mu"] += 1
+    assert min(touches.values()) >= 20, touches
+
+
+def test_build_polygon_matches_cross_products_on_the_pipeline(pipeline_boundaries):
+    irrational = 0
+    for alpha, beta in pipeline_boundaries:
+        assert build_polygon(alpha, beta) == _cross_product_polygon(alpha, beta)
+        irrational += isinstance(alpha.breakpoints[-1], QExt)
+    assert irrational >= 40
+
+
+def test_build_polygon_decides_no_quadratic_arithmetic(pipeline_boundaries, monkeypatch):
+    # slopes are rational, so turns need no Q(sqrt(d)) arithmetic; the one
+    # order decision directions cannot make is alpha(mu) <= beta(mu)
+    arithmetic = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse")
+    counted = arithmetic + ("sign", "_cmp")
+    calls = dict.fromkeys(counted, 0)
+
+    def counting(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(QExt, name, counting(name, getattr(QExt, name)))
+    irrational = [(a, b) for a, b in pipeline_boundaries if isinstance(a.breakpoints[-1], QExt)]
+    assert len(irrational) >= 40
+    for alpha, beta in irrational:
+        calls.update(dict.fromkeys(counted, 0))
+        build_polygon(alpha, beta)
+        assert {n: calls[n] for n in arithmetic} == dict.fromkeys(arithmetic, 0)
+        assert calls["_cmp"] <= 1 and calls["sign"] <= calls["_cmp"]
+
+
+def test_build_polygon_matches_cross_products_on_degenerate_boundaries():
+    # slopes in any order: the outcomes include reflex vertices, collapsed
+    # polygons and collinear edges of opposite directions
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(400):
+        xs = (0, *sorted({Fraction(rng.randrange(1, 8), 2) for _ in range(rng.randrange(4))}), 4)
+        slopes = [Fraction(rng.randrange(-2, 3)) for _ in range(len(xs) - 1)]
+        alpha = _pl(xs, 0, slopes)
+        beta = _pl(xs, 0, [m + rng.choice([0, 0, 1, -1]) for m in slopes])
+        lift = max(_at(alpha, t) - _at(beta, t) for t in xs)
+        beta = PiecewiseLinear(xs, tuple(v + lift for v in beta.values))
+        outcome = _outcome(build_polygon, alpha, beta)
+        assert outcome == _outcome(_cross_product_polygon, alpha, beta)
+        seen.add("polygon" if isinstance(outcome, OkPolygon) else outcome[1])
+    assert seen == {
+        "polygon",
+        "polygon is not strictly convex counterclockwise",
+        "polygon degenerated to fewer than three vertices",
+    }
+
+
+def test_build_polygon_merges_opposite_directions_from_the_points(monkeypatch):
+    # beta meets alpha along the last piece, so the lower edge into (2, 1)
+    # and the upper edge out of it run in opposite directions along one line
+    edges = []
+    edge = polygon_module._edge
+    monkeypatch.setattr(polygon_module, "_edge", lambda a, b: edges.append((a, b)) or edge(a, b))
+    alpha, beta = _pl((0, 1, 2), 0, (0, 1)), _pl((0, 1, 2), 2, (-2, 1))
+    poly = build_polygon(alpha, beta)
+    assert edges
+    assert poly == _cross_product_polygon(alpha, beta)
+    assert poly.vertices == ((0, 0), (1, 0), (0, 2))

@@ -106,6 +106,41 @@ def test_trichotomy_and_division(d, data):
         assert (a / b) * b == a
 
 
+def exact_values(d):
+    """A QExt of radicand d, or a rational as a QExt, Fraction or int."""
+    return st.one_of(
+        qexts(d),
+        rationals.map(QExt),
+        rationals,
+        st.integers(-50, 50),
+    )
+
+
+@given(d=radicands, data=st.data())
+@settings(max_examples=300)
+def test_equality_by_components_agrees_with_the_order(d, data):
+    # __eq__ compares components; _cmp takes the sign of the difference
+    a = data.draw(qexts(d))
+    b = data.draw(exact_values(d))
+    if data.draw(st.booleans()):
+        b = a * 2 - a  # an equal value, built by arithmetic
+    assert (a == b) is (a._cmp(b) == 0)
+    assert (b == a) is (a == b)
+    assert (a != b) is (b != a) is (a._cmp(b) != 0)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(data=st.data())
+@settings(max_examples=100)
+def test_equality_rejects_mixed_radicands(data):
+    a = data.draw(qexts(2).filter(lambda x: not x.is_rational))
+    b = data.draw(qexts(3).filter(lambda x: not x.is_rational))
+    for op in (operator.eq, operator.ne):
+        with pytest.raises(InputError, match="mixed quadratic radicands"):
+            op(a, b)
+
+
 def test_sorting_mixed_types():
     vals = [QExt(0, 1, 2), Fraction(1), QExt(3), Fraction(-1, 2)]
     assert sorted(vals) == [Fraction(-1, 2), Fraction(1), QExt(0, 1, 2), QExt(3)]
