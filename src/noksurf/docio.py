@@ -116,12 +116,12 @@ def parse_surface(doc: dict) -> SurfaceModel:
     return SurfaceModel(rank, rows, curves, wit)
 
 
-def parse_divisor(doc: dict, model: SurfaceModel, key: str = "divisor") -> DivisorClass:
-    vec = _expect(doc, key, "document")
+def parse_divisor(doc: dict, model: SurfaceModel) -> DivisorClass:
+    vec = _expect(doc, "divisor", "document")
     if not isinstance(vec, list) or len(vec) != model.rank:
-        raise InputError(f"{key}: must be a list of {model.rank} rationals")
+        raise InputError(f"divisor: must be a list of {model.rank} rationals")
     return DivisorClass(
-        [parse_rational(x, f"{key}[{i}]") for i, x in enumerate(vec)]
+        [parse_rational(x, f"divisor[{i}]") for i, x in enumerate(vec)]
     )
 
 

@@ -259,7 +259,7 @@ def sorted_labels(model: SurfaceModel, labels, what: str) -> list[str]:
     return out
 
 
-def subtract_curves(model: SurfaceModel, v, terms, den: int = 1) -> DivisorClass:
+def subtract_curves(model: SurfaceModel, v, terms, den: int) -> DivisorClass:
     """v - (sum x_l*C_l)/den over the (label, x_l) pairs in `terms`, den > 0,
     in one pass over the curves' integer classes; with integer x_l every
     sum is a Python int over the one denominator."""

@@ -81,25 +81,6 @@ class PiecewiseLinear:
     def slopes(self) -> tuple:
         return self._slopes
 
-    def value_at(self, t):
-        xs = self.breakpoints
-        if t < xs[0] or t > xs[-1]:
-            raise InputError("argument outside the function's domain")
-        i = 0
-        while t > xs[i + 1]:
-            i += 1
-        return self.values[i] + self._slopes[i] * (t - xs[i])
-
-    def integral(self):
-        """Exact integral over the whole domain (trapezoid per piece)."""
-        total = Fraction(0)
-        for (x0, x1), (y0, y1) in zip(
-            zip(self.breakpoints, self.breakpoints[1:]),
-            zip(self.values, self.values[1:]),
-        ):
-            total = total + (y0 + y1) * (x1 - x0) / 2
-        return total
-
     def is_convex(self) -> bool:
         s = self._slopes
         return all(a <= b for a, b in zip(s, s[1:]))
@@ -192,33 +173,10 @@ def _edge(a, b):
     return (b[0] - a[0], b[1] - a[1])
 
 
-def _boundary_rows(alpha: PiecewiseLinear, beta: PiecewiseLinear):
-    """[(t, alpha(t), beta(t), alpha slope, beta slope)] at every breakpoint
-    of either function, in one left-to-right sweep; value_at fills in a
-    breakpoint the other function lacks.  The slopes are those of the
-    interval that starts at t (None at the right end)."""
-    xa, xb = alpha.breakpoints, beta.breakpoints
-    sa, sb = alpha._slopes + (None,), beta._slopes + (None,)
-    i = j = 0
-    out = []
-    while i < len(xa) or j < len(xb):
-        if i < len(xa) and j < len(xb) and xa[i] == xb[j]:
-            row = (xa[i], alpha.values[i], beta.values[j])
-            i += 1
-            j += 1
-        elif j == len(xb) or (i < len(xa) and xa[i] < xb[j]):
-            row = (xa[i], alpha.values[i], beta.value_at(xa[i]))
-            i += 1
-        else:
-            row = (xb[j], alpha.value_at(xb[j]), beta.values[j])
-            j += 1
-        out.append((*row, sa[i - 1], sb[j - 1]))
-    return out
-
-
 def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
     """Assemble the region between alpha and beta into a convex tagged ccw polygon.
 
+    alpha and beta share their breakpoints, as alpha_beta builds them.
     Vertices run left to right along alpha, then right to left along beta,
     in one pass that merges repeated points (keeping both chains' flags)
     and drops collinear ones.  Turns come from edge directions: (1, m)
@@ -233,19 +191,19 @@ def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
     Each vertex is tagged by its position against nu and mu (the ends of
     alpha's domain) and by the boundary chains it lies on.
     """
-    rows = _boundary_rows(alpha, beta)
-    for t, a, b, _ma, _mb in rows:
+    xs = alpha.breakpoints
+    if beta.breakpoints != xs:
+        raise InputError("alpha and beta must share their breakpoints")
+    for t, a, b in zip(xs, alpha.values, beta.values):
         # at an irrational mu, the one order decision no direction makes
         if a > b:
             raise InternalError(f"lower boundary exceeds upper boundary at t = {t}")
-    # every point with its chain and the direction of the edge that reaches it
-    cycle = []
-    m = None
-    for t, a, _b, ma, _mb in rows:
-        cycle.append(((t, a), _LOWER, (1, m)))
-        m = ma
-    for t, _a, b, _ma, mb in reversed(rows):
-        cycle.append(((t, b), _UPPER, (0, 1) if mb is None else (-1, -mb)))
+    # every point with its chain and the direction of the edge that reaches
+    # it: along alpha the piece ending at t, along beta the piece starting at t
+    lower = zip(xs, alpha.values, (None, *alpha._slopes))
+    upper = list(zip(xs, beta.values, (*beta._slopes, None)))
+    cycle = [((t, a), _LOWER, (1, m)) for t, a, m in lower]
+    cycle += [((t, b), _UPPER, (0, 1) if m is None else (-1, -m)) for t, b, m in reversed(upper)]
 
     pts: list = []
     chains: list[int] = []  # _LOWER | _UPPER bits per point
@@ -276,7 +234,7 @@ def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
         if _turn(dirs[i - 1], dirs[i]) <= 0:
             raise InternalError("polygon is not strictly convex counterclockwise")
 
-    t_nu, t_mu = alpha.breakpoints[0], alpha.breakpoints[-1]
+    t_nu, t_mu = xs[0], xs[-1]
     tags = []
     for (t, _s), chain in zip(pts, chains):
         position = "leftmost" if t == t_nu else "rightmost" if t == t_mu else "interior"
@@ -410,11 +368,11 @@ def side_lengths(polygon: OkPolygon) -> list[Side]:
 
 
 def leftmost_vertical_length(polygon: OkPolygon):
-    """Length of the leftmost vertical side (0 when the polygon has a single
-    leftmost vertex)."""
-    t_min = min(v[0] for v in polygon.vertices)
-    svals = [v[1] for v in polygon.vertices if v[0] == t_min]
-    return max(svals) - min(svals)
+    """Length of the vertical side at nu: build_polygon puts (nu, alpha(nu))
+    first and (nu, beta(nu)) last when beta(nu) > alpha(nu), else the
+    polygon has a single leftmost vertex and the length is 0."""
+    vs = polygon.vertices
+    return vs[-1][1] - vs[0][1] if vs[-1][0] == vs[0][0] else Fraction(0)
 
 
 def leftmost_side_check(model: SurfaceModel, profile: RayProfile):

@@ -18,7 +18,6 @@ from math import sqrt as _float_sqrt
 from .errors import InputError
 from .intmath import squarefree_part
 
-Rat = Fraction
 _ZERO = Fraction(0)
 
 
@@ -74,20 +73,6 @@ class QExt:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("QExt is immutable")
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise InputError(f"{self} is irrational")
-        return self.p
-
-    def conjugate(self):
-        return QExt._of(self.p, -self.q, self.d)
 
     # -- coercion ----------------------------------------------------------
 

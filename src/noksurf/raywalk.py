@@ -43,10 +43,6 @@ class Segment:
     f0: Fraction  # P_0.F
     fslope: Fraction  # p1.F
 
-    def coefficient_at(self, label: str, t):
-        a0, a1 = self.coeffs[label]
-        return a0 + a1 * t
-
 
 @dataclass(frozen=True)
 class RayProfile:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import ModelError
@@ -38,12 +37,6 @@ class ZariskiResult:
     coeffs: dict[str, Fraction] = field(compare=False)
     positive_part: DivisorClass = field(compare=False)
     scaled_pairings: tuple[int, dict[str, int]] = field(compare=False, repr=False)
-
-    def negative_part(self, model: SurfaceModel) -> DivisorClass:
-        """sum a_l*C_l, as integer numerators over the coefficients' lcm."""
-        den = lcm(*(a.denominator for a in self.coeffs.values()))
-        terms = ((l, -a.numerator * (den // a.denominator)) for l, a in self.coeffs.items())
-        return subtract_curves(model, [0] * model.rank, terms, den)
 
     def coefficient(self, label: str) -> Fraction:
         return self.coeffs.get(label, Fraction(0))

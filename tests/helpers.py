@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's own algorithms: the
 half-plane oracle enumerates all line pairs, the inertia oracles use leading
 principal minors or the characteristic polynomial, linear systems are
 checked against a plain Fraction Gauss-Jordan, areas come from a direct
-shoelace.  The corpus generator builds genuinely geometric models (iterated
-blowups in generic or infinitely-near position, plus lines through pairs of
-distinct base points), so every classified theorem must hold on it.
+shoelace or from integrating the boundary functions.  The corpus generator
+builds genuinely geometric models (iterated blowups in generic or
+infinitely-near position, plus lines through pairs of distinct base
+points), so every classified theorem must hold on it.
 """
 from __future__ import annotations
 
@@ -32,6 +33,17 @@ def shoelace2(points) -> Fraction:
     total = Fraction(0)
     for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
         total += Fraction(x0) * Fraction(y1) - Fraction(x1) * Fraction(y0)
+    return total
+
+
+def integral(f) -> Fraction:
+    """Exact integral of a PiecewiseLinear over its domain, one trapezoid
+    per piece; the area law checks it against twice the width's integral
+    without sharing the polygon's shoelace."""
+    xs, ys = f.breakpoints, f.values
+    total = Fraction(0)
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        total = total + (y0 + y1) * (x1 - x0) / 2
     return total
 
 
@@ -242,9 +254,10 @@ def _forest_curves(rng: random.Random, rho: int):
     for i, j in combinations(roots, 2):
         cls = [0] * rho
         cls[0], cls[i], cls[j] = 1, -1, -1
-        lines.append(CurveRecord(f"L{i}{j}", tuple(cls)))
+        lines.append(CurveRecord(f"L{i}_{j}", tuple(cls)))
     rng.shuffle(lines)
     curves.extend(lines[: rng.randrange(len(lines) + 1)])
+    assert len({c.label for c in curves}) == len(curves), "forest labels collide"
     # multiplicities m_i = descendants + 1 make the witness pair to 1 with
     # every node; lines then need H-coefficient above any m_i + m_j
     desc = {i: 0 for i in range(1, npts + 1)}
@@ -351,6 +364,24 @@ def forest_case(rng: random.Random, rho: int, index: int = 0) -> Case:
         candidates,
         not big_not_nef,
     )
+
+
+def case_document(case: Case) -> dict:
+    """A corpus case as a schema-1 `polygon` document."""
+    model = case.model
+    flag = case.flag if isinstance(case.flag, str) else [str(x) for x in case.flag]
+    return {
+        "schema": 1,
+        "surface": {
+            "rank": model.rank,
+            "matrix": [list(row) for row in model.gram],
+            "curves": [{"label": c.label, "class": list(c.cls)} for c in model.curves],
+            "ample_witness": [str(x) for x in model.ample_witness],
+        },
+        "divisor": [str(x) for x in case.divisor],
+        "flag": {"curve": flag, "local_mult": dict(case.spec.local_mult)},
+        "candidates": list(case.candidates),
+    }
 
 
 def corpus(seed: int, count: int) -> list[Case]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import corpus, forest_corpus
+from helpers import corpus, forest_corpus, integral
 from noksurf import (
     CurveRecord,
     DivisorClass,
@@ -147,7 +147,7 @@ def test_criterion_5_area_law(corpus_runs):
         p0 = zariski_decompose(case.model, case.divisor, cands).positive_part
         p0sq = pair(case.model, p0, p0)
         assert polygon_area2(poly) == p0sq
-        assert 2 * as_exact(beta.integral() - alpha.integral()) == p0sq
+        assert 2 * as_exact(integral(beta) - integral(alpha)) == p0sq
         assert alpha.is_convex() and alpha.is_nondecreasing()
         assert beta.is_concave()
     print(

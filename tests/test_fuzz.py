@@ -1,5 +1,10 @@
 """Document fuzzer: one field of a case document set to a hostile value.
 
+The documents are the cases, each with every command it has an expected
+output for, and one rank-16 forest model as a `polygon` document, so the
+checks are also exercised at a rank the benchmark runs.  The rank-16
+document has a test of its own, so that it gets a fixed number of examples.
+
 Every command must end in a documented exit code (0, 2 or 3) within a time
 cap and never print a traceback.  Each document runs in its own
 interpreter, so a crash, a hang or a leak cannot hide behind the previous
@@ -7,6 +12,7 @@ one.
 """
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +21,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import noksurf
+from helpers import case_document, forest_case
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 SRC = str(Path(noksurf.__file__).resolve().parent.parent)
 
-# (case stem, command) for every expected output
-COMMANDS = sorted(tuple(p.name.split(".")[:2]) for p in (CASES_DIR / "expected").glob("*.json"))
+# (command, document text) for every expected output
+CASES = [
+    (command, (CASES_DIR / f"{stem}.json").read_text())
+    for stem, command in sorted(
+        tuple(p.name.split(".")[:2]) for p in (CASES_DIR / "expected").glob("*.json")
+    )
+]
+RANK16 = [("polygon", json.dumps(case_document(forest_case(random.Random(16), 16))))]
 
 DEEP = "deep nesting"  # replaced by 10**5 nested lists when the document is written
 BAD_VALUES = [True, False, 1.5, "1e3", "", [], {}, None, 10**30, -(10**30), 0, -1, "1/0", DEEP]
@@ -40,9 +53,9 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def mutated_documents(draw):
-    stem, command = draw(st.sampled_from(COMMANDS))
-    doc = json.loads((CASES_DIR / f"{stem}.json").read_text())
+def mutated_documents(draw, pool):
+    command, original = draw(st.sampled_from(pool))
+    doc = json.loads(original)
     path = draw(st.sampled_from(list(_paths(doc))))
     value = draw(st.sampled_from(BAD_VALUES))
     parent = doc
@@ -53,15 +66,29 @@ def mutated_documents(draw):
     return command, path, value, text
 
 
-@given(mutated_documents())
-@settings(
-    max_examples=40,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-)
+def fuzz_settings(examples):
+    return settings(
+        max_examples=examples,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+
+
+@given(mutated_documents(CASES))
+@fuzz_settings(40)
 def test_mutated_document_exits_cleanly(tmp_path, mutation):
+    _exits_cleanly(tmp_path, mutation)
+
+
+@given(mutated_documents(RANK16))
+@fuzz_settings(10)
+def test_mutated_rank16_document_exits_cleanly(tmp_path, mutation):
+    _exits_cleanly(tmp_path, mutation)
+
+
+def _exits_cleanly(tmp_path, mutation):
     command, path, value, text = mutation
     doc = tmp_path / "mutated.json"
     doc.write_text(text)

@@ -18,29 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import corpus, forest_corpus, gauss_jordan, random_unimodular
+from helpers import case_document, corpus, forest_corpus, gauss_jordan, random_unimodular
 from noksurf.cli import main
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 POLYGON_CASES = ["ex1_on_point", "ex1_off_point", "ex2_negative_flag", "ex3_tight", "p2_cubic"]
-
-
-def _case_document(case) -> dict:
-    """A corpus case as a schema-1 `polygon` document."""
-    model = case.model
-    flag = case.flag if isinstance(case.flag, str) else [str(x) for x in case.flag]
-    return {
-        "schema": 1,
-        "surface": {
-            "rank": model.rank,
-            "matrix": [list(row) for row in model.gram],
-            "curves": [{"label": c.label, "class": list(c.cls)} for c in model.curves],
-            "ample_witness": [str(x) for x in model.ample_witness],
-        },
-        "divisor": [str(x) for x in case.divisor],
-        "flag": {"curve": flag, "local_mult": dict(case.spec.local_mult)},
-        "candidates": list(case.candidates),
-    }
 
 
 def _documents() -> list[tuple[str, dict]]:
@@ -50,7 +32,7 @@ def _documents() -> list[tuple[str, dict]]:
         + forest_corpus(seed=808, count=3, rho=8)
         + forest_corpus(seed=1616, count=2, rho=16)
     )
-    return docs + [(case.name, _case_document(case)) for case in cases]
+    return docs + [(case.name, case_document(case)) for case in cases]
 
 
 DOCUMENTS = _documents()

@@ -5,7 +5,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from helpers import _between_any, corpus, forest_case
+from helpers import _between_any, corpus, forest_case, integral
 from noksurf import (
     CurveRecord,
     DivisorClass,
@@ -141,12 +141,12 @@ def test_beta_remark_identity():
         for seg in prof.segments:
             for t in (seg.t_lo, seg.t_hi):
                 nt_c = sum(
-                    (seg.coefficient_at(l, t) * pair(BL1, BL1.class_of(l), cls)
-                     for l in seg.support),
+                    ((a0 + a1 * t) * pair(BL1, BL1.class_of(l), cls)
+                     for l, (a0, a1) in seg.coeffs.items()),
                     Fraction(0),
                 )
-                lhs = beta.value_at(t)
-                rhs = dc - t * csq - (nt_c - alpha.value_at(t))
+                lhs = _at(beta, t)
+                rhs = dc - t * csq - (nt_c - _at(alpha, t))
                 assert lhs == rhs
 
 
@@ -263,9 +263,9 @@ def test_alpha_beta_rejects_mismatched_flag():
 def test_piecewise_linear_basics():
     f = PiecewiseLinear((0, 1, 3), (0, 2, 2))
     assert f.slopes() == (2, 0)
-    assert f.value_at(Fraction(1, 2)) == 1
-    assert f.value_at(2) == 2
-    assert f.integral() == 1 + 4
+    assert _at(f, Fraction(1, 2)) == 1
+    assert _at(f, 2) == 2
+    assert integral(f) == 1 + 4
     assert f.is_convex() is False
     assert f.is_concave() is True
     with pytest.raises(InputError):
@@ -296,6 +296,13 @@ def _at(f, t):
     return ys[i] + (ys[i + 1] - ys[i]) * (t - xs[i]) / (xs[i + 1] - xs[i])
 
 
+def _one_grid(alpha, beta):
+    """alpha and beta rebuilt on the union of their breakpoints, the one
+    grid build_polygon takes; the region between them is the same."""
+    ts = tuple(sorted(set(alpha.breakpoints) | set(beta.breakpoints)))
+    return tuple(PiecewiseLinear(ts, tuple(_at(f, t) for t in ts)) for f in (alpha, beta))
+
+
 def _hull_oracle(alpha, beta):
     """Vertices and tags of the region between alpha and beta without the
     library's chain pass: the candidates are both graphs at every breakpoint
@@ -323,15 +330,15 @@ def _hull_oracle(alpha, beta):
 
 MU_IRRATIONAL = QExt(1, Fraction(1, 2), 2)  # 1 + sqrt(2)/2
 HAND_BUILT = {
-    "differing-breakpoints": (_pl((0, 1, 3), 0, (0, 1)), _pl((0, 2, 3), 4, (0, -2))),
+    "differing-breakpoints": _one_grid(_pl((0, 1, 3), 0, (0, 1)), _pl((0, 2, 3), 4, (0, -2))),
     "collinear-runs": (
         _pl((0, 1, 2, 3, 4), 0, (0, 0, 1, 1)),
         _pl((0, 1, 2, 3, 4), 6, (0, 0, -1, -1)),
     ),
-    "touch-at-nu": (_pl((0, 2), 1, (0,)), _pl((0, 1, 2), 1, (2, -1))),
-    "touch-at-mu": (_pl((0, 1, 2), 0, (0, 2)), _pl((0, 2), 4, (-1,))),
+    "touch-at-nu": _one_grid(_pl((0, 2), 1, (0,)), _pl((0, 1, 2), 1, (2, -1))),
+    "touch-at-mu": _one_grid(_pl((0, 1, 2), 0, (0, 2)), _pl((0, 2), 4, (-1,))),
     "touch-at-both": (_pl((0, 1, 2), 0, (0, 1)), _pl((0, 1, 2), 0, (2, -1))),
-    "irrational-mu": (
+    "irrational-mu": _one_grid(
         _pl((0, 1, MU_IRRATIONAL), 0, (0, 1)),
         _pl((0, Fraction(1, 2), MU_IRRATIONAL), 3, (0, -1)),
     ),
@@ -358,12 +365,12 @@ def test_build_polygon_differing_breakpoints_by_hand():
 
 
 def _random_boundaries(seed, count, radicands=()):
-    """Convex alpha and concave beta on independent breakpoint sets with
-    repeated slopes; beta is lifted to touch alpha (necessarily at nu or
-    mu, where the concave beta - alpha is smallest) or to clear it.  With
-    radicands, mu is p + q*sqrt(d) for one of them, past every rational
-    breakpoint, and a touch at mu lifts beta by an irrational amount.
-    Boundaries with no area are left out: that case is tested on its own."""
+    """Convex alpha and concave beta drawn on independent breakpoint sets
+    with repeated slopes and rebuilt on their union; beta is lifted to touch
+    alpha (necessarily at nu or mu, where the concave beta - alpha is
+    smallest) or to clear it.  With radicands, mu is p + q*sqrt(d) for one
+    of them, past every rational breakpoint, and a touch at mu lifts beta
+    by an irrational amount.  Boundaries with no area are left out: that case is tested on its own."""
     rng = random.Random(seed)
     for _ in range(count):
         top = mu_ = Fraction(rng.randrange(1, 9), rng.choice([1, 2, 3]))
@@ -387,7 +394,7 @@ def _random_boundaries(seed, count, radicands=()):
         beta = PiecewiseLinear(beta.breakpoints, tuple(v + lift for v in beta.values))
         if all(_at(alpha, t) == _at(beta, t) for t in ts):
             continue
-        yield alpha, beta
+        yield _one_grid(alpha, beta)
 
 
 def test_build_polygon_matches_hull_oracle_on_random_boundaries():
@@ -405,11 +412,11 @@ def test_build_polygon_error_messages():
         build_polygon(line, line)
     # a concave alpha under a flat beta leaves a reflex vertex at t = 1
     with pytest.raises(InternalError, match="^polygon is not strictly convex counterclockwise$"):
-        build_polygon(_pl((0, 1, 2), 0, (2, -2)), _pl((0, 2), 3, (0,)))
+        build_polygon(*_one_grid(_pl((0, 1, 2), 0, (2, -2)), _pl((0, 2), 3, (0,))))
     with pytest.raises(InternalError, match="^lower boundary exceeds upper boundary at t = 1$"):
-        build_polygon(_pl((0, 1, 2), 0, (2, -2)), _pl((0, 2), 1, (0,)))
-    with pytest.raises(InputError, match="outside the function's domain"):
-        build_polygon(_pl((0, 2), 0, (0,)), _pl((0, 1, 3), 1, (0, 0)))
+        build_polygon(*_one_grid(_pl((0, 1, 2), 0, (2, -2)), _pl((0, 2), 1, (0,))))
+    with pytest.raises(InputError, match="^alpha and beta must share their breakpoints$"):
+        build_polygon(_pl((0, 1, 3), 0, (0, 1)), _pl((0, 2, 3), 4, (0, -2)))
 
 
 # -- build_polygon against the point cross-product pass ------------------------
@@ -422,20 +429,8 @@ def _cross(o, a, b):
 def _cross_product_polygon(alpha, beta):
     """The chain pass of build_polygon with every turn decided by a cross
     product of points, which computes in Q(sqrt(d)) at an irrational mu."""
-    xa, xb = alpha.breakpoints, beta.breakpoints
-    i = j = 0
-    rows = []
-    while i < len(xa) or j < len(xb):
-        if i < len(xa) and j < len(xb) and xa[i] == xb[j]:
-            rows.append((xa[i], alpha.values[i], beta.values[j]))
-            i += 1
-            j += 1
-        elif j == len(xb) or (i < len(xa) and xa[i] < xb[j]):
-            rows.append((xa[i], alpha.values[i], beta.value_at(xa[i])))
-            i += 1
-        else:
-            rows.append((xb[j], alpha.value_at(xb[j]), beta.values[j]))
-            j += 1
+    assert alpha.breakpoints == beta.breakpoints
+    rows = list(zip(alpha.breakpoints, alpha.values, beta.values))
     for t, a, b in rows:
         if a > b:
             raise InternalError(f"lower boundary exceeds upper boundary at t = {t}")
@@ -495,7 +490,7 @@ def _tent_boundaries(seed, count):
         xs = (0, *inner, mu_)
         alpha = PiecewiseLinear((0, mu_), (a0, a0 + m * mu_))
         beta = PiecewiseLinear(xs, (a0, *(a0 + (m + h) * t for t in inner), a0 + m * mu_))
-        yield alpha, beta
+        yield _one_grid(alpha, beta)
 
 
 @pytest.fixture(scope="module")
@@ -596,3 +591,20 @@ def test_build_polygon_merges_opposite_directions_from_the_points(monkeypatch):
     assert edges
     assert poly == _cross_product_polygon(alpha, beta)
     assert poly.vertices == ((0, 0), (1, 0), (0, 2))
+
+
+def _leftmost_side_by_min(polygon):
+    """The vertical side at the smallest abscissa, found by comparing every
+    vertex's abscissa."""
+    t_min = min(v[0] for v in polygon.vertices)
+    svals = [v[1] for v in polygon.vertices if v[0] == t_min]
+    return max(svals) - min(svals)
+
+
+def test_leftmost_vertical_length_matches_min_oracle(pipeline_boundaries):
+    boundaries = pipeline_boundaries + list(HAND_BUILT.values())
+    boundaries += list(_random_boundaries(11, 100, radicands=(2, 3, 5)))
+    for alpha, beta in boundaries:
+        poly = build_polygon(alpha, beta)
+        assert poly.vertices[0] == (alpha.breakpoints[0], alpha.values[0])
+        assert leftmost_vertical_length(poly) == _leftmost_side_by_min(poly)

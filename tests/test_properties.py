@@ -5,11 +5,12 @@ statements (area law, convexity, vertex bounds, predictor agreement,
 rightmost counts, relative-part monotonicity) must hold exactly; any
 failure here is a library bug, not noise.
 """
+import random
 from itertools import combinations
 
 import pytest
 
-from helpers import Case, corpus
+from helpers import Case, _forest_curves, corpus, integral
 from noksurf import (
     alpha_beta,
     build_polygon,
@@ -43,6 +44,16 @@ def pipeline_results():
     return out
 
 
+@pytest.mark.parametrize("rho", [128, 192])
+def test_forest_line_labels_are_distinct(rho):
+    # labels only, so no model is built at these ranks; a label without a
+    # separator between the two point indices collides here (L3185)
+    for seed in range(8):
+        curves, _witness = _forest_curves(random.Random(seed), rho)
+        labels = [c.label for c in curves]
+        assert len(set(labels)) == len(labels), (rho, seed)
+
+
 def test_area_law(pipeline_results):
     for case, profile, alpha, beta, polygon in pipeline_results:
         cands = list(case.candidates)
@@ -53,7 +64,7 @@ def test_area_law(pipeline_results):
         area2 = polygon_area2(polygon)
         assert area2 == p0sq, case.name
         # and the exact integral of the width agrees
-        diff_int = as_exact(beta.integral() - alpha.integral())
+        diff_int = as_exact(integral(beta) - integral(alpha))
         assert 2 * diff_int == p0sq, case.name
 
 

@@ -48,7 +48,10 @@ def test_a2_chain_example():
     dec = zariski_decompose(A2, d, ["C1", "C2"])
     assert dec.coeffs == {"C1": Fraction(2, 3), "C2": Fraction(1, 3)}
     assert dec.positive_part == DivisorClass((2, 0, 0))
-    assert dec.negative_part(A2) == d - dec.positive_part
+    negative = DivisorClass((0, 0, 0))
+    for l, a in dec.coeffs.items():
+        negative = negative + A2.class_of(l).scale(a)
+    assert negative == d - dec.positive_part
 
 
 def test_inconsistent_candidates_raise():
