@@ -81,7 +81,13 @@ def _polygon_payload(model, doc) -> tuple[dict, object]:
     predictions = predict_interior_vertices(model, profile, spec)
     right = rightmost_count(model, profile)
     bounds = vertex_bound_check(model, polygon, profile, spec)
-    area2 = polygon_area2(polygon)
+    # by the area law twice the area is vol(D); the shoelace certifies it
+    area2 = profile.volume
+    shoelace = polygon_area2(polygon)
+    if shoelace != area2:
+        raise InternalError(
+            f"twice the polygon area {fmt(shoelace)} disagrees with vol(D) = {fmt(area2)}"
+        )
     left_len = leftmost_vertical_length(polygon)
     left_check = leftmost_side_check(model, profile)
     if left_len != left_check:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import InputError, InternalError, ModelError, TheoremViolation
@@ -58,7 +59,8 @@ class FlagSpec:
 @dataclass(frozen=True)
 class PiecewiseLinear:
     """Continuous piecewise affine function given by breakpoint/value pairs;
-    the slope of every piece is computed once, at construction."""
+    the public constructor checks them and computes the slope of every
+    piece once."""
 
     breakpoints: tuple
     values: tuple
@@ -78,6 +80,17 @@ class PiecewiseLinear:
         object.__setattr__(self, "values", ys)
         object.__setattr__(self, "_slopes", tuple(slopes))
 
+    @classmethod
+    def _of(cls, breakpoints: tuple, values: tuple, slopes: tuple):
+        """A function whose exact, strictly increasing breakpoints, values
+        and slopes its caller has certified, as alpha_beta's walk has;
+        skips the checks and the division of __init__."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "breakpoints", breakpoints)
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "_slopes", slopes)
+        return out
+
     def slopes(self) -> tuple:
         return self._slopes
 
@@ -91,6 +104,19 @@ class PiecewiseLinear:
 
     def is_nondecreasing(self) -> bool:
         return all(s >= 0 for s in self._slopes)
+
+
+def _value(n0, n1, den, t):
+    """(n0 + n1*t)/den for integers n0, n1, den: one Fraction at a rational
+    t, one QExt from the components at an irrational mu."""
+    if type(t) is Fraction:
+        return Fraction(n0 * t.denominator + n1 * t.numerator, den * t.denominator)
+    p, q = t.p, t.q
+    return QExt._of(
+        Fraction(n0 * p.denominator + n1 * p.numerator, den * p.denominator),
+        Fraction(n1 * q.numerator, den * q.denominator),
+        t.d,
+    )
 
 
 def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
@@ -108,30 +134,34 @@ def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
         if label is not None and label in seg.support:
             raise ModelError("flag curve appears in the moving support")
 
+    # alpha = (A0 + A1*t)/e and beta = (B0 + B1*t)/(e*w) on each chamber,
+    # from the chamber's integers
     breakpoints = [profile.segments[0].t_lo]
-    alpha_vals = []
-    beta_vals = []
-    prev_alpha = prev_beta = None
+    alpha_vals, beta_vals, alpha_slopes, beta_slopes = [], [], [], []
     for seg in profile.segments:
-        a0 = sum((seg.coeffs[l][0] * flag.mult(l) for l in seg.support), Fraction(0))
-        a1 = sum((seg.coeffs[l][1] * flag.mult(l) for l in seg.support), Fraction(0))
-        b0 = a0 + seg.f0
-        b1 = a1 + seg.fslope
-        lo, hi = seg.t_lo, seg.t_hi
-        alo, ahi = a0 + a1 * lo, a0 + a1 * hi
-        blo, bhi = b0 + b1 * lo, b0 + b1 * hi
-        if prev_alpha is not None and (prev_alpha != alo or prev_beta != blo):
-            raise InternalError("boundary functions are discontinuous at a wall")
-        if prev_alpha is None:
+        e, w, nums, f0, fslope = seg.numerators
+        a0 = a1 = 0
+        for l, (x0, x1) in nums.items():
+            m = flag.mult(l)
+            a0 += x0 * m
+            a1 += x1 * m
+        ew = e * w
+        b0, b1 = a0 * w + f0, a1 * w + fslope
+        alo, blo = _value(a0, a1, e, seg.t_lo), _value(b0, b1, ew, seg.t_lo)
+        if not alpha_vals:
             alpha_vals.append(alo)
             beta_vals.append(blo)
-        breakpoints.append(hi)
-        alpha_vals.append(ahi)
-        beta_vals.append(bhi)
-        prev_alpha, prev_beta = ahi, bhi
+        elif alpha_vals[-1] != alo or beta_vals[-1] != blo:
+            raise InternalError("boundary functions are discontinuous at a wall")
+        breakpoints.append(seg.t_hi)
+        alpha_vals.append(_value(a0, a1, e, seg.t_hi))
+        beta_vals.append(_value(b0, b1, ew, seg.t_hi))
+        alpha_slopes.append(Fraction(a1, e))
+        beta_slopes.append(Fraction(b1, ew))
 
-    alpha = PiecewiseLinear(tuple(breakpoints), tuple(alpha_vals))
-    beta = PiecewiseLinear(tuple(breakpoints), tuple(beta_vals))
+    breakpoints = tuple(breakpoints)
+    alpha = PiecewiseLinear._of(breakpoints, tuple(alpha_vals), tuple(alpha_slopes))
+    beta = PiecewiseLinear._of(breakpoints, tuple(beta_vals), tuple(beta_slopes))
     if not (alpha.is_convex() and alpha.is_nondecreasing()):
         raise ModelError("lower boundary is not convex nondecreasing; inconsistent model data")
     if not beta.is_concave():
@@ -243,14 +273,27 @@ def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
 
 
 def polygon_area2(polygon: OkPolygon):
-    """Twice the area by the shoelace sum, exact."""
-    total = Fraction(0)
-    vs = polygon.vertices
-    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-        total = total + (x0 * y1 - x1 * y0)
-    if isinstance(total, QExt):
+    """Twice the area by the shoelace sum, exact and in integers: every
+    coordinate p + q*sqrt(d) goes over one common denominator L, so the sum
+    is (r + i*sqrt(d))/L^2 for integers r and i, and i must vanish."""
+    coords = [x for pt in polygon.vertices for x in pt]
+    radicands = {x.d for x in coords if type(x) is QExt}
+    if len(radicands) > 1:
+        raise InputError(f"mixed quadratic radicands in the polygon: {sorted(radicands)}")
+    d = radicands.pop() if radicands else 0
+    # (p, q) of every coordinate, x and y alternating
+    comps = [(x.p, x.q) if type(x) is QExt else (x, 0) for x in coords]
+    den = lcm(*(c.denominator for pq in comps for c in pq))
+    ints = [tuple(c.numerator * (den // c.denominator) for c in pq) for pq in comps]
+    xs, ys = ints[0::2], ints[1::2]
+    rat = irr = 0
+    for (x0, u0), (y0, v0), (x1, u1), (y1, v1) in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        # (x0 + u0 r)(y1 + v1 r) - (x1 + u1 r)(y0 + v0 r) with r = sqrt(d)
+        rat += x0 * y1 - x1 * y0 + (u0 * v1 - u1 * v0) * d
+        irr += x0 * v1 + u0 * y1 - x1 * v0 - u1 * y0
+    if irr:
         raise InternalError("polygon area came out irrational")
-    return total
+    return Fraction(rat, den * den)
 
 
 # -- predictions and counts --------------------------------------------------
@@ -310,9 +353,15 @@ def rightmost_count(model: SurfaceModel, profile: RayProfile) -> RightmostReport
         list(model.class_of(l).coords) for l in profile.final_support()
     ]
     in_v = linalg.in_span(span, list(cls.coords))
-    last = profile.segments[-1]
-    width = last.f0 + profile.mu * last.fslope
-    observed = 1 if width == 0 else 2
+    # the width P_mu.F = (f0 + fslope*mu)/(e*w); at an irrational mu it
+    # vanishes only when both integers do
+    *_, f0, fslope = profile.segments[-1].numerators
+    mu = profile.mu
+    if type(mu) is Fraction:
+        touches = f0 * mu.denominator + fslope * mu.numerator == 0
+    else:
+        touches = f0 == fslope == 0
+    observed = 1 if touches else 2
     if in_v:
         return RightmostReport(1, True, observed, True)
     if is_model_ample(model, cls):

@@ -247,6 +247,8 @@ def as_exact(x):
 
 def format_exact(x) -> str:
     """Render a value exactly: "p/q" for rationals, "p+q*sqrt(d)" otherwise."""
+    if type(x) is Fraction:
+        return str(x)
     x = as_exact(x)
     if isinstance(x, Fraction):
         return str(x)

@@ -42,6 +42,9 @@ class Segment:
     coeffs: dict[str, tuple[Fraction, Fraction]]  # label -> (a0, a1)
     f0: Fraction  # P_0.F
     fslope: Fraction  # p1.F
+    # the same numbers in the walk's integers: (e, w, {l: (x0, x1)}, f0, fslope)
+    # with a_l(t) = (x0 + x1*t)/e and P_t.F = (f0 + fslope*t)/(e*w)
+    numerators: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,7 @@ class RayProfile:
     candidates: tuple[str, ...]
     decomposition: ZariskiResult  # of D itself, from which the walk starts
     flag_square: Fraction  # F^2
+    volume: Fraction  # vol(D) = P_D^2 = P_nu^2, twice the polygon's area
     # (w, {l: w*F.C_l}) for every candidate but the flag curve, in integers
     scaled_flag_pairings: tuple[int, dict[str, int]] = field(compare=False, repr=False)
 
@@ -122,11 +126,24 @@ class _Ray:
 
 
 def _at(q0, q1, t):
-    """q0 + t*q1 times t's denominator: in integers for a rational t, in
-    Q(sqrt d) at an irrational mu."""
+    """q0 + t*q1 times the denominator of a rational t, in integers."""
+    return q0 * t.denominator + t.numerator * q1
+
+
+def _sign(q0, q1, t):
+    """Sign of q0 + q1*t for a rational t, or for the root t = (a - sqrt(disc))/b
+    of a walk's exit given as the integers (a, b, disc), disc no square: then
+    b*(q0 + q1*t) = u - q1*sqrt(disc) with u = q0*b + q1*a, and the sign is
+    decided by comparing u^2 with q1^2*disc when the two terms compete."""
     if type(t) is Fraction:
-        return q0 * t.denominator + t.numerator * q1
-    return q0 + t * q1
+        v = _at(q0, q1, t)
+        return (v > 0) - (v < 0)
+    a, b, disc = t
+    u = q0 * b + q1 * a
+    s = (u > 0) - (u < 0)
+    if s == 0 or (s * q1 > 0 and u * u < q1 * q1 * disc):
+        s = (q1 < 0) - (q1 > 0)
+    return s if b > 0 else -s
 
 
 def _earliest_wall(outside, t):
@@ -144,11 +161,14 @@ def _earliest_wall(outside, t):
 
 
 def _missed_wall(outside, t_hi, wall):
-    """The first outside curve whose pairing is negative at the segment end,
-    or None.  Past the start some pairing is negative iff the end passes the
-    earliest wall, so an irrational mu is compared with `wall` alone."""
-    if type(t_hi) is Fraction or (wall is not None and t_hi > wall):
-        return next((l for l, q0, q1 in outside if _at(q0, q1, t_hi) < 0), None)
+    """The first outside curve whose pairing is negative at the segment end
+    (rational, or the integer root of `_sign`), or None.  Past the start some
+    pairing is negative iff the end passes the earliest wall, so an
+    irrational mu is compared with `wall` alone."""
+    if type(t_hi) is Fraction or (
+        wall is not None and _sign(-wall.numerator, wall.denominator, t_hi) > 0
+    ):
+        return next((l for l, q0, q1 in outside if _sign(q0, q1, t_hi) < 0), None)
     return None
 
 
@@ -279,9 +299,10 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     if flag_label is not None and flag_label in dec_nu.support:
         raise ModelError("flag curve still in the negative part at t = nu")
     p_nu = dec_nu.positive_part
+    volume = pair(model, p_nu, p_nu)
     # P^2 > 0 holds in both halves of the light cone; the ample witness
     # pairs positively with the half that holds the big classes
-    if pair(model, p_nu, p_nu) <= 0 or pair(model, p_nu, model._witness) <= 0:
+    if volume <= 0 or pair(model, p_nu, model._witness) <= 0:
         raise ModelError("divisor is not big against the model")
 
     ray = _Ray(
@@ -341,31 +362,36 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         if exits is None:
             raise ModelError("ray never exits big cone in model")
         ew = e * ray.w
+        # `end` is the segment end for the sign tests: t_hi when rational,
+        # else mu = (f0 - sqrt(disc))/-fslope as the integers of _sign
         if exits:
-            mu = t_hi = _exit_root(Fraction(p0sq, ew), Fraction(-f0, ew), Fraction(-fslope, ew))
-            if not mu > t_cur:
-                raise InternalError("the sign tests found an exit with no root")
+            mu = end = t_hi = _exit_root(
+                Fraction(p0sq, ew), Fraction(-f0, ew), Fraction(-fslope, ew)
+            )
             if isinstance(mu, QExt):
                 radicand = mu.d
+                end = (f0, -fslope, f0 * f0 + fslope * p0sq)
+            if _sign(-cn, cd, end) <= 0:
+                raise InternalError("the sign tests found an exit with no root")
         else:
-            t_hi = next_event
+            end = t_hi = next_event
 
         # flag monitor: its pairing must stay nonnegative up to the segment end
         fval = _at(f0, fslope, t_cur)
         if fval < 0 or (fval == 0 and fslope < 0):
             raise ModelError("flag curve pairs negatively along the ray; invalid model input")
-        if fslope < 0 and _at(f0, fslope, t_hi) < 0:
+        if fslope < 0 and _sign(f0, fslope, end) < 0:
             raise ModelError(
                 "flag curve enters the negative part inside the ray; invalid model input"
             )
 
         for l, (x0, x1) in nums.items():
-            if _at(x0, x1, t_hi) <= 0:
+            if _sign(x0, x1, end) <= 0:
                 raise ModelError(
                     f"support decreased; invalid model input (coefficient of {l!r} "
                     f"vanishes before the segment ends)"
                 )
-        missed = _missed_wall(outside, t_hi, next_event)
+        missed = _missed_wall(outside, end, next_event)
         if missed is not None:
             raise InternalError(f"missed a wall for {missed!r}")
 
@@ -373,6 +399,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             Segment(
                 t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=_solution(ray, chamber),
                 f0=Fraction(f0, ew), fslope=Fraction(fslope, ew),
+                numerators=(e, ray.w, nums, f0, fslope),
             )
         )
         if mu is not None:
@@ -393,6 +420,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         candidates=tuple(cands_full),
         decomposition=dec0,
         flag_square=Fraction(ray.ff, ray.w),
+        volume=volume,
         scaled_flag_pairings=(ray.w, ray.f_c),
     )
 

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from noksurf import (
     CurveRecord,
@@ -382,6 +383,22 @@ def case_document(case: Case) -> dict:
         "flag": {"curve": flag, "local_mult": dict(case.spec.local_mult)},
         "candidates": list(case.candidates),
     }
+
+
+def chain_model(rho: int) -> tuple[SurfaceModel, DivisorClass]:
+    """Points blown up infinitely near in a chain, C_i = E_i - E_{i+1} and
+    C_last = E_last, with an ample witness and the divisor one H past it."""
+    gram = [[1 if i == j == 0 else -1 if i == j else 0 for j in range(rho)] for i in range(rho)]
+    curves = []
+    for i in range(1, rho):
+        cls = [0] * rho
+        cls[i] = 1
+        if i + 1 < rho:
+            cls[i + 1] = -1
+        curves.append(CurveRecord(f"C{i}", tuple(cls)))
+    mults = [rho - i for i in range(1, rho)]
+    witness = [isqrt(sum(m * m for m in mults)) + 1] + [-m for m in mults]
+    return SurfaceModel(rho, gram, curves, witness), DivisorClass([witness[0] + 1] + witness[1:])
 
 
 def corpus(seed: int, count: int) -> list[Case]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,6 +185,33 @@ def test_unwritable_payload_is_an_internal_error(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "internal error: cannot write a float as JSON\n"
+
+
+@pytest.mark.parametrize(
+    "patched,message",
+    [
+        ("shoelace", "twice the polygon area 9 disagrees with vol(D) = 8"),
+        ("volume", "twice the polygon area 8 disagrees with vol(D) = 9"),
+    ],
+    ids=["shoelace", "volume"],
+)
+def test_area_certificate_fires(patched, message, monkeypatch, capsys):
+    # polygon prints area2 = vol(D) = 8 for this case; off by one on either
+    # side, the shoelace certificate stops it before any output
+    shoelace, walk = cli.polygon_area2, cli.walk_ray
+    if patched == "shoelace":
+        monkeypatch.setattr(cli, "polygon_area2", lambda poly: shoelace(poly) + 1)
+    else:
+
+        def walk_off_by_one(*args):
+            prof = walk(*args)
+            return replace(prof, volume=prof.volume + 1)
+
+        monkeypatch.setattr(cli, "walk_ray", walk_off_by_one)
+    assert main(["polygon", str(CASES_DIR / "ex1_on_point.json")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"internal error: {message}\n"
 
 
 def test_field_diagnostics(tmp_path, capsys):

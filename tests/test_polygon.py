@@ -5,7 +5,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from helpers import _between_any, corpus, forest_case, integral
+from helpers import _between_any, chain_model, corpus, forest_case, integral
 from noksurf import (
     CurveRecord,
     DivisorClass,
@@ -32,6 +32,7 @@ from noksurf import (
     walk_ray,
 )
 from noksurf import polygon as polygon_module
+from noksurf.flagbuilder import scan_vertex_counts
 from noksurf.polygon import OkPolygon
 
 BL1 = SurfaceModel(
@@ -494,16 +495,28 @@ def _tent_boundaries(seed, count):
 
 
 @pytest.fixture(scope="module")
-def pipeline_boundaries():
-    """alpha and beta of the 220-case acceptance corpus and of forest
-    models of rank 8, 16 and 32."""
+def pipeline_walks():
+    """(model, profile, flag) of the 220-case acceptance corpus, of forest
+    models of rank 8, 16 and 32, and of every vertex-count realization the
+    flag search finds on the chains of rank 3 to 6, most of them with an
+    irrational mu."""
     cases = corpus(seed=777001, count=220)
     cases += [forest_case(random.Random(rho), rho) for rho in (8, 16, 32)]
     out = []
     for case in cases:
         prof = walk_ray(case.model, case.divisor, case.flag, case.candidates)
-        out.append(alpha_beta(case.model, prof, case.spec))
+        out.append((case.model, prof, case.spec))
+    for rho in (3, 4, 5, 6):
+        model, divisor = chain_model(rho)
+        for r in scan_vertex_counts(model, divisor, model.labels()):
+            out.append((model, r.profile, r.flag_spec))
     return out
+
+
+@pytest.fixture(scope="module")
+def pipeline_boundaries(pipeline_walks):
+    """alpha and beta of every pipeline walk."""
+    return [alpha_beta(model, prof, spec) for model, prof, spec in pipeline_walks]
 
 
 def test_build_polygon_matches_cross_products_on_random_boundaries():
@@ -608,3 +621,116 @@ def test_leftmost_vertical_length_matches_min_oracle(pipeline_boundaries):
         poly = build_polygon(alpha, beta)
         assert poly.vertices[0] == (alpha.breakpoints[0], alpha.values[0])
         assert leftmost_vertical_length(poly) == _leftmost_side_by_min(poly)
+
+
+# -- alpha, beta and the area against their Fraction/QExt routes ---------------
+
+
+def _alpha_beta_by_fractions(profile, flag):
+    """alpha_beta's values by the earlier route: Fraction sums over each
+    segment's coefficients, evaluated at the breakpoints in Fraction/QExt
+    arithmetic, and the public PiecewiseLinear, which divides for its
+    slopes."""
+    breakpoints = [profile.segments[0].t_lo]
+    alpha_vals, beta_vals = [], []
+    for seg in profile.segments:
+        a0 = sum((seg.coeffs[l][0] * flag.mult(l) for l in seg.support), Fraction(0))
+        a1 = sum((seg.coeffs[l][1] * flag.mult(l) for l in seg.support), Fraction(0))
+        b0, b1 = a0 + seg.f0, a1 + seg.fslope
+        if not alpha_vals:
+            alpha_vals.append(a0 + a1 * seg.t_lo)
+            beta_vals.append(b0 + b1 * seg.t_lo)
+        assert (alpha_vals[-1], beta_vals[-1]) == (a0 + a1 * seg.t_lo, b0 + b1 * seg.t_lo)
+        breakpoints.append(seg.t_hi)
+        alpha_vals.append(a0 + a1 * seg.t_hi)
+        beta_vals.append(b0 + b1 * seg.t_hi)
+    return tuple(PiecewiseLinear(tuple(breakpoints), tuple(v)) for v in (alpha_vals, beta_vals))
+
+
+def _shoelace_by_qext(polygon):
+    """polygon_area2's earlier route: the shoelace sum in Fraction/QExt
+    arithmetic."""
+    total = Fraction(0)
+    vs = polygon.vertices
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        total = total + (x0 * y1 - x1 * y0)
+    if isinstance(total, QExt):
+        raise InternalError("polygon area came out irrational")
+    return total
+
+
+def _exact(x):
+    """A value under the package's convention: a Fraction, or an irrational QExt."""
+    return type(x) is Fraction or (type(x) is QExt and x.q != 0)
+
+
+def test_alpha_beta_area_and_width_match_the_fraction_routes(pipeline_walks):
+    irrational = 0
+    for model, prof, spec in pipeline_walks:
+        alpha, beta = alpha_beta(model, prof, spec)
+        for got, want in zip((alpha, beta), _alpha_beta_by_fractions(prof, spec)):
+            assert got.breakpoints == want.breakpoints
+            assert got.values == want.values
+            assert got.slopes() == want.slopes()
+            assert all(map(_exact, got.breakpoints + got.values + got.slopes()))
+        poly = build_polygon(alpha, beta)
+        area2 = polygon_area2(poly)
+        assert type(area2) is Fraction
+        assert area2 == _shoelace_by_qext(poly) == prof.volume
+        last = prof.segments[-1]
+        width = last.f0 + prof.mu * last.fslope
+        assert rightmost_count(model, prof).observed == (1 if width == 0 else 2)
+        irrational += isinstance(prof.mu, QExt)
+    assert irrational >= 60
+
+
+def _area_outcome(area2, polygon):
+    try:
+        return area2(polygon)
+    except InternalError as exc:
+        return str(exc)
+
+
+def test_integer_shoelace_matches_the_qext_shoelace():
+    boundaries = list(_random_boundaries(9, 300))
+    boundaries += list(_random_boundaries(11, 300, radicands=(2, 3, 5)))
+    boundaries += list(_tent_boundaries(13, 40))
+    seen = {"rational": 0, "irrational": 0}
+    for alpha, beta in boundaries:
+        poly = build_polygon(alpha, beta)
+        got = _area_outcome(polygon_area2, poly)
+        assert got == _area_outcome(_shoelace_by_qext, poly)
+        seen["irrational" if got == "polygon area came out irrational" else "rational"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_polygon_layers_do_no_quadratic_arithmetic(pipeline_walks, monkeypatch):
+    # alpha_beta, polygon_area2 and rightmost_count build their numbers from
+    # the walk's integers, and the walk decides each sign at mu in integers
+    counted = ("_cmp", "__mul__", "__rmul__", "__truediv__", "_inverse", "__sub__")
+    calls = dict.fromkeys(counted, 0)
+
+    def counting(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(QExt, name, counting(name, getattr(QExt, name)))
+    none = dict.fromkeys(counted, 0)
+    irrational = [w for w in pipeline_walks if isinstance(w[1].mu, QExt)]
+    assert len(irrational) >= 60
+    for model, prof, spec in irrational:
+        flag = prof.flag_label if prof.flag_label is not None else prof.flag_class
+        calls.update(none)
+        walked = walk_ray(model, prof.divisor, flag, prof.candidates)
+        assert calls["_cmp"] == 0
+        calls.update(none)
+        alpha, beta = alpha_beta(model, walked, spec)
+        assert calls == none
+        poly = build_polygon(alpha, beta)
+        calls.update(none)
+        polygon_area2(poly)
+        rightmost_count(model, walked)
+        assert calls == none

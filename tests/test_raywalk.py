@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -33,6 +33,7 @@ from noksurf.raywalk import (
     _pairings,
     _Ray,
     _segment_system,
+    _sign,
     _solution,
 )
 
@@ -565,4 +566,48 @@ def test_integer_decisions_agree_with_rational_evaluation(data):
     end = mu if data.draw(st.booleans()) or earliest is None else earliest + data.draw(_PAIRING)
     assume(end > t)
     first = next((l for l, q0, q1 in ahead if want[l][0] + end * want[l][1] < 0), None)
-    assert _missed_wall(ahead, end, wall) == first
+    assert _missed_wall(ahead, end if type(end) is Fraction else _integer_root(end), wall) == first
+
+
+def _integer_root(x: QExt):
+    """x = p + q*sqrt(d) as the walk's integer root (a - sqrt(disc))/b:
+    over a common denominator L, x = (P + Q*sqrt(d))/L, so a = -P, b = -L
+    for Q > 0 and a = P, b = L for Q < 0, with disc = Q^2*d."""
+    den = lcm(x.p.denominator, x.q.denominator)
+    p, q = (c.numerator * (den // c.denominator) for c in (x.p, x.q))
+    return (-p, -den, q * q * x.d) if q > 0 else (p, den, q * q * x.d)
+
+
+def _nonsquare(n):
+    return isqrt(n) ** 2 != n
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_sign_at_an_irrational_root_agrees_with_qext(data):
+    # the sign of x0 + x1*mu at mu = (a - sqrt(disc))/b, decided by comparing
+    # squares of integers, against the value in Q(sqrt d); the draws cover
+    # u = x0*b + x1*a = 0, x1 = 0, both signs of b, and x0/x1 a rational
+    # wall next to mu, where u^2 and x1^2*disc are closest
+    disc = data.draw(st.integers(2, 10**12).filter(_nonsquare), label="disc")
+    a = data.draw(st.integers(-(10**6), 10**6), label="a")
+    b = data.draw(st.integers(-100, 100).filter(bool), label="b")
+    mu = (a - sqrt_fraction(disc)) / b
+    kind = data.draw(st.sampled_from(["any", "u = 0", "x1 = 0", "beside a wall"]))
+    if kind == "u = 0":
+        k = data.draw(st.integers(-50, 50).filter(bool))
+        x0, x1 = a * k, -b * k
+    elif kind == "x1 = 0":
+        x0, x1 = data.draw(st.integers(-(10**6), 10**6)), 0
+    elif kind == "beside a wall":
+        # x0/x1 = -n/den, within a step or two of mu: isqrt(den^2*disc) is the
+        # floor of den*sqrt(disc)
+        den = data.draw(st.integers(1, 10**9), label="den")
+        n = (den * a - isqrt(den * den * disc)) // b
+        x0, x1 = -(n + data.draw(st.integers(-1, 1))), den
+    else:
+        x0, x1 = (data.draw(st.integers(-(10**9), 10**9)) for _ in range(2))
+    value = x0 + x1 * mu
+    assert _sign(x0, x1, (a, b, disc)) == (value > 0) - (value < 0)
+    # the same root, written with the square-free radicand
+    assert _sign(x0, x1, _integer_root(mu)) == _sign(x0, x1, (a, b, disc))

@@ -5,7 +5,9 @@
 
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, one run
 at a time; even pairs run the base first and odd pairs the head first, so
-drift on the host falls on both sides alike.  Every run gets
+drift on the host falls on both sides alike.  After the pairs of a workload
+and seed, `perfbench/run.py --trace 1` runs once in each checkout for the
+per-layer metrics.  Every run gets
 PYTHONDONTWRITEBYTECODE=1, and a checkout whose `src` holds a `__pycache__`
 is refused: `setup_s` times a fresh `import noksurf.cli`, which is much
 faster from cached bytecode, so both sides must import from source.
@@ -14,12 +16,14 @@ faster from cached bytecode, so both sides must import from source.
 output file keeps both sides' result lines for every pair, and for every
 end-to-end metric the pairs the head wins, the median and quartiles of each
 side, the median gain (positive is better) and the base's interquartile
-range over its median; stdout gets one line per workload, seed and metric
-with those figures, and one line per workload and seed with each side's
-`src_lines` (the source line count the run reports).  Entries already in
-the file for other workload/seed combinations are kept.  Exit status: 0
-when every run attempted operations and failed none, 1 otherwise, 2 when
-a checkout is refused or a run cannot start.
+range over its median, and under `layers` each side's traced result line;
+stdout gets one line per workload, seed and metric with those figures, one
+line per workload and seed with each side's `src_lines` (the source line
+count the run reports), and one `base -> head` line per per-layer metric.
+Entries already in the file for other workload/seed combinations are kept.
+Exit status: 0 when every run, traced or not, attempted operations and
+failed none, 1 otherwise, 2 when a checkout is refused or a run cannot
+start.
 """
 from __future__ import annotations
 
@@ -44,11 +48,11 @@ def check_checkout(path: Path) -> None:
         raise Refused(f"{path}: src holds bytecode caches ({', '.join(cached)}); remove them first")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Info and result line of one untraced run of the checkout's benchmark."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """Info and result line of one run of the checkout's benchmark."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     res = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -99,6 +103,10 @@ def measure(base: Path, head: Path, workload: str, seed: int, seconds: float, n:
             f"{pair['head']['metrics']['ops_per_s']['value']:.1f}",
             file=sys.stderr,
         )
+    layers = {
+        side: run_once(path, workload, seed, seconds, trace=1)["result"]
+        for side, path in (("base", base), ("head", head))
+    }
     return {
         "workload": workload,
         "seed": seed,
@@ -106,6 +114,7 @@ def measure(base: Path, head: Path, workload: str, seed: int, seconds: float, n:
         "info": info,
         "pairs": pairs,
         "summary": summarize(pairs, directions),
+        "layers": layers,
     }
 
 
@@ -141,10 +150,9 @@ def main(argv=None) -> int:
         return 2
     ok = True
     for e in doc["runs"]:
-        for p in e["pairs"]:
-            for side in ("base", "head"):
-                r = p[side]
-                ok = ok and r["attempted"] > 0 and r["failed"] == 0
+        layers = e.get("layers", {})
+        for r in [p[side] for p in e["pairs"] for side in ("base", "head")] + list(layers.values()):
+            ok = ok and r["attempted"] > 0 and r["failed"] == 0
         base_lines, head_lines = (e["info"][side]["env"]["src_lines"] for side in ("base", "head"))
         print(f"{e['workload']} seed {e['seed']} src_lines: {base_lines} -> {head_lines}")
         for name, s in e["summary"].items():
@@ -153,6 +161,15 @@ def main(argv=None) -> int:
                 f"{s['head']['median']:.4g} ({s['median_gain']:+.1%}), head wins "
                 f"{s['head_wins']}/{s['pairs']}, base IQR/median {s['base_iqr_over_median']:.3f}"
             )
+        if layers:
+            base_m, head_m = (layers[side]["metrics"] for side in ("base", "head"))
+            for name, m in head_m.items():
+                if name not in base_m:
+                    continue
+                print(
+                    f"{e['workload']} seed {e['seed']} layer {name}: "
+                    f"{base_m[name]['value']:.4g} -> {m['value']:.4g}"
+                )
     return 0 if ok else 1
 
 
