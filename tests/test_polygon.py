@@ -547,11 +547,13 @@ def test_build_polygon_matches_cross_products_on_the_pipeline(pipeline_boundarie
     assert irrational >= 40
 
 
-def test_build_polygon_decides_no_quadratic_arithmetic(pipeline_boundaries, monkeypatch):
+def test_build_polygon_decides_no_quadratic_arithmetic(pipeline_walks, monkeypatch):
     # slopes are rational, so turns need no Q(sqrt(d)) arithmetic; the one
-    # order decision directions cannot make is alpha(mu) <= beta(mu)
+    # order decision directions cannot make is alpha(mu) <= beta(mu).  Around
+    # it, alpha_beta, polygon_area2 and rightmost_count build their numbers
+    # from the walk's integers, and the walk decides each sign at mu in them
     arithmetic = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "_inverse")
-    counted = arithmetic + ("sign", "_cmp")
+    counted = arithmetic + ("__sub__", "sign", "_cmp")
     calls = dict.fromkeys(counted, 0)
 
     def counting(name, method):
@@ -562,13 +564,24 @@ def test_build_polygon_decides_no_quadratic_arithmetic(pipeline_boundaries, monk
 
     for name in counted:
         monkeypatch.setattr(QExt, name, counting(name, getattr(QExt, name)))
-    irrational = [(a, b) for a, b in pipeline_boundaries if isinstance(a.breakpoints[-1], QExt)]
-    assert len(irrational) >= 40
-    for alpha, beta in irrational:
-        calls.update(dict.fromkeys(counted, 0))
-        build_polygon(alpha, beta)
+    none = dict.fromkeys(counted, 0)
+    irrational = [w for w in pipeline_walks if isinstance(w[1].mu, QExt)]
+    assert len(irrational) >= 60
+    for model, prof, spec in irrational:
+        flag = prof.flag_label if prof.flag_label is not None else prof.flag_class
+        calls.update(none)
+        walked = walk_ray(model, prof.divisor, flag, prof.candidates)
+        assert calls["_cmp"] == 0
+        calls.update(none)
+        alpha, beta = alpha_beta(model, walked, spec)
+        assert calls == none
+        poly = build_polygon(alpha, beta)
         assert {n: calls[n] for n in arithmetic} == dict.fromkeys(arithmetic, 0)
         assert calls["_cmp"] <= 1 and calls["sign"] <= calls["_cmp"]
+        calls.update(none)
+        polygon_area2(poly)
+        rightmost_count(model, walked)
+        assert calls == none
 
 
 def test_build_polygon_matches_cross_products_on_degenerate_boundaries():
@@ -702,35 +715,3 @@ def test_integer_shoelace_matches_the_qext_shoelace():
         assert got == _area_outcome(_shoelace_by_qext, poly)
         seen["irrational" if got == "polygon area came out irrational" else "rational"] += 1
     assert min(seen.values()) >= 100, seen
-
-
-def test_polygon_layers_do_no_quadratic_arithmetic(pipeline_walks, monkeypatch):
-    # alpha_beta, polygon_area2 and rightmost_count build their numbers from
-    # the walk's integers, and the walk decides each sign at mu in integers
-    counted = ("_cmp", "__mul__", "__rmul__", "__truediv__", "_inverse", "__sub__")
-    calls = dict.fromkeys(counted, 0)
-
-    def counting(name, method):
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-        return wrapper
-
-    for name in counted:
-        monkeypatch.setattr(QExt, name, counting(name, getattr(QExt, name)))
-    none = dict.fromkeys(counted, 0)
-    irrational = [w for w in pipeline_walks if isinstance(w[1].mu, QExt)]
-    assert len(irrational) >= 60
-    for model, prof, spec in irrational:
-        flag = prof.flag_label if prof.flag_label is not None else prof.flag_class
-        calls.update(none)
-        walked = walk_ray(model, prof.divisor, flag, prof.candidates)
-        assert calls["_cmp"] == 0
-        calls.update(none)
-        alpha, beta = alpha_beta(model, walked, spec)
-        assert calls == none
-        poly = build_polygon(alpha, beta)
-        calls.update(none)
-        polygon_area2(poly)
-        rightmost_count(model, walked)
-        assert calls == none
