@@ -25,7 +25,7 @@ from .flagbuilder import (
     realize_vertex_count,
     scan_vertex_counts,
 )
-from .lattice import inertia, pair, pair_curve
+from .lattice import pair, pair_curve
 from .polygon import (
     alpha_beta,
     build_polygon,
@@ -152,10 +152,9 @@ def _polygon_payload(model, doc) -> tuple[dict, object]:
 
 def cmd_check_lattice(doc, args):
     model = docio.parse_surface(doc)
-    sig = inertia([list(r) for r in model.gram])
     return {
         "rank": model.rank,
-        "inertia": list(sig),
+        "inertia": [1, model.rank - 1, 0],  # as SurfaceModel certified it
         "curves": list(model.labels()),
         "ample_witness": [fmt(x) for x in model.ample_witness],
         "ok": True,
@@ -206,25 +205,19 @@ def cmd_invariants(doc, args):
     if not isinstance(configs, list):
         raise InputError("configs: must be a list of label lists")
     rows = []
-    best = None
     for i, cfg in enumerate(configs):
         if not isinstance(cfg, list):
             raise InputError(f"configs[{i}]: must be a list of labels")
         for l in cfg:
             model.curve(l)
-        row = {
-            "config": list(cfg),
-            "k": len(cfg),
-            "mc": mc(model, cfg),
-            "mv": mv(model, cfg),
-        }
-        best = row["mv"] if best is None else max(best, row["mv"])
-        rows.append(row)
+        rows.append(
+            {"config": list(cfg), "k": len(cfg), "mc": mc(model, cfg), "mv": mv(model, cfg)}
+        )
     return {
         "rank": model.rank,
         "picard_bound": 2 * model.rank + 1,
         "configs": rows,
-        "max_mv": best,
+        "max_mv": max((row["mv"] for row in rows), default=None),
     }, None
 
 

@@ -37,6 +37,14 @@ def parse_rational(value, where: str) -> Fraction:
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
+def _rationals(values: list, where: str) -> list[Fraction]:
+    """parse_rational over a list, spelling out `where[i]` only for a non-int."""
+    return [
+        Fraction(x) if type(x) is int else parse_rational(x, f"{where}[{i}]")
+        for i, x in enumerate(values)
+    ]
+
+
 def parse_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{where}: expected an integer")
@@ -74,6 +82,8 @@ def load_document(path: str) -> dict:
 
 
 def parse_surface(doc: dict) -> SurfaceModel:
+    """The surface's model.  Every entry and label is type-checked here, once,
+    with its document path; the model runs every other check."""
     surf = _expect(doc, "surface", "document")
     if not isinstance(surf, dict):
         raise InputError("surface: must be an object")
@@ -81,48 +91,50 @@ def parse_surface(doc: dict) -> SurfaceModel:
     matrix = _expect(surf, "matrix", "surface")
     if not isinstance(matrix, list):
         raise InputError("surface.matrix: must be a list of rows")
-    rows = []
     for i, row in enumerate(matrix):
-        if not isinstance(row, list):
-            raise InputError(f"surface.matrix[{i}]: must be a list")
-        if not all(type(x) is int for x in row):
+        if not (type(row) is list and set(map(type, row)) <= {int}):
+            if not isinstance(row, list):
+                raise InputError(f"surface.matrix[{i}]: must be a list")
             for j, x in enumerate(row):
                 parse_int(x, f"surface.matrix[{i}][{j}]")
-        rows.append(row)
     declared = surf.get("curves", [])
     if not isinstance(declared, list):
         raise InputError("surface.curves: must be a list of curve objects")
     curves = []
     for i, cv in enumerate(declared):
-        where = f"surface.curves[{i}]"
-        if not isinstance(cv, dict):
-            raise InputError(f"{where}: must be an object")
-        label = _expect(cv, "label", where)
-        if not isinstance(label, str):
-            raise InputError(f"{where}.label: must be a string")
-        cls = _expect(cv, "class", where)
-        if not isinstance(cls, list):
-            raise InputError(f"{where}.class: must be a list of integers")
-        if not all(type(x) is int for x in cls):
-            for j, x in enumerate(cls):
-                parse_int(x, f"{where}.class[{j}]")
-        curves.append(CurveRecord(label, tuple(cls)))
+        # C-level checks first; any other curve takes _curve's, in order
+        if type(cv) is dict:
+            label, cls = cv.get("label"), cv.get("class")
+            if type(label) is str and type(cls) is list and set(map(type, cls)) <= {int}:
+                curves.append(CurveRecord(label, tuple(cls)))
+                continue
+        curves.append(_curve(cv, f"surface.curves[{i}]"))
     witness = _expect(surf, "ample_witness", "surface")
     if not isinstance(witness, list):
         raise InputError("surface.ample_witness: must be a list")
-    wit = [
-        parse_rational(x, f"surface.ample_witness[{i}]") for i, x in enumerate(witness)
-    ]
-    return SurfaceModel(rank, rows, curves, wit)
+    wit = _rationals(witness, "surface.ample_witness")
+    return SurfaceModel(rank, matrix, curves, wit, _typed=True)
+
+
+def _curve(cv, where: str) -> CurveRecord:
+    if not isinstance(cv, dict):
+        raise InputError(f"{where}: must be an object")
+    label = _expect(cv, "label", where)
+    if not isinstance(label, str):
+        raise InputError(f"{where}.label: must be a string")
+    cls = _expect(cv, "class", where)
+    if not isinstance(cls, list):
+        raise InputError(f"{where}.class: must be a list of integers")
+    for j, x in enumerate(cls):
+        parse_int(x, f"{where}.class[{j}]")
+    return CurveRecord(label, tuple(cls))
 
 
 def parse_divisor(doc: dict, model: SurfaceModel) -> DivisorClass:
     vec = _expect(doc, "divisor", "document")
     if not isinstance(vec, list) or len(vec) != model.rank:
         raise InputError(f"divisor: must be a list of {model.rank} rationals")
-    return DivisorClass(
-        [parse_rational(x, f"divisor[{i}]") for i, x in enumerate(vec)]
-    )
+    return DivisorClass(_rationals(vec, "divisor"))
 
 
 def parse_flag(doc: dict, model: SurfaceModel):
@@ -137,9 +149,7 @@ def parse_flag(doc: dict, model: SurfaceModel):
     elif isinstance(curve, list):
         if len(curve) != model.rank:
             raise InputError(f"flag.curve: class must have {model.rank} coordinates")
-        target = DivisorClass(
-            [parse_rational(x, f"flag.curve[{i}]") for i, x in enumerate(curve)]
-        )
+        target = DivisorClass(_rationals(curve, "flag.curve"))
     else:
         raise InputError("flag.curve: must be a curve label or a class vector")
     raw = flag.get("local_mult", {})

@@ -25,7 +25,7 @@ from .lattice import (
     pair,
     pair_curve,
 )
-from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, mc, mv
+from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, mv, mv_of_components
 from .qext import QExt
 from .raywalk import RayProfile, walk_ray
 from .zariski import residual_pairings, solve_support
@@ -307,34 +307,27 @@ def realize_vertex_count(
     master = list(master_config)
     if not is_negative_definite(model, master):
         raise InputError("master configuration is not negative definite")
-    biggest = mc(model, master)
-    for i in range(1, biggest + 1):
-        if len(dual_graph_components(model, master[:i])) != 1:
-            raise InputError(
-                "master configuration must be ordered with connected prefixes "
-                "up to its largest connected part"
-            )
-    prefix_mv = [mv(model, master[:j]) for j in range(len(master) + 1)]
+    # so is every prefix: one components pass each gives its mv
+    comps = [dual_graph_components(model, master[:j]) for j in range(len(master) + 1)]
+    biggest = max(map(len, comps[-1]), default=0)
+    if any(len(c) != 1 for c in comps[1 : biggest + 1]):
+        raise InputError(
+            "master configuration must be ordered with connected prefixes "
+            "up to its largest connected part"
+        )
+    prefix_mv = [mv_of_components(model, c) for c in comps]
     if not isinstance(v, int) or v < 3 or v > max(prefix_mv):
         raise InputError(
             f"target vertex count {v} is outside the achievable range "
             f"3..{max(prefix_mv)}"
         )
 
-    choice = None
-    for j, val in enumerate(prefix_mv):
-        if val == v:
-            choice = (j, "exact")
-            break
-    if choice is None:
-        for j, val in enumerate(prefix_mv):
-            if val == v + 1:
-                choice = (j, "minus-one")
-                break
-    if choice is None:
+    if v in prefix_mv:
+        j, mode = prefix_mv.index(v), "exact"
+    elif v + 1 in prefix_mv:
+        j, mode = prefix_mv.index(v + 1), "minus-one"
+    else:
         raise InputError(f"no sub-configuration realizes {v} vertices")
-
-    j, mode = choice
     config = master[:j]
     if mode == "exact":
         want_independent = j < model.rank - 1
@@ -345,7 +338,7 @@ def realize_vertex_count(
             placement = "generic-point"
         else:
             want_independent = j < model.rank - 1
-            placement = "second-curve" if mc(model, config) > 1 else "generic-point"
+            placement = "second-curve" if any(len(c) > 1 for c in comps[j]) else "generic-point"
 
     certificate = find_ordered_ample_class(
         model, divisor, config, want_independent, budget

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from . import linalg
@@ -110,76 +111,71 @@ class SurfaceModel:
     curves: tuple[CurveRecord, ...]
     ample_witness: tuple[Fraction, ...]
 
-    def __init__(self, rank, gram, curves, ample_witness):
+    def __init__(self, rank, gram, curves, ample_witness, *, _typed=False):
+        """`_typed`: docio has checked, with their document paths, that every
+        entry is an int (not a bool) and every label a str."""
         if not isinstance(rank, int) or rank < 1:
             raise InputError("rank must be a positive integer")
-        g = tuple(tuple(row) for row in gram)
+        g = tuple(map(tuple, gram))
         if len(g) != rank or any(len(row) != rank for row in g):
             raise InputError("intersection matrix must be rank x rank")
-        if not all(type(x) is int for row in g for x in row):
-            for row in g:
-                for x in row:
-                    if not isinstance(x, int) or isinstance(x, bool):
-                        raise InputError("intersection matrix entries must be integers")
-        sig = linalg.inertia([list(r) for r in g])
+        if not _typed and not all(set(map(type, row)) <= {int} for row in g):
+            if any(not isinstance(x, int) or isinstance(x, bool) for row in g for x in row):
+                raise InputError("intersection matrix entries must be integers")
+        sig = linalg.inertia(g)
         if sig != (1, rank - 1, 0):
             raise InputError(
                 f"intersection form has inertia {sig}, expected (1, {rank - 1}, 0)"
             )
-        recs = []
-        seen = set()
-        sparse = {}
-        for c in curves:
-            if not isinstance(c, CurveRecord):
-                c = CurveRecord(str(c[0]), tuple(c[1]))
-            if c.label in seen:
-                raise InputError(f"duplicate curve label {c.label!r}")
-            seen.add(c.label)
-            if len(c.cls) != rank:
-                raise InputError(f"curve {c.label!r} has a class of wrong length")
-            # fast path: a nonzero all-int class; anything else takes the
-            # per-entry checks, the zero class first
-            if not (all(type(x) is int for x in c.cls) and any(c.cls)):
-                if all(x == 0 for x in c.cls):
-                    raise InputError(f"curve {c.label!r} has zero class")
-                if any(not isinstance(x, int) or isinstance(x, bool) for x in c.cls):
-                    raise InputError(f"curve {c.label!r} must have an integer class")
-            recs.append(c)
-            sparse[c.label] = tuple((j, x) for j, x in enumerate(c.cls) if x)
-        witness = tuple(_coord(x) for x in ample_witness)
-        if len(witness) != rank:
-            raise InputError("ample witness has wrong length")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "curves", tuple(recs))
-        object.__setattr__(self, "ample_witness", witness)
         # Integer tables, in time linear in the document; not fields, so
         # eq/hash/repr ignore them.  _rows[i]: nonzero (j, G_ij); _sparse[l]:
         # nonzero (j, c_l_j); _duals[l]: nonzero (i, (G.c_l)_i), the sum of
         # c_l_j * _rows[j]; _having[j]: (k, c_k_j) for every curve k with a
         # nonzero coordinate j; _index[l]: declaration order.  _products[l]
         # ({k: C_k.C_l} over the nonzero products, see curve_products) and
-        # _classes[l] (see class_of) are built on first use.
-        rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in g)
+        # _classes[l] (see class_of) are built on first use.  One pass per
+        # curve checks it and fills every table.
+        rows = tuple(tuple(compress(enumerate(row), row)) for row in g)
+        recs = []
+        index = {}
+        sparse = {}
         duals = {}
         having = [[] for _ in range(rank)]
-        for c in recs:
+        for c in curves:
+            if not isinstance(c, CurveRecord):
+                c = CurveRecord(str(c[0]), tuple(c[1]))
+            label, cls = c.label, c.cls
+            if label in index:
+                raise InputError(f"duplicate curve label {label!r}")
+            if len(cls) != rank:
+                raise InputError(f"curve {label!r} has a class of wrong length")
+            if not _typed and not set(map(type, cls)) <= {int}:
+                # the zero class is reported before the entry types
+                if all(x == 0 for x in cls):
+                    raise InputError(f"curve {label!r} has zero class")
+                if any(not isinstance(x, int) or isinstance(x, bool) for x in cls):
+                    raise InputError(f"curve {label!r} must have an integer class")
+            nonzero = tuple(compress(enumerate(cls), cls))
+            if not nonzero:
+                raise InputError(f"curve {label!r} has zero class")
+            index[label] = len(recs)
+            recs.append(c)
+            sparse[label] = nonzero
             acc = {}
-            for j, x in sparse[c.label]:
-                having[j].append((c.label, x))
+            for j, x in nonzero:
+                having[j].append((label, x))
                 for i, y in rows[j]:  # G is symmetric: G_ij = G_ji
                     acc[i] = acc.get(i, 0) + x * y
-            duals[c.label] = tuple(sorted((i, y) for i, y in acc.items() if y))
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_duals", duals)
-        object.__setattr__(self, "_sparse", sparse)
-        object.__setattr__(self, "_having", having)
-        object.__setattr__(self, "_products", {})
-        object.__setattr__(self, "_classes", {})
-        object.__setattr__(self, "_index", {c.label: i for i, c in enumerate(recs)})
+            duals[label] = tuple(sorted(compress(acc.items(), acc.values())))
         # the witness as a class, so its integer form is built once
-        w = DivisorClass(witness)
-        object.__setattr__(self, "_witness", w)
+        w = DivisorClass(ample_witness)
+        if len(w) != rank:
+            raise InputError("ample witness has wrong length")
+        vars(self).update(  # frozen: the fields are set once, here
+            rank=rank, gram=g, curves=tuple(recs), ample_witness=w.coords,
+            _rows=rows, _duals=duals, _sparse=sparse, _having=having,
+            _products={}, _classes={}, _index=index, _witness=w,
+        )
         if pair(self, w, w) <= 0:
             raise InputError("ample witness has nonpositive self-intersection")
         _, w_c = curve_pairings(self, w, self._index)

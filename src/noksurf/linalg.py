@@ -140,6 +140,8 @@ def require_symmetric(q):
     for row in q:
         if len(row) != n:
             raise InputError("matrix is not square")
+    if all(map(tuple.__eq__, map(tuple, q), zip(*q))):
+        return q
     for i in range(n):
         for j in range(i):
             if q[i][j] != q[j][i]:
@@ -150,19 +152,23 @@ def require_symmetric(q):
 def inertia(q) -> tuple[int, int, int]:
     """Sylvester inertia (n_plus, n_minus, n_zero) by symmetric elimination.
 
-    A rational matrix is scaled by one positive lcm.  Diagonal pivots are
-    used where available; otherwise a row+column addition manufactures one
-    (char 0, so 2*m[i][j] != 0).  The trailing block is always prev times
-    the Schur complement, prev being the last pivot eliminated with, so
-    each pivot of the congruence has the sign of m[k][k] * prev.
+    An integer matrix is copied, a rational one scaled by one positive lcm.
+    Diagonal pivots are used where available, (k, k) first; otherwise a
+    row+column addition manufactures one (char 0, so 2*m[i][j] != 0).  The
+    trailing block is always prev times the Schur complement, prev being
+    the last pivot eliminated with, so each pivot of the congruence has the
+    sign of m[k][k] * prev.
     """
     n = len(require_symmetric(q))
-    den = _denominator(x for row in q for x in row)
-    m = [_scaled(row, den) for row in q]
+    if all(set(map(type, row)) <= {int} for row in q):
+        m = [list(row) for row in q]
+    else:
+        den = _denominator(x for row in q for x in row)
+        m = [_scaled(row, den) for row in q]
     pos = neg = zer = 0
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][i]), None)
+        piv = k if m[k][k] else next((i for i in range(k + 1, n) if m[i][i]), None)
         if piv is None:
             spot = next(
                 ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]),
@@ -176,9 +182,10 @@ def inertia(q) -> tuple[int, int, int]:
             for row in m:
                 row[i] += row[j]
             piv = i
-        m[k], m[piv] = m[piv], m[k]
-        for row in m:
-            row[k], row[piv] = row[piv], row[k]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m:
+                row[k], row[piv] = row[piv], row[k]
         if (m[k][k] > 0) == (prev > 0):
             pos += 1
         else:

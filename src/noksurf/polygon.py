@@ -434,13 +434,15 @@ def leftmost_side_check(model: SurfaceModel, profile: RayProfile):
 # -- configuration invariants ------------------------------------------------
 
 
-def mc(model: SurfaceModel, config) -> int:
-    """Largest number of curves in a connected subdivisor of the configuration."""
-    labels = list(config)
+def _components(model: SurfaceModel, labels: list) -> list[list[str]]:
     if not is_negative_definite(model, labels):
         raise InputError(f"configuration {labels} is not negative definite")
-    comps = dual_graph_components(model, labels)
-    return max((len(c) for c in comps), default=0)
+    return dual_graph_components(model, labels)
+
+
+def mc(model: SurfaceModel, config) -> int:
+    """Largest number of curves in a connected subdivisor of the configuration."""
+    return max(map(len, _components(model, list(config))), default=0)
 
 
 def mv(model: SurfaceModel, config) -> int:
@@ -451,8 +453,14 @@ def mv(model: SurfaceModel, config) -> int:
         raise InputError(
             f"configuration of {k} curves exceeds the Hodge bound rank-1 = {model.rank - 1}"
         )
-    m = mc(model, labels)
-    return k + m + (4 if k < model.rank - 1 else 3)
+    return mv_of_components(model, _components(model, labels))
+
+
+def mv_of_components(model: SurfaceModel, comps) -> int:
+    """mv from the dual-graph components of a configuration its caller has
+    certified negative definite (so of at most rank-1 curves)."""
+    k = sum(map(len, comps))
+    return k + max(map(len, comps), default=0) + (4 if k < model.rank - 1 else 3)
 
 
 @dataclass(frozen=True)
@@ -487,31 +495,21 @@ def vertex_bound_check(
     the size of the flag-point component of that support; interior upper
     vertices by the curves in components meeting C away from the flag point.
     A component through the point counts toward both sides whenever one of
-    its curves also meets C elsewhere.
+    its curves also meets C elsewhere.  The walk's last solve certified the
+    support negative definite, so mv is taken from its components directly.
     """
     support = list(profile.final_support())
-    bound = mv(model, support)
-    picard = 2 * model.rank + 1
     comps = dual_graph_components(model, support)
-    p_curves: set[str] = set()
-    away_curves: set[str] = set()
-    for comp in comps:
-        if any(flag.mult(l) > 0 for l in comp):
-            p_curves.update(comp)
-        if any(profile.flag_pairing(l) - flag.mult(l) > 0 for l in comp):
-            away_curves.update(comp)
-    lower_bound = len(p_curves)
-    upper_bound = len(away_curves)
-    lower = sum(1 for t in polygon.tags if t == "interior-lower")
-    upper = sum(1 for t in polygon.tags if t == "interior-upper")
     report = BoundReport(
         vertex_count=len(polygon.vertices),
-        mv_bound=bound,
-        picard_bound=picard,
-        interior_lower=lower,
-        interior_lower_bound=lower_bound,
-        interior_upper=upper,
-        interior_upper_bound=upper_bound,
+        mv_bound=mv_of_components(model, comps),
+        picard_bound=2 * model.rank + 1,
+        interior_lower=polygon.tags.count("interior-lower"),
+        interior_lower_bound=sum(len(c) for c in comps if any(flag.mult(l) > 0 for l in c)),
+        interior_upper=polygon.tags.count("interior-upper"),
+        interior_upper_bound=sum(
+            len(c) for c in comps if any(profile.flag_pairing(l) - flag.mult(l) > 0 for l in c)
+        ),
     )
     if not report.ok:
         raise TheoremViolation(f"vertex bounds violated: {report}")

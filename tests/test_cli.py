@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +16,8 @@ from noksurf import cli, docio, zariski_decompose
 from noksurf.cli import build_parser, main
 from noksurf.errors import InternalError
 from noksurf.docio import parse_surface
+
+from helpers import case_document, forest_case
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 
@@ -251,6 +254,80 @@ def test_integer_entry_diagnostics(entry, field, path, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["check-lattice", str(bad)]) == 2
     assert capsys.readouterr() == ("", f"error: {field}: expected an integer\n")
+
+
+def _zeroed(cls):
+    return [0] * len(cls)
+
+
+# name -> (edits, message); an edit is (path under "surface", new value or a
+# function of the old one).  Each message is what `polygon` printed before
+# docio became the only place that checks entry types, and with two faults
+# the one found first is still the one reported.
+SURFACE_FAULTS = {
+    "matrix-bool": ([(("matrix", 3, 5), True)], "surface.matrix[3][5]: expected an integer"),
+    "matrix-float": ([(("matrix", 3, 5), 0.0)], "surface.matrix[3][5]: expected an integer"),
+    "matrix-str": ([(("matrix", 3, 5), "0")], "surface.matrix[3][5]: expected an integer"),
+    "matrix-list": ([(("matrix", 3, 5), [0])], "surface.matrix[3][5]: expected an integer"),
+    "class-bool": ([(("curves", 2, "class", 4), True)], "surface.curves[2].class[4]: expected an integer"),
+    "class-float": ([(("curves", 2, "class", 4), 0.0)], "surface.curves[2].class[4]: expected an integer"),
+    "class-str": ([(("curves", 2, "class", 4), "0")], "surface.curves[2].class[4]: expected an integer"),
+    "class-list": ([(("curves", 2, "class", 4), [0])], "surface.curves[2].class[4]: expected an integer"),
+    "short-row": ([(("matrix", 5), lambda row: row[:-1])], "intersection matrix must be rank x rank"),
+    "class-length": ([(("curves", 3, "class"), lambda cls: cls + [0])], "curve 'N4' has a class of wrong length"),
+    "zero-class": ([(("curves", 3, "class"), _zeroed)], "curve 'N4' has zero class"),
+    "duplicate-label": ([(("curves", 4, "label"), "N2")], "duplicate curve label 'N2'"),
+    "nonsymmetric": ([(("matrix", 1, 2), 1)], "matrix is not symmetric at (2,1)"),
+    "inertia": ([(("matrix", 1, 1), 1)], "intersection form has inertia (2, 14, 0), expected (1, 15, 0)"),
+    "witness-length": ([(("ample_witness",), lambda w: w + ["1"])], "ample witness has wrong length"),
+    "witness-square": (
+        [(("ample_witness",), lambda w: ["1"] + ["-1"] * (len(w) - 1))],
+        "ample witness has nonpositive self-intersection",
+    ),
+    "witness-pairing": (
+        [(("ample_witness",), lambda w: ["1"] + ["0"] * (len(w) - 1))],
+        "ample witness does not pair positively with curve 'N1'",
+    ),
+    "class-bool+nonsymmetric": (
+        [(("curves", 30, "class", 0), False), (("matrix", 1, 2), 1)],
+        "surface.curves[30].class[0]: expected an integer",
+    ),
+    "short-row+class-str": (
+        [(("matrix", 0), lambda row: row[:-1]), (("curves", 40, "class", 15), "1")],
+        "surface.curves[40].class[15]: expected an integer",
+    ),
+    "witness-float+zero-class": (
+        [(("ample_witness", 15), -1.0), (("curves", 0, "class"), _zeroed)],
+        'surface.ample_witness[15]: floats are not exact; write "p/q" instead',
+    ),
+    "inertia+class-length": (
+        [(("matrix", 15, 15), 0), (("curves", 0, "class"), lambda cls: cls[:-1])],
+        "intersection form has inertia (1, 14, 1), expected (1, 15, 0)",
+    ),
+    "zero-class+duplicate-label": (
+        [(("curves", 6, "class"), _zeroed), (("curves", 4, "label"), "N1")],
+        "duplicate curve label 'N1'",
+    ),
+    "nonsymmetric+witness-length": (
+        [(("matrix", 14, 2), -1), (("ample_witness",), lambda w: w[:-1])],
+        "matrix is not symmetric at (14,2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SURFACE_FAULTS)
+def test_surface_fault_diagnostics_at_rank_16(name, tmp_path, capsys):
+    edits, message = SURFACE_FAULTS[name]
+    doc = case_document(forest_case(random.Random(16), 16))
+    for path, value in edits:
+        where = doc["surface"]
+        for key in path[:-1]:
+            where = where[key]
+        where[path[-1]] = value(where[path[-1]]) if callable(value) else value
+    bad = tmp_path / "fault.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["polygon", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

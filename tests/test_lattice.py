@@ -118,6 +118,7 @@ def test_model_rejects_malformed_curves():
         # the zero class is reported before the entry types
         ((0, False), "has zero class"),
         ((0.0, 0), "has zero class"),
+        ((0, Fraction(1)), "must have an integer class"),
     ],
 )
 def test_model_checks_class_entries(cls, message):
@@ -132,7 +133,7 @@ def test_model_checks_entries_of_a_curve_given_as_a_pair(cls):
         SurfaceModel(2, [[1, 0], [0, -1]], [("E", cls)], [2, -1])
 
 
-@pytest.mark.parametrize("entry", [True, 1.0, "1"])
+@pytest.mark.parametrize("entry", [True, 1.0, "1", Fraction(1)])
 def test_model_checks_matrix_entries(entry):
     with pytest.raises(InputError, match="^intersection matrix entries must be integers$"):
         SurfaceModel(2, [[entry, 0], [0, -1]], [CurveRecord("E", (0, 1))], (2, -1))

@@ -195,3 +195,66 @@ def test_solve_negative_definite_examples():
             solve_negative_definite(bad, [[1] * len(bad)])
     with pytest.raises(InputError):
         solve_negative_definite([[-1, 1], [0, -1]], [])
+
+
+def _random_symmetric(rng, n, rational):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = rng.randrange(-4, 5)
+            m[i][j] = m[j][i] = Fraction(x, rng.randrange(1, 7)) if rational else x
+    return m
+
+
+def _block_sum(rng, n, rational):
+    """P^T (L B L) P for a block-diagonal B of small symmetric blocks, many with
+    zero diagonals, a positive diagonal L and a permutation P.  Zero pivots
+    make the elimination search for a diagonal pivot or make one by a
+    row+column addition.  Returns the matrix and its inertia, the sum of the
+    blocks' inertias by the characteristic polynomial (Sylvester's law)."""
+    m = [[0] * n for _ in range(n)]
+    sig = (0, 0, 0)
+    start = 0
+    while start < n:
+        size = min(rng.randrange(1, 6), n - start)
+        block = _random_symmetric(rng, size, False)
+        for i in range(size):
+            if rng.random() < 0.7:
+                block[i][i] = 0
+        sig = tuple(a + b for a, b in zip(sig, charpoly_inertia(block)))
+        for i in range(size):
+            m[start + i][start : start + size] = block[i]
+        start += size
+    scale = [Fraction(rng.randrange(1, 6), rng.randrange(1, 6)) if rational else 1 for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[scale[a] * m[a][b] * scale[b] for b in perm] for a in perm], sig
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+def test_inertia_matches_oracles_at_model_ranks(n, rational):
+    rng = random.Random(100 * n + rational)
+    while True:
+        m = _random_symmetric(rng, n, rational)
+        try:
+            sig = leading_minor_inertia(m)
+        except AssertionError:  # Jacobi's rule needs nonzero leading minors
+            continue
+        break
+    assert inertia(m) == sig
+    if n <= 16:
+        # a zero diagonal: the first pivot comes from a row+column addition
+        for i in range(n):
+            m[i][i] = 0
+        assert inertia(m) == charpoly_inertia(m)
+    for _ in range(4):
+        m, sig = _block_sum(rng, n, rational)
+        assert inertia(m) == sig
+
+
+def test_inertia_leaves_its_input_alone():
+    m = [[0, 1, 0], [1, 0, 2], [0, 2, -1]]
+    copy = [row[:] for row in m]
+    assert inertia(m) == (1, 2, 0)
+    assert m == copy

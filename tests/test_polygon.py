@@ -7,6 +7,7 @@ import pytest
 
 from helpers import _between_any, chain_model, corpus, forest_case, integral
 from noksurf import (
+    BoundReport,
     CurveRecord,
     DivisorClass,
     FlagSpec,
@@ -18,6 +19,7 @@ from noksurf import (
     TheoremViolation,
     alpha_beta,
     build_polygon,
+    dual_graph_components,
     leftmost_side_check,
     leftmost_vertical_length,
     mc,
@@ -634,6 +636,33 @@ def test_leftmost_vertical_length_matches_min_oracle(pipeline_boundaries):
         poly = build_polygon(alpha, beta)
         assert poly.vertices[0] == (alpha.breakpoints[0], alpha.values[0])
         assert leftmost_vertical_length(poly) == _leftmost_side_by_min(poly)
+
+
+def _bounds_by_mv(model, polygon, profile, flag):
+    """vertex_bound_check's report by the earlier route: the public mv,
+    which certifies the support negative definite again, and a second
+    components pass for the interior bounds."""
+    support = list(profile.final_support())
+    comps = dual_graph_components(model, support)
+    lower = {l for comp in comps if any(flag.mult(k) > 0 for k in comp) for l in comp}
+    upper = {
+        l for comp in comps if any(profile.flag_pairing(k) - flag.mult(k) > 0 for k in comp) for l in comp
+    }
+    return BoundReport(
+        vertex_count=len(polygon.vertices),
+        mv_bound=mv(model, support),
+        picard_bound=2 * model.rank + 1,
+        interior_lower=polygon.tags.count("interior-lower"),
+        interior_lower_bound=len(lower),
+        interior_upper=polygon.tags.count("interior-upper"),
+        interior_upper_bound=len(upper),
+    )
+
+
+def test_vertex_bound_check_matches_mv_route(pipeline_walks, pipeline_boundaries):
+    for (model, prof, spec), (alpha, beta) in zip(pipeline_walks, pipeline_boundaries):
+        poly = build_polygon(alpha, beta)
+        assert vertex_bound_check(model, poly, prof, spec) == _bounds_by_mv(model, poly, prof, spec)
 
 
 # -- alpha, beta and the area against their Fraction/QExt routes ---------------

@@ -6,8 +6,9 @@
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, one run
 at a time; even pairs run the base first and odd pairs the head first, so
 drift on the host falls on both sides alike.  After the pairs of a workload
-and seed, `perfbench/run.py --trace 1` runs once in each checkout for the
-per-layer metrics.  Every run gets
+and seed, `perfbench/run.py --trace 1` runs TRACED_RUNS times in each
+checkout for the per-layer metrics, alternating which side goes first, since
+one traced run is a single noisy sample.  Every run gets
 PYTHONDONTWRITEBYTECODE=1, and a checkout whose `src` holds a `__pycache__`
 is refused: `setup_s` times a fresh `import noksurf.cli`, which is much
 faster from cached bytecode, so both sides must import from source.
@@ -16,7 +17,9 @@ faster from cached bytecode, so both sides must import from source.
 output file keeps both sides' result lines for every pair, and for every
 end-to-end metric the pairs the head wins, the median and quartiles of each
 side, the median gain (positive is better) and the base's interquartile
-range over its median, and under `layers` each side's traced result line;
+range over its median, and under `layers` each side's traced runs (`runs`)
+with the median of each metric over them (`metrics`), their summed
+`attempted` and `failed` counts and whether all were `correct`;
 stdout gets one line per workload, seed and metric with those figures, one
 line per workload and seed with each side's `src_lines` (the source line
 count the run reports), and one `base -> head` line per per-layer metric.
@@ -62,10 +65,32 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {"info": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+TRACED_RUNS = 3
+
+
 def spread(values: list[float]) -> dict:
     med = statistics.median(values)
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
     return {"median": med, "q1": q1, "q3": q3}
+
+
+def traced_median(runs: list[dict]) -> dict:
+    """One side's traced runs and, per metric, the median over them."""
+    names = {name: m["unit"] for r in runs for name, m in r["metrics"].items()}
+    metrics = {
+        name: {
+            "value": statistics.median(r["metrics"][name]["value"] for r in runs if name in r["metrics"]),
+            "unit": unit,
+        }
+        for name, unit in names.items()
+    }
+    return {
+        "correct": all(r["correct"] for r in runs),
+        "attempted": sum(r["attempted"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "metrics": metrics,
+        "runs": runs,
+    }
 
 
 def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
@@ -103,10 +128,12 @@ def measure(base: Path, head: Path, workload: str, seed: int, seconds: float, n:
             f"{pair['head']['metrics']['ops_per_s']['value']:.1f}",
             file=sys.stderr,
         )
-    layers = {
-        side: run_once(path, workload, seed, seconds, trace=1)["result"]
-        for side, path in (("base", base), ("head", head))
-    }
+    traced = {"base": [], "head": []}
+    for i in range(TRACED_RUNS):
+        for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+            run = run_once(base if side == "base" else head, workload, seed, seconds, trace=1)
+            traced[side].append(run["result"])
+    layers = {side: traced_median(runs) for side, runs in traced.items()}
     return {
         "workload": workload,
         "seed": seed,
