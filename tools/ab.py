@@ -76,13 +76,9 @@ def spread(values: list[float]) -> dict:
 
 def traced_median(runs: list[dict]) -> dict:
     """One side's traced runs and, per metric, the median over them."""
-    names = {name: m["unit"] for r in runs for name, m in r["metrics"].items()}
     metrics = {
-        name: {
-            "value": statistics.median(r["metrics"][name]["value"] for r in runs if name in r["metrics"]),
-            "unit": unit,
-        }
-        for name, unit in names.items()
+        name: {"value": statistics.median(r["metrics"][name]["value"] for r in runs), "unit": m["unit"]}
+        for name, m in runs[0]["metrics"].items()
     }
     return {
         "correct": all(r["correct"] for r in runs),
