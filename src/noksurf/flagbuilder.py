@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from . import linalg
 from .errors import FactorBudgetExhausted, InputError, ModelError, SearchFailure, TheoremViolation
@@ -23,7 +23,6 @@ from .lattice import (
     is_model_ample,
     is_negative_definite,
     pair,
-    pair_curve,
 )
 from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, mv, mv_of_components
 from .qext import QExt
@@ -283,14 +282,16 @@ class RealizedFlag:
 
 def _scale_for_flag(model, certificate, config) -> tuple[int, DivisorClass]:
     """Smallest integral multiple meeting each configuration curve twice,
-    with its factor."""
+    with its factor.
+
+    With den the common denominator of the class A, every den*A.C_l is an
+    integer, and a positive one since A is model-ample; so the multiple is
+    den, or 2*den when some den*A.C_l is 1.
+    """
     cls = certificate.flag_class
-    m = lcm(*[Fraction(x).denominator for x in cls.coords]) if len(cls) else 1
-    while True:
-        scaled = cls.scale(m)
-        if all(pair_curve(model, scaled, l) >= 2 for l in config):
-            return m, scaled
-        m += lcm(*[Fraction(x).denominator for x in cls.coords])
+    den, nums = curve_pairings(model, cls, config)
+    m = den if all(x >= 2 for x in nums.values()) else 2 * den
+    return m, cls.scale(m)
 
 
 def realize_vertex_count(

@@ -378,9 +378,11 @@ def side_slopes(
 ):
     """Per-segment (lower, upper) slopes from intersection numbers only.
 
-    lower = sum a_j1 (C_j.C)_p;  upper = sum a_j1 ((C_j.C)_p - C_j.C) - C^2.
-    Cross-checked against the difference quotients of the given alpha and beta.
-    `flag` is the one alpha_beta accepted for the profile.
+    lower = sum a_j1 (C_j.C)_p;  upper = sum a_j1 ((C_j.C)_p - C_j.C) - C^2,
+    in Fractions over the `Segment.coeffs` slopes a_j1 and the flag's
+    pairings.  Cross-checked against the slopes of the given alpha and beta,
+    which alpha_beta built from the chambers' integer numerators.  `flag` is
+    the one alpha_beta accepted for the profile.
     """
     out = []
     for seg in profile.segments:

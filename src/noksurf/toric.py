@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import linalg
 from .errors import DegenerateInput, InputError, InternalError, OracleMismatch
 from .lattice import CurveRecord, DivisorClass, SurfaceModel, gram_matrix, pair
 from .polygon import (
@@ -87,24 +86,12 @@ def _check_lengths(fan: ToricFan, div: ToricDivisor):
 
 
 def self_intersections(fan: ToricFan) -> list[int]:
-    """b_i with v_{i-1} + v_{i+1} = b_i v_i; the boundary curve D_i has D_i^2 = -b_i."""
-    n = len(fan)
-    out = []
-    for i in range(n):
-        u = fan.rays[(i - 1) % n]
-        w = fan.rays[(i + 1) % n]
-        s = (u[0] + w[0], u[1] + w[1])
-        v = fan.rays[i]
-        if v[0] != 0:
-            b, rem = divmod(s[0], v[0])
-            ok = rem == 0 and b * v[1] == s[1]
-        else:
-            b, rem = divmod(s[1], v[1])
-            ok = rem == 0 and b * v[0] == s[0]
-        if not ok:
-            raise InternalError(f"rays adjacent to {v} do not close up")
-        out.append(b)
-    return out
+    """b_i with v_{i-1} + v_{i+1} = b_i v_i; the boundary curve D_i has D_i^2 = -b_i.
+
+    Consecutive rays are unimodular pairs, so b_i = det(v_{i-1}, v_{i+1}).
+    """
+    r = fan.rays
+    return [_det(r[i - 1], r[(i + 1) % len(r)]) for i in range(len(r))]
 
 
 def combinatorial_edge_lengths(fan: ToricFan, div: ToricDivisor) -> list[Fraction]:
@@ -130,32 +117,16 @@ def fan_to_model(fan: ToricFan) -> tuple[SurfaceModel, list[DivisorClass]]:
     rho = n - 2
     b = self_intersections(fan)
 
-    # classes: D_i = e_i for i < n-1; the last two via <m, v_i> relations
+    # classes: D_i = e_i for i < n-1; the last two through the characters
+    # m = (v_n[1], -v_n[0]) with <m, v_{n-1}> = 1, <m, v_n> = 0 and
+    # m' = (-v_{n-1}[1], v_{n-1}[0]) with the roles swapped, the columns of
+    # the inverse of the unimodular pair: div(chi^m) = 0 gives
+    # D_{n-1} = -sum_{i < n-1} <m, v_i> D_i with <m, v_i> = det(v_i, v_n),
+    # and D_n alike with <m', v_i> = det(v_{n-1}, v_i)
     vm, vn = fan.rays[n - 2], fan.rays[n - 1]
-    # m with <m, v_{n-1}> = 1, <m, v_n> = 0 and m' with the roles swapped
-    m_row, mp_row = linalg.solve_many(
-        [[vm[0], vm[1]], [vn[0], vn[1]]], [[1, 0], [0, 1]]
-    )
-
-    def dropped_class(row):
-        return tuple(
-            -(row[0] * fan.rays[i][0] + row[1] * fan.rays[i][1]) for i in range(rho)
-        )
-
-    classes: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(rho))
-        for i in range(rho)
-    ]
-    classes.append(dropped_class(m_row))
-    classes.append(dropped_class(mp_row))
-    int_classes = []
-    for cls in classes:
-        ints = []
-        for x in cls:
-            if Fraction(x).denominator != 1:
-                raise InternalError("boundary class is not integral")
-            ints.append(int(x))
-        int_classes.append(tuple(ints))
+    int_classes = [tuple(int(j == i) for j in range(rho)) for i in range(rho)]
+    int_classes.append(tuple(_det(vn, v) for v in fan.rays[:rho]))
+    int_classes.append(tuple(_det(v, vm) for v in fan.rays[:rho]))
 
     def rule(i: int, j: int) -> int:
         if i == j:
@@ -166,12 +137,7 @@ def fan_to_model(fan: ToricFan) -> tuple[SurfaceModel, list[DivisorClass]]:
 
     gram = [[rule(i, j) for j in range(rho)] for i in range(rho)]
     curves = [CurveRecord(f"D{i + 1}", int_classes[i]) for i in range(n)]
-    witness_coeffs = _zonotope_divisor(fan)
-    witness = [Fraction(0)] * rho
-    for ai, cls in zip(witness_coeffs, int_classes):
-        for j in range(rho):
-            witness[j] += ai * cls[j]
-    model = SurfaceModel(rho, gram, curves, witness)
+    model = SurfaceModel(rho, gram, curves, _combine(_zonotope_divisor(fan), int_classes))
 
     # the chosen basis must reproduce every boundary intersection number
     out_classes = [DivisorClass(c) for c in int_classes]
@@ -184,6 +150,11 @@ def fan_to_model(fan: ToricFan) -> tuple[SurfaceModel, list[DivisorClass]]:
                     f"basis classes give D{i+1}.D{j+1} = {got}, rules give {rule(i, j)}"
                 )
     return model, out_classes
+
+
+def _combine(coeffs, classes) -> list:
+    """The coordinates of sum a_i * classes_i."""
+    return [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*classes)]
 
 
 def _zonotope_divisor(fan: ToricFan) -> list[int]:
@@ -218,22 +189,22 @@ def newton_polygon(fan: ToricFan, div: ToricDivisor) -> list[Point]:
     _check_lengths(fan, div)
     n = len(fan)
     a = div.coeffs
-    corners: list[Point] = []
+    # corner i meets the lines <m, v> = -a_i and <m, w> = -a_{i+1}; by
+    # Cramer's rule with det(v, w) = 1 it is integral
+    corners = []
     for i in range(n):
         v, w = fan.rays[i], fan.rays[(i + 1) % n]
-        sol = linalg.solve([[v[0], v[1]], [w[0], w[1]]], [-a[i], -a[(i + 1) % n]])
-        corners.append((sol[0], sol[1]))
+        ai, aj = a[i], a[(i + 1) % n]
+        corners.append((aj * v[1] - ai * w[1], ai * w[0] - aj * v[0]))
 
     lengths = combinatorial_edge_lengths(fan, div)
     for i in range(n):
         prev, cur = corners[(i - 1) % n], corners[i]
-        direction = (Fraction(fan.rays[i][1]), Fraction(-fan.rays[i][0]))
+        direction = (fan.rays[i][1], -fan.rays[i][0])
         delta = (cur[0] - prev[0], cur[1] - prev[1])
         # delta must be a nonnegative multiple of the primitive edge direction
-        if direction[0] != 0:
-            ell = delta[0] / direction[0]
-        else:
-            ell = delta[1] / direction[1]
+        k = 0 if direction[0] != 0 else 1
+        ell = delta[k] // direction[k]
         if delta != (ell * direction[0], ell * direction[1]):
             raise InternalError("corner walk left the expected edge direction")
         if ell != lengths[i]:
@@ -245,13 +216,13 @@ def newton_polygon(fan: ToricFan, div: ToricDivisor) -> list[Point]:
                 f"divisor is not nef: edge along ray {fan.rays[i]} has length {ell}"
             )
 
-    out: list[Point] = []
+    out = []
     for p in corners:
         if not out or out[-1] != p:
             out.append(p)
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
-    return _rotate_to_lex_min(out)
+    return _rotate_to_lex_min([(Fraction(x), Fraction(y)) for x, y in out])
 
 
 def monomial_okounkov(fan: ToricFan, div: ToricDivisor, flag_index: int) -> list[Point]:
@@ -294,21 +265,21 @@ def crosscheck(fan: ToricFan, div: ToricDivisor, flag_index: int) -> CrosscheckR
     explicit map implemented, equality is on the nose, not up to a lattice
     transformation.  Twice the common area must equal D^2.
     """
-    _check_lengths(fan, div)
     n = len(fan)
     lengths = combinatorial_edge_lengths(fan, div)
     if any(l <= 0 for l in lengths):
         raise InputError("divisor is not model-ample against all boundary curves")
 
+    # route two first: its range check on flag_index runs before any walk
+    mono_pts = monomial_okounkov(fan, div, flag_index)
+
     model, classes = fan_to_model(fan)
-    d_class = DivisorClass([0] * model.rank)
-    for ai, cls in zip(div.coeffs, classes):
-        d_class = d_class + cls.scale(ai)
+    d_class = DivisorClass(_combine(div.coeffs, classes))
     dsq = pair(model, d_class, d_class)
     if dsq <= 0:
         raise InputError("divisor has nonpositive self-intersection")
 
-    flag_label = f"D{((flag_index - 1) % n) + 1}"
+    flag_label = f"D{flag_index}"
     next_label = f"D{(flag_index % n) + 1}"
     profile = walk_ray(model, d_class, flag_label, model.labels())
     flag = FlagSpec(flag_label, {next_label: 1})
@@ -317,7 +288,6 @@ def crosscheck(fan: ToricFan, div: ToricDivisor, flag_index: int) -> CrosscheckR
         raise OracleMismatch("walk polygon has irrational vertices on toric input")
     walk_pts = _rotate_to_lex_min(list(poly.vertices))
 
-    mono_pts = monomial_okounkov(fan, div, flag_index)
     area2 = polygon_area2(poly)
     equal = walk_pts == mono_pts and area2 == dsq
     report = CrosscheckReport(

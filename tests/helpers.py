@@ -401,6 +401,34 @@ def chain_model(rho: int) -> tuple[SurfaceModel, DivisorClass]:
     return SurfaceModel(rho, gram, curves, witness), DivisorClass([witness[0] + 1] + witness[1:])
 
 
+def smooth_fan(rng: random.Random, nrays: int, a: int | None = None) -> list[tuple[int, int]]:
+    """Rays of a smooth complete fan, counterclockwise from a random ray.
+
+    P2 (three rays) or the Hirzebruch fan F_a, a random in 0..3 unless
+    given, blown up at random torus-fixed points: a blowup inserts
+    v_i + v_{i+1} between v_i and v_{i+1}, which keeps every consecutive
+    pair unimodular.
+    """
+    if nrays == 3 or (a is None and rng.random() < 0.3):
+        rays = [(1, 0), (0, 1), (-1, -1)]
+    else:
+        rays = [(1, 0), (0, 1), (-1, rng.randrange(0, 4) if a is None else a), (0, -1)]
+    while len(rays) < nrays:
+        i = rng.randrange(len(rays))
+        u, w = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + w[0], u[1] + w[1]))
+    k = rng.randrange(len(rays))
+    return rays[k:] + rays[:k]
+
+
+def fan_corpus(seed: int, count: int) -> list[list[tuple[int, int]]]:
+    """`count` smooth fans of 3 to 12 rays; the first is F_{10^10}, whose
+    ray (-1, 10^10) is steep, blown up to 8 rays."""
+    rng = random.Random(seed)
+    fans = [smooth_fan(rng, 8, a=10**10)]
+    return fans + [smooth_fan(rng, rng.randrange(3, 13)) for _ in range(count - 1)]
+
+
 def corpus(seed: int, count: int) -> list[Case]:
     rng = random.Random(seed)
     return [make_case(rng, i) for i in range(count)]

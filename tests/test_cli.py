@@ -607,6 +607,21 @@ def test_probe_certificates_replace_decompositions(
     assert len(decomposed) < decompositions
 
 
+@pytest.mark.parametrize("index", [0, -1, 4])
+def test_toric_crosscheck_rejects_a_bad_flag_index_before_walking(
+    index, tmp_path, monkeypatch, capsys
+):
+    # P2 has 3 rays; the monomial route's range check runs before the walk
+    doc = json.loads((CASES_DIR / "toric_p2_crosscheck.json").read_text())
+    doc["flag_index"] = index
+    path = tmp_path / "bad_index.json"
+    path.write_text(json.dumps(doc))
+    walks = _count_calls(monkeypatch, "raywalk", "walk_ray")
+    assert main(["toric-crosscheck", str(path)]) == 2
+    assert capsys.readouterr().err == "error: flag index must be in 1..3\n"
+    assert walks == []
+
+
 def test_render_svg_nonpositive_width_exit_2(tmp_path, capsys):
     out = tmp_path / "bad.svg"
     doc = str(CASES_DIR / "ex1_on_point.json")

@@ -1,6 +1,8 @@
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,13 +23,15 @@ from noksurf import (
 )
 from noksurf import cli, flagbuilder, zariski
 from noksurf.cli import main
-from noksurf.lattice import as_divisor, curve_pairings
+from noksurf.lattice import as_divisor, curve_pairings, pair_curve
 from noksurf.flagbuilder import (
     OrderedFlagCertificate,
     find_ordered_ample_class,
     realize_vertex_count,
     scan_vertex_counts,
 )
+
+from helpers import chain_model
 
 BL1 = SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], (2, -1))
 D_BL1 = DivisorClass((3, -1))
@@ -251,3 +255,43 @@ def test_probe_certificate_matches_decompositions(monkeypatch, capsys):
         assert got == _decomposing_probe(model, d, flag_class, config, prev_times), args
         outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def _scale_by_search(model, certificate, config):
+    """The multiple as `_scale_for_flag` searched for it before its closed
+    form: den, 2*den, ... until the class meets every configuration curve
+    at least twice."""
+    cls = certificate.flag_class
+    den = lcm(*[x.denominator for x in cls.coords])
+    m = den
+    while not all(pair_curve(model, cls.scale(m), l) >= 2 for l in config):
+        m += den
+    return m, cls.scale(m)
+
+
+def test_scale_for_flag_matches_the_search_on_full_chain_scans():
+    realizations = 0
+    for rho in range(3, 8):
+        model, divisor = chain_model(rho)
+        master = list(model.labels())
+        for r in scan_vertex_counts(model, divisor, master):
+            got = flagbuilder._scale_for_flag(model, r.certificate, r.config)
+            assert got == (r.scale, r.flag_class)
+            assert got == _scale_by_search(model, r.certificate, r.config)
+            # none of these needs the doubled multiple
+            assert r.scale == lcm(*[x.denominator for x in r.certificate.flag_class])
+            realizations += 1
+    assert realizations == 45
+
+
+@pytest.mark.parametrize(
+    "coords,scale",
+    [((2, -1), 2), ((1, Fraction(-1, 2)), 4), ((3, -2), 1), ((3, Fraction(-4, 3)), 3)],
+)
+def test_scale_for_flag_doubles_when_a_curve_is_met_once(coords, scale):
+    # A.E is 1 for (2, -1), 1/2 for (1, -1/2), 2 for (3, -2), 4/3 for (3, -4/3)
+    cert = SimpleNamespace(flag_class=DivisorClass(coords))
+    got = flagbuilder._scale_for_flag(BL1, cert, ["E"])
+    assert got[0] == scale
+    assert got == _scale_by_search(BL1, cert, ["E"])
+    assert got[1] == DivisorClass(coords).scale(scale)

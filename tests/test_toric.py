@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_halfplane_vertices, shoelace2
+from helpers import brute_halfplane_vertices, fan_corpus, shoelace2
 from noksurf import DegenerateInput, InputError, pair
+from noksurf.linalg import solve, solve_many
 from noksurf.toric import (
     ToricDivisor,
     ToricFan,
@@ -178,3 +179,99 @@ def test_crosscheck_batteries():
 def test_crosscheck_rejects_non_ample():
     with pytest.raises(InputError):
         crosscheck(F1, ToricDivisor((0, 0, 0, 1)), 1)
+
+
+# -- the closed forms against the eliminations they replaced ----------------
+
+
+def _self_intersections_by_division(rays):
+    """b_i from v_{i-1} + v_{i+1} = b_i v_i by exact division, as
+    `self_intersections` found it before its closed form det(v_{i-1}, v_{i+1})."""
+    out = []
+    for i, v in enumerate(rays):
+        u, w = rays[i - 1], rays[(i + 1) % len(rays)]
+        s = (u[0] + w[0], u[1] + w[1])
+        k = 0 if v[0] != 0 else 1
+        b, rem = divmod(s[k], v[k])
+        assert rem == 0 and (b * v[0], b * v[1]) == s
+        out.append(b)
+    return out
+
+
+def _classes_by_elimination(rays):
+    """Boundary classes with the characters m (<m, v_{n-1}> = 1,
+    <m, v_n> = 0) and m' (the roles swapped) solved by `linalg.solve_many`."""
+    n, rho = len(rays), len(rays) - 2
+    chars = solve_many([list(rays[n - 2]), list(rays[n - 1])], [[1, 0], [0, 1]])
+    classes = [tuple(Fraction(int(i == j)) for j in range(rho)) for i in range(rho)]
+    for m in chars:
+        classes.append(tuple(-(m[0] * v[0] + m[1] * v[1]) for v in rays[:rho]))
+    return classes
+
+
+def _newton_polygon_by_elimination(rays, coeffs):
+    """Corners solved by `linalg.solve`, repeats merged, counterclockwise
+    from the lexicographically smallest."""
+    n = len(rays)
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        p = tuple(solve([list(rays[i]), list(rays[j])], [-coeffs[i], -coeffs[j]]))
+        if not out or out[-1] != p:
+            out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    k = min(range(len(out)), key=lambda i: out[i])
+    return out[k:] + out[:k]
+
+
+def _edge_lengths(rays, coeffs):
+    b = _self_intersections_by_division(rays)
+    n = len(rays)
+    return [coeffs[i - 1] + coeffs[(i + 1) % n] - b[i] * coeffs[i] for i in range(n)]
+
+
+def _divisors(rng, rays):
+    """The zonotope divisor (ample on every fan), random nonnegative
+    perturbations of it, and small random divisors, nef or not."""
+    zono = [sum(max(0, v[0] * w[1] - v[1] * w[0]) for w in rays) for v in rays]
+    out = [zono]
+    out += [[a + rng.randrange(0, 3) for a in zono] for _ in range(3)]
+    out += [[rng.randrange(-2, 4) for _ in rays] for _ in range(6)]
+    return out
+
+
+FANS = fan_corpus(19, 30)
+
+
+def test_fan_corpus_spans_three_to_twelve_rays_with_a_steep_one():
+    assert {len(rays) for rays in FANS} >= {3, 12}
+    assert all(3 <= len(rays) <= 12 for rays in FANS)
+    assert max(abs(x) for rays in FANS for v in rays for x in v) >= 10**10
+
+
+@pytest.mark.parametrize("k", range(len(FANS)))
+def test_closed_forms_match_eliminations(k):
+    rays = FANS[k]
+    fan = ToricFan(rays)
+    assert self_intersections(fan) == _self_intersections_by_division(rays)
+    _, classes = fan_to_model(fan)
+    assert [c.coords for c in classes] == _classes_by_elimination(rays)
+    rng = random.Random(k)
+    nef = ample = 0
+    for coeffs in _divisors(rng, rays):
+        div = ToricDivisor(coeffs)
+        lengths = _edge_lengths(rays, coeffs)
+        if min(lengths) < 0:
+            with pytest.raises(DegenerateInput):
+                newton_polygon(fan, div)
+            continue
+        got = newton_polygon(fan, div)
+        assert got == _newton_polygon_by_elimination(rays, coeffs)
+        assert got == brute_halfplane_vertices(rays, coeffs)
+        nef += 1
+        if min(lengths) > 0:
+            ample += 1
+            for idx in range(1, len(rays) + 1):
+                assert crosscheck(fan, div, idx).equal, (rays, coeffs, idx)
+    assert ample >= 1 and nef >= ample
