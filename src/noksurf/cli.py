@@ -42,7 +42,7 @@ from .polygon import (
 )
 from .raywalk import appearance_times, walk_ray
 from .svgrender import render_svg
-from .toric import crosscheck, monomial_okounkov, newton_polygon
+from .toric import crosscheck, monomial_valuation, newton_polygon
 from .zariski import relative_negative_part, zariski_decompose
 
 fmt = docio.fmt
@@ -276,14 +276,13 @@ def cmd_scan_vertex_counts(doc, args):
 def cmd_toric_polygon(doc, args):
     fan = docio.parse_fan(doc)
     div = docio.parse_toric_divisor(doc, fan)
-    payload = {
-        "newton_vertices": [docio.fmt_point(p) for p in newton_polygon(fan, div)],
-    }
+    newton = newton_polygon(fan, div)
+    payload = {"newton_vertices": [docio.fmt_point(p) for p in newton]}
     if "flag_index" in doc:
         idx = docio.parse_int(doc["flag_index"], "flag_index")
         payload["flag_index"] = idx
         payload["okounkov_vertices"] = [
-            docio.fmt_point(p) for p in monomial_okounkov(fan, div, idx)
+            docio.fmt_point(p) for p in monomial_valuation(fan, div, idx)(newton)
         ]
     return payload, None
 

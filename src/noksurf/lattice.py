@@ -53,6 +53,14 @@ class DivisorClass:
     def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(_coord(x) for x in coords))
 
+    @classmethod
+    def _of(cls, coords: tuple) -> DivisorClass:
+        """A class from a tuple of Fractions, such as an arithmetic result:
+        skips the coordinate checks of __init__."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coords", coords)
+        return out
+
     def __len__(self):
         return len(self.coords)
 
@@ -61,16 +69,18 @@ class DivisorClass:
 
     def __add__(self, other):
         other = as_divisor(other, len(self))
-        return DivisorClass(a + b for a, b in zip(self.coords, other.coords))
+        return DivisorClass._of(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         other = as_divisor(other, len(self))
-        return DivisorClass(a - b for a, b in zip(self.coords, other.coords))
+        return DivisorClass._of(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return DivisorClass(-a for a in self.coords)
+        return DivisorClass._of(tuple(-a for a in self.coords))
 
     def scale(self, k):
+        if type(k) is int or type(k) is Fraction:
+            return DivisorClass._of(tuple(k * a for a in self.coords))
         return DivisorClass(k * a for a in self.coords)
 
     def __rmul__(self, k):
@@ -132,9 +142,11 @@ class SurfaceModel:
         # nonzero (j, c_l_j); _duals[l]: nonzero (i, (G.c_l)_i), the sum of
         # c_l_j * _rows[j]; _having[j]: (k, c_k_j) for every curve k with a
         # nonzero coordinate j; _index[l]: declaration order.  _products[l]
-        # ({k: C_k.C_l} over the nonzero products, see curve_products) and
-        # _classes[l] (see class_of) are built on first use.  One pass per
-        # curve checks it and fills every table.
+        # ({k: C_k.C_l} over the nonzero products, see curve_products),
+        # _classes[l] (see class_of) and _eliminations[labels] (see
+        # support_elimination) are built on first use, and so is raywalk's
+        # _divisor_sides (see raywalk._divisor_side).  One pass per curve
+        # checks it and fills every table.
         rows = tuple(tuple(compress(enumerate(row), row)) for row in g)
         recs = []
         index = {}
@@ -174,7 +186,8 @@ class SurfaceModel:
         vars(self).update(  # frozen: the fields are set once, here
             rank=rank, gram=g, curves=tuple(recs), ample_witness=w.coords,
             _rows=rows, _duals=duals, _sparse=sparse, _having=having,
-            _products={}, _classes={}, _index=index, _witness=w,
+            _products={}, _classes={}, _eliminations={}, _divisor_sides={},
+            _index=index, _witness=w,
         )
         if pair(self, w, w) <= 0:
             raise InputError("ample witness has nonpositive self-intersection")
@@ -266,7 +279,7 @@ def subtract_curves(model: SurfaceModel, v, terms, den: int) -> DivisorClass:
             x *= dv
             for j, c in _lookup(model._sparse, label):
                 acc[j] -= x * c
-    return DivisorClass(Fraction(a, dv * den) for a in acc)
+    return DivisorClass._of(tuple(Fraction(a, dv * den) for a in acc))
 
 
 def curve_products(model: SurfaceModel, label: str) -> dict[str, int]:
@@ -291,13 +304,29 @@ def gram_matrix(model: SurfaceModel, labels) -> list[list[int]]:
     return [[row.get(b, 0) for b in labels] for row in rows]
 
 
+def support_elimination(model: SurfaceModel, labels) -> list[list[int]]:
+    """The Gram matrix of the listed curves, certified negative definite by
+    Sylvester's criterion and eliminated (linalg.eliminate_negative_definite)
+    on first use, and kept per tuple of labels: every later solve on the
+    same support replays it (linalg.solve_eliminated).  A matrix that fails
+    the criterion raises linalg.NotNegativeDefinite and is not kept."""
+    key = tuple(labels)
+    try:
+        return model._eliminations[key]
+    except (KeyError, TypeError):  # first use, or an unhashable label
+        pass
+    m = linalg.eliminate_negative_definite(gram_matrix(model, key))
+    model._eliminations[key] = m
+    return m
+
+
 def is_negative_definite(model: SurfaceModel, labels) -> bool:
     """True iff the Gram matrix of the listed curves is negative definite."""
-    labels = list(labels)
-    if not labels:
-        return True
-    sig = linalg.inertia(gram_matrix(model, labels))
-    return sig == (0, len(labels), 0)
+    try:
+        support_elimination(model, labels)
+    except linalg.NotNegativeDefinite:
+        return False
+    return True
 
 
 def dual_graph_components(model: SurfaceModel, labels) -> list[list[str]]:

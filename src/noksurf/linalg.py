@@ -6,9 +6,11 @@ solutions and the signs of the leading minors) and runs the same
 fraction-free elimination of Bareiss (Math. Comp. 22 (1968)): after k steps
 each entry is a (k+1)-minor of the input, the update
 (p*x - f*y) // prev is exact by Sylvester's identity, and the last pivot of
-a square system is its determinant.  Solutions come back as integer
-numerators over one positive denominator; `solve_many` alone turns them into
-Fractions.  No floating point is involved.
+a square system is its determinant.  A negative definite matrix can be
+eliminated once (`eliminate_negative_definite`) and each later right-hand
+side replayed on it (`solve_eliminated`) by the same update.  Solutions come
+back as integer numerators over one positive denominator; `solve_many` alone
+turns them into Fractions.  No floating point is involved.
 """
 from __future__ import annotations
 
@@ -70,20 +72,20 @@ def _augmented(a, columns) -> list[list[int]]:
     return [_integer_row([*row, *(c[i] for c in columns)]) for i, row in enumerate(a)]
 
 
-def _back_substitute(m: list[list[int]], det: int, ncols: int) -> tuple[int, list[list[int]]]:
-    """Solutions of the triangular system in `m`, one per augmented column,
-    as (|det|, integer numerators over it).
+def _back_substitute(m: list[list[int]], det: int, columns) -> tuple[int, list[list[int]]]:
+    """Solutions of the triangular system in `m`, one per eliminated
+    right-hand side in `columns`, as (|det|, integer numerators over it).
 
     Row i reads m_ii x_i + sum_{l>i} m_il x_l = b_i; the unknowns det*x_i are
     integers by Cramer's rule, so each division is exact.
     """
     n = len(m)
     out = []
-    for c in range(n, n + ncols):
+    for b in columns:
         dx = [0] * n
         for i in range(n - 1, -1, -1):
             row = m[i]
-            acc = det * row[c]
+            acc = det * b[i]
             for l in range(i + 1, n):
                 acc -= row[l] * dx[l]
             dx[i] = acc // row[i]
@@ -106,7 +108,8 @@ def solve_many(a, columns) -> list[list[Fraction]]:
             raise SingularSystem
         m[k], m[piv] = m[piv], m[k]
         prev = _eliminate(m, k, k, prev)
-    den, nums = _back_substitute(m, prev, len(columns))
+    sides = [[row[c] for row in m] for c in range(n, n + len(columns))]
+    den, nums = _back_substitute(m, prev, sides)
     return [[Fraction(x, den) for x in col] for col in nums]
 
 
@@ -116,23 +119,63 @@ def solve(a, b) -> list[Fraction]:
 
 def solve_negative_definite(gram, columns) -> tuple[int, list[list[int]]]:
     """Certify that the symmetric `gram` is negative definite and solve
-    gram*x = b for each right-hand side in `columns`, in one pass.
+    gram*x = b for each right-hand side in `columns`: each row with its
+    right-hand sides is scaled to integers, the matrix is eliminated
+    (`eliminate_negative_definite`) and each right-hand side replayed on it
+    (`solve_eliminated`).
 
-    Eliminates without pivoting and checks Sylvester's criterion on the way:
-    (-1)^k d_k > 0 for every leading minor d_k, each of which is a pivot.
-    Raises NotNegativeDefinite as soon as a minor fails.  Returns
-    (den, numerators): den > 0 is |det| of the row-scaled system and
-    x_i = numerators[c][i] / den for column c, every numerator an integer.
+    Raises NotNegativeDefinite as soon as a leading minor fails Sylvester's
+    criterion.  Returns (den, numerators): den > 0 is |det| of the
+    row-scaled system and x_i = numerators[c][i] / den for column c, every
+    numerator an integer.
     """
     columns = [list(c) for c in columns]
+    n = len(gram)
     m = _augmented(require_symmetric(gram), columns)
+    sides = [[row[c] for row in m] for c in range(n, n + len(columns))]
+    return solve_eliminated(eliminate_negative_definite([row[:n] for row in m]), sides)
+
+
+def eliminate_negative_definite(m: list[list[int]]) -> list[list[int]]:
+    """Eliminate the square integer matrix `m` in place, without pivoting,
+    checking Sylvester's criterion on the way: (-1)^k d_k > 0 for every
+    leading minor d_k, each of which is a pivot.  `m` is symmetric up to a
+    positive scale of each row, which keeps the signs of the minors.
+
+    Raises NotNegativeDefinite as soon as a minor fails.  Returns `m`: on
+    and right of the diagonal, row k is the pivot row of step k; below it,
+    m[r][k] is the multiplier row r had at step k, which `_eliminate` leaves
+    there.  Together they are all `solve_eliminated` needs.
+    """
     prev = 1
     for k in range(len(m)):
         p = m[k][k]
         if (p if k % 2 else -p) <= 0:
             raise NotNegativeDefinite
         prev = _eliminate(m, k, k, prev)
-    return _back_substitute(m, prev, len(columns))
+    return m
+
+
+def solve_eliminated(m: list[list[int]], columns) -> tuple[int, list[list[int]]]:
+    """Solve against integer right-hand sides with a matrix eliminated by
+    `eliminate_negative_definite`, which is not changed: each side runs the
+    update (p*x - f*y) // prev of `_eliminate` with the kept pivots and
+    multipliers, as if it were one more column of the elimination, and is
+    back-substituted.  Returns (den, numerators) as `solve_negative_definite`
+    does, equal to those of eliminating the augmented matrix afresh.
+    """
+    n = len(m)
+    sides = []
+    for col in columns:
+        b = list(col)
+        prev = 1
+        for k in range(n - 1):
+            p, y = m[k][k], b[k]
+            for r in range(k + 1, n):
+                b[r] = (p * b[r] - m[r][k] * y) // prev
+            prev = p
+        sides.append(b)
+    return _back_substitute(m, m[-1][-1] if n else 1, sides)
 
 
 def require_symmetric(q):

@@ -254,7 +254,11 @@ def _exit_root(p0sq, cross, p1sq):
     one, and for p1sq = 0 the one root."""
     if p1sq == 0:
         return Fraction(-p0sq, 2 * cross)
-    return (-cross - sqrt_fraction(cross * cross - p1sq * p0sq)) / p1sq
+    root = sqrt_fraction(cross * cross - p1sq * p0sq)
+    if type(root) is Fraction:
+        return (-cross - root) / p1sq
+    # (-cross - r*sqrt(d))/p1sq, its components already exact and d square-free
+    return QExt._of(-cross / p1sq, -root.q / p1sq, root.d)
 
 
 def _exit_first(p0sq, cross, p1sq, t_cur, t_wall):
@@ -278,6 +282,25 @@ def _exit_first(p0sq, cross, p1sq, t_cur, t_wall):
     )
 
 
+def _divisor_side(model: SurfaceModel, divisor: DivisorClass, cands: list[str]):
+    """(dec, D^2, P_D^2, P_D.A): the decomposition of D against `cands`, the
+    square of D, and the square of its positive part and its pairing with
+    the ample witness A.  They depend on the model, D and the candidates
+    alone, so they are computed on first use and kept in the model's
+    _divisor_sides table: a flag search walks one D against many flag
+    classes.  A decomposition that raises keeps nothing."""
+    key = (divisor._scaled(), tuple(cands))
+    try:
+        return model._divisor_sides[key]
+    except KeyError:
+        pass
+    dec = zariski_decompose(model, divisor, cands)
+    p = dec.positive_part
+    side = (dec, pair(model, divisor, divisor), pair(model, p, p), pair(model, p, model._witness))
+    model._divisor_sides[key] = side
+    return side
+
+
 def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     """Full chamber walk of D - t*C from nu to mu.
 
@@ -289,26 +312,27 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     cands_full = _validated_candidates(model, candidates, flag_label)
     entry_order = [l for l in cands_full if l != flag_label]
 
-    dec0 = zariski_decompose(model, divisor, cands_full)
+    dec0, dd, volume, witness_pairing = _divisor_side(model, divisor, cands_full)
     t_nu = dec0.coefficient(flag_label) if flag_label is not None else Fraction(0)
 
     if t_nu == 0:
         dec_nu = dec0  # D - 0*C is D itself
     else:
         dec_nu = zariski_decompose(model, divisor - flag_class.scale(t_nu), cands_full)
+        p_nu = dec_nu.positive_part
+        volume = pair(model, p_nu, p_nu)
+        witness_pairing = pair(model, p_nu, model._witness)
     if flag_label is not None and flag_label in dec_nu.support:
         raise ModelError("flag curve still in the negative part at t = nu")
-    p_nu = dec_nu.positive_part
-    volume = pair(model, p_nu, p_nu)
     # P^2 > 0 holds in both halves of the light cone; the ample witness
     # pairs positively with the half that holds the big classes
-    if volume <= 0 or pair(model, p_nu, model._witness) <= 0:
+    if volume <= 0 or witness_pairing <= 0:
         raise ModelError("divisor is not big against the model")
 
     ray = _Ray(
         dec0.scaled_pairings,
         curve_pairings(model, flag_class, entry_order),
-        pair(model, divisor, divisor),
+        dd,
         pair(model, divisor, flag_class),
         pair(model, flag_class, flag_class),
     )

@@ -97,9 +97,13 @@ def self_intersections(fan: ToricFan) -> list[int]:
 def combinatorial_edge_lengths(fan: ToricFan, div: ToricDivisor) -> list[Fraction]:
     """D . D_i for every i by the boundary intersection rules alone."""
     _check_lengths(fan, div)
-    n = len(fan)
-    b = self_intersections(fan)
-    a = div.coeffs
+    return _edge_lengths(div.coeffs, self_intersections(fan))
+
+
+def _edge_lengths(a, b) -> list[Fraction]:
+    """D . D_i = a_{i-1} + a_{i+1} - b_i a_i from the coefficients and the
+    b_i of self_intersections."""
+    n = len(a)
     return [
         Fraction(a[(i - 1) % n] + a[(i + 1) % n] - b[i] * a[i]) for i in range(n)
     ]
@@ -113,9 +117,13 @@ def fan_to_model(fan: ToricFan) -> tuple[SurfaceModel, list[DivisorClass]]:
     summing one primitive segment per ray, which is strictly convex on every
     fan.
     """
+    return _fan_model(fan, self_intersections(fan))
+
+
+def _fan_model(fan: ToricFan, b: list[int]) -> tuple[SurfaceModel, list[DivisorClass]]:
+    """fan_to_model, given the fan's self_intersections `b`."""
     n = len(fan)
     rho = n - 2
-    b = self_intersections(fan)
 
     # classes: D_i = e_i for i < n-1; the last two through the characters
     # m = (v_n[1], -v_n[0]) with <m, v_{n-1}> = 1, <m, v_n> = 0 and
@@ -186,7 +194,12 @@ def newton_polygon(fan: ToricFan, div: ToricDivisor) -> list[Point]:
     corner-to-corner edge lengths; a negative length means the corner system
     is infeasible.
     """
-    _check_lengths(fan, div)
+    return _newton(fan, div, combinatorial_edge_lengths(fan, div))
+
+
+def _newton(fan: ToricFan, div: ToricDivisor, lengths: list[Fraction]) -> list[Point]:
+    """newton_polygon, given the divisor's combinatorial_edge_lengths, which
+    every geometric edge length must equal."""
     n = len(fan)
     a = div.coeffs
     # corner i meets the lines <m, v> = -a_i and <m, w> = -a_{i+1}; by
@@ -197,7 +210,6 @@ def newton_polygon(fan: ToricFan, div: ToricDivisor) -> list[Point]:
         ai, aj = a[i], a[(i + 1) % n]
         corners.append((aj * v[1] - ai * w[1], ai * w[0] - aj * v[0]))
 
-    lengths = combinatorial_edge_lengths(fan, div)
     for i in range(n):
         prev, cur = corners[(i - 1) % n], corners[i]
         direction = (fan.rays[i][1], -fan.rays[i][0])
@@ -233,6 +245,13 @@ def monomial_okounkov(fan: ToricFan, div: ToricDivisor, flag_index: int) -> list
     again counterclockwise; only the starting vertex needs renormalizing.
     """
     _check_lengths(fan, div)
+    return monomial_valuation(fan, div, flag_index)(newton_polygon(fan, div))
+
+
+def monomial_valuation(fan: ToricFan, div: ToricDivisor, flag_index: int):
+    """The map of monomial_okounkov, taking a Newton polygon's vertices to
+    their images; the flag index is checked here, before any polygon is
+    computed.  The divisor has one coefficient per ray."""
     n = len(fan)
     if not 1 <= flag_index <= n:
         raise InputError(f"flag index must be in 1..{n}")
@@ -240,11 +259,13 @@ def monomial_okounkov(fan: ToricFan, div: ToricDivisor, flag_index: int) -> list
     w = fan.ray(flag_index + 1)
     av = div.coeffs[flag_index - 1]
     aw = div.coeffs[flag_index % n]
-    pts = newton_polygon(fan, div)
-    image = [
-        (m[0] * v[0] + m[1] * v[1] + av, m[0] * w[0] + m[1] * w[1] + aw) for m in pts
-    ]
-    return _rotate_to_lex_min(image)
+
+    def image(pts: list[Point]) -> list[Point]:
+        return _rotate_to_lex_min(
+            [(m[0] * v[0] + m[1] * v[1] + av, m[0] * w[0] + m[1] * w[1] + aw) for m in pts]
+        )
+
+    return image
 
 
 @dataclass(frozen=True)
@@ -266,14 +287,16 @@ def crosscheck(fan: ToricFan, div: ToricDivisor, flag_index: int) -> CrosscheckR
     transformation.  Twice the common area must equal D^2.
     """
     n = len(fan)
-    lengths = combinatorial_edge_lengths(fan, div)
+    _check_lengths(fan, div)
+    b = self_intersections(fan)
+    lengths = _edge_lengths(div.coeffs, b)
     if any(l <= 0 for l in lengths):
         raise InputError("divisor is not model-ample against all boundary curves")
 
     # route two first: its range check on flag_index runs before any walk
-    mono_pts = monomial_okounkov(fan, div, flag_index)
+    mono_pts = monomial_valuation(fan, div, flag_index)(_newton(fan, div, lengths))
 
-    model, classes = fan_to_model(fan)
+    model, classes = _fan_model(fan, b)
     d_class = DivisorClass(_combine(div.coeffs, classes))
     dsq = pair(model, d_class, d_class)
     if dsq <= 0:

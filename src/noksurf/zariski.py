@@ -24,6 +24,7 @@ from .lattice import (
     pair_curve,
     sorted_labels,
     subtract_curves,
+    support_elimination,
 )
 
 
@@ -44,17 +45,19 @@ class ZariskiResult:
 
 def solve_support(model: SurfaceModel, support, columns, failure):
     """Certify that the Gram matrix of `support` is negative definite and
-    solve it against each right-hand side in `columns`, in one fraction-free
-    elimination: (den, numerators) with x_j = numerators[c][j]/den.  When
-    the matrix is not negative definite, raises ModelError(failure(inertia)).
+    solve it against each integer right-hand side in `columns`: (den,
+    numerators) with x_j = numerators[c][j]/den.  The support is certified
+    and eliminated once per model (support_elimination), and each solve
+    replays that elimination.  When the matrix is not negative definite,
+    raises ModelError(failure(inertia)).
     """
     if not support:
         return 1, [[] for _ in columns]
-    gram = gram_matrix(model, support)
     try:
-        return linalg.solve_negative_definite(gram, columns)
+        m = support_elimination(model, support)
     except linalg.NotNegativeDefinite:
-        raise ModelError(failure(linalg.inertia(gram))) from None
+        raise ModelError(failure(linalg.inertia(gram_matrix(model, support)))) from None
+    return linalg.solve_eliminated(m, columns)
 
 
 def residual_pairings(model: SurfaceModel, support, columns, rhs):

@@ -21,7 +21,7 @@ from noksurf import (
     walk_ray,
     zariski_decompose,
 )
-from noksurf import cli, flagbuilder, zariski
+from noksurf import cli, flagbuilder, lattice, linalg, raywalk, zariski
 from noksurf.cli import main
 from noksurf.lattice import as_divisor, curve_pairings, pair_curve
 from noksurf.flagbuilder import (
@@ -295,3 +295,36 @@ def test_scale_for_flag_doubles_when_a_curve_is_met_once(coords, scale):
     assert got[0] == scale
     assert got == _scale_by_search(BL1, cert, ["E"])
     assert got[1] == DivisorClass(coords).scale(scale)
+
+
+@pytest.mark.parametrize("rho,independent", [(5, False), (6, False), (7, True)])
+def test_search_decomposes_d_once_and_eliminates_each_support_once(monkeypatch, rho, independent):
+    # what the trials share is computed once per model: D's decomposition,
+    # and the certified elimination of every support the probes and walks
+    # solve on; no inertia is computed, since no support fails
+    model, divisor = chain_model(rho)
+    config = list(model.labels())[: rho - 2 if independent else None]
+    decomposed, grams, inertias = [], [], []
+    decompose, gram, inertia = raywalk.zariski_decompose, lattice.gram_matrix, linalg.inertia
+
+    def counted_decompose(m, d, cands):
+        decomposed.append(d)
+        return decompose(m, d, cands)
+
+    def counted_gram(m, labels):
+        grams.append(tuple(labels))
+        return gram(m, labels)
+
+    def counted_inertia(q):
+        inertias.append(q)
+        return inertia(q)
+
+    monkeypatch.setattr(raywalk, "zariski_decompose", counted_decompose)
+    monkeypatch.setattr(lattice, "gram_matrix", counted_gram)
+    monkeypatch.setattr(linalg, "inertia", counted_inertia)
+    cert = find_ordered_ample_class(model, divisor, config, want_independent=independent)
+    assert cert.independent == independent
+    assert decomposed == [divisor]
+    assert len(grams) == len(set(grams)) == len(model._eliminations)
+    assert set(grams) >= {tuple(config)}
+    assert inertias == []

@@ -18,9 +18,9 @@ from noksurf import (
     pair,
     pair_curve,
 )
-from noksurf.lattice import curve_products, gram_matrix
+from noksurf.lattice import curve_products, gram_matrix, support_elimination
+from noksurf.linalg import NotNegativeDefinite, inertia, solve
 from noksurf.qext import as_exact
-from noksurf.linalg import solve
 
 BL1 = SurfaceModel(
     2,
@@ -331,6 +331,49 @@ def test_arithmetic_results_stay_exact():
         v.scale(0.5)
     with pytest.raises(InputError):
         DivisorClass((0.5, 1))
+
+
+_COORD = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@given(
+    st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=5),
+    st.one_of(st.integers(-9, 9), _COORD),
+)
+@settings(max_examples=200, deadline=None)
+def test_trusted_arithmetic_equals_the_validated_constructor(pairs, k):
+    u = DivisorClass([a for a, _ in pairs])
+    v = DivisorClass([b for _, b in pairs])
+    for got, want in [
+        (u + v, [a + b for a, b in pairs]),
+        (u - v, [a - b for a, b in pairs]),
+        (-u, [-a for a, _ in pairs]),
+        (u.scale(k), [k * a for a, _ in pairs]),
+        (k * u, [k * a for a, _ in pairs]),
+    ]:
+        ref = DivisorClass(want)
+        assert got == ref and hash(got) == hash(ref)
+        assert got.coords == ref.coords and all(type(x) is Fraction for x in got.coords)
+        assert got._scaled() == ref._scaled()
+
+
+def test_support_elimination_is_kept_per_support():
+    m = SurfaceModel(
+        3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        [CurveRecord("C1", (0, 1, -1)), CurveRecord("C2", (0, 0, 1)), CurveRecord("H", (1, 0, 0))],
+        (3, -2, -1),
+    )
+    elim = support_elimination(m, ["C1", "C2"])
+    assert support_elimination(m, ("C1", "C2")) is elim
+    assert is_negative_definite(m, ["C1", "C2"])
+    assert list(m._eliminations) == [("C1", "C2")]
+    # a support that fails Sylvester's test is not kept, and fails again
+    for _ in range(2):
+        with pytest.raises(NotNegativeDefinite):
+            support_elimination(m, ["C2", "H"])
+        assert not is_negative_definite(m, ["H"])
+    assert list(m._eliminations) == [("C1", "C2")]
+    assert inertia(gram_matrix(m, ["C2", "H"])) == (1, 1, 0)
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,12 @@ from noksurf.errors import InputError
 from noksurf.linalg import (
     NotNegativeDefinite,
     SingularSystem,
+    eliminate_negative_definite,
     in_span,
     inertia,
     rank,
     solve,
+    solve_eliminated,
     solve_many,
     solve_negative_definite,
 )
@@ -195,6 +197,67 @@ def test_solve_negative_definite_examples():
             solve_negative_definite(bad, [[1] * len(bad)])
     with pytest.raises(InputError):
         solve_negative_definite([[-1, 1], [0, -1]], [])
+
+
+def _augmented_bareiss(gram, columns):
+    """Reference: fraction-free elimination of the integer matrix augmented
+    by its right-hand sides, all columns at once, then back substitution;
+    (|det|, numerators) with the sign moved onto the numerators."""
+    n = len(gram)
+    m = [list(row) + [c[i] for c in columns] for i, row in enumerate(gram)]
+    prev = 1
+    for k in range(n):
+        for r in range(k + 1, n):
+            m[r] = m[r][: k + 1] + [
+                (m[k][k] * x - m[r][k] * y) // prev for x, y in zip(m[r][k + 1 :], m[k][k + 1 :])
+            ]
+        prev = m[k][k]
+    det = prev
+    out = []
+    for c in range(n, n + len(columns)):
+        dx = [0] * n
+        for i in range(n - 1, -1, -1):
+            acc = det * m[i][c] - sum(m[i][l] * dx[l] for l in range(i + 1, n))
+            dx[i] = acc // m[i][i]
+        out.append([x if det > 0 else -x for x in dx])
+    return abs(det), out
+
+
+_INT = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def _integer_grams(draw):
+    """-(B B^T) - diag(e), e in 0..2: negative definite when e > 0 or B is
+    invertible, semidefinite (so rejected) otherwise."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    b = [[draw(_INT) for _ in range(n)] for _ in range(n)]
+    e = [draw(st.integers(min_value=0, max_value=2)) for _ in range(n)]
+    return [
+        [-sum(x * y for x, y in zip(b[i], b[j])) - (e[i] if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@given(_integer_grams(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_replayed_solves_equal_fresh_ones(gram, data):
+    # one elimination, replayed on several sets of integer right-hand sides,
+    # gives what a fresh solve and a fresh augmented elimination give, and
+    # stays as it was
+    n = len(gram)
+    try:
+        m = eliminate_negative_definite([list(row) for row in gram])
+    except NotNegativeDefinite:
+        assert inertia(gram) != (0, n, 0)
+        return
+    assert inertia(gram) == (0, n, 0)
+    kept = [list(row) for row in m]
+    for _ in range(3):
+        cols = [[data.draw(_INT) for _ in range(n)] for _ in range(data.draw(st.integers(0, 3)))]
+        got = solve_eliminated(m, cols)
+        assert got == solve_negative_definite(gram, cols) == _augmented_bareiss(gram, cols)
+        assert m == kept
 
 
 def _random_symmetric(rng, n, rational):

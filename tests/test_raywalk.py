@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus, forest_corpus, gauss_jordan
+from helpers import chain_model, corpus, forest_corpus, gauss_jordan
 from noksurf import (
     CurveRecord,
     DivisorClass,
     InputError,
     InternalError,
     ModelError,
+    NoksurfError,
     QExt,
     SurfaceModel,
     appearance_times,
@@ -21,6 +22,7 @@ from noksurf import (
     walk_ray,
     zariski_decompose,
 )
+import noksurf.flagbuilder as flagbuilder
 import noksurf.raywalk as raywalk
 from noksurf.lattice import pair_curve
 from noksurf.qext import sqrt_fraction
@@ -222,9 +224,10 @@ def test_walk_names_inertia_of_singular_support():
         [CurveRecord("E1", (0, 1, 0)), CurveRecord("E1b", (0, 1, 0))],
         (3, -1, -1),
     )
-    with pytest.raises(ModelError) as err:
-        walk_ray(m, DivisorClass((3, -1, -1)), DivisorClass((1, -1, 0)), ["E1", "E1b"])
-    assert str(err.value) == "support ['E1', 'E1b'] is not negative definite (inertia (0, 1, 1))"
+    for _ in range(2):  # and again on the same model: nothing failed is kept
+        with pytest.raises(ModelError) as err:
+            walk_ray(m, DivisorClass((3, -1, -1)), DivisorClass((1, -1, 0)), ["E1", "E1b"])
+        assert str(err.value) == "support ['E1', 'E1b'] is not negative definite (inertia (0, 1, 1))"
 
 
 def test_walk_monotone_support_and_positivity_on_corpus():
@@ -517,7 +520,8 @@ def test_integer_decisions_agree_with_rational_evaluation(data):
         for l in outside:
             if cross[a, l]:
                 products[a][l] = products[l][a] = cross[a, l]
-    model = SimpleNamespace(_products=products)
+    # the model tables the chamber solve reads: product rows, eliminations
+    model = SimpleNamespace(_products=products, _eliminations={})
     zero = Fraction(0)
     ray = _Ray(_over_lcm(d_c), _over_lcm(f_c), zero, zero, zero)
 
@@ -611,3 +615,72 @@ def test_sign_at_an_irrational_root_agrees_with_qext(data):
     assert _sign(x0, x1, (a, b, disc)) == (value > 0) - (value < 0)
     # the same root, written with the square-free radicand
     assert _sign(x0, x1, _integer_root(mu)) == _sign(x0, x1, (a, b, disc))
+
+
+# -- walks on one model against cold walks ------------------------------------
+
+
+def _fresh(model):
+    return SurfaceModel(model.rank, model.gram, model.curves, model.ample_witness)
+
+
+def _outcome(model, divisor, flag, candidates):
+    """The profile of a walk with the integers it keeps, or its error."""
+    try:
+        p = walk_ray(model, divisor, flag, candidates)
+    except NoksurfError as exc:
+        return type(exc), str(exc)
+    dec = p.decomposition
+    return (
+        p,
+        [s.numerators for s in p.segments],
+        p.scaled_flag_pairings,
+        (dec.coeffs, dec.positive_part, dec.scaled_pairings),
+    )
+
+
+def _flags(case):
+    """The case's flag, every declared curve and the ample witness."""
+    return [case.flag, *case.model.labels(), DivisorClass(case.model.ample_witness)]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(lambda: corpus(seed=777001, count=220), id="corpus"),
+        pytest.param(lambda: forest_corpus(seed=8, count=6, rho=8), id="rank8"),
+        pytest.param(lambda: forest_corpus(seed=16, count=4, rho=16), id="rank16"),
+    ],
+)
+def test_walks_on_one_model_equal_cold_walks(cases):
+    # a sequence of walks shares the model's tables (eliminated supports and
+    # D's side of the ray); each equals a walk on a freshly built model
+    cases = cases()
+    walks = 0
+    for case in cases:
+        model = case.model
+        for flag in _flags(case):
+            warm = _outcome(model, case.divisor, flag, case.candidates)
+            assert warm == _outcome(_fresh(model), case.divisor, flag, case.candidates), case.name
+            walks += not isinstance(warm[0], type)
+    assert walks > 4 * len(cases)
+
+
+def test_flag_search_walks_equal_cold_walks(monkeypatch):
+    # every walk of a full scan on the chain models, ranks 3-7, against the
+    # same walk on a fresh model
+    calls = []
+
+    def recorded(model, divisor, flag, candidates):
+        out = _outcome(model, divisor, flag, candidates)
+        calls.append((model, divisor, flag, candidates, out))
+        # a walk that failed is run again to raise its own exception
+        return walk_ray(model, divisor, flag, candidates) if isinstance(out[0], type) else out[0]
+
+    monkeypatch.setattr(flagbuilder, "walk_ray", recorded)
+    for rho in range(3, 8):
+        model, divisor = chain_model(rho)
+        flagbuilder.scan_vertex_counts(model, divisor, list(model.labels()))
+    assert len(calls) > 200
+    for model, divisor, flag, candidates, warm in calls:
+        assert warm == _outcome(_fresh(model), divisor, flag, candidates)

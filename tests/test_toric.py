@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import brute_halfplane_vertices, fan_corpus, shoelace2
-from noksurf import DegenerateInput, InputError, pair
+from noksurf import DegenerateInput, InputError, pair, toric
+from noksurf.cli import main
 from noksurf.linalg import solve, solve_many
 from noksurf.toric import (
     ToricDivisor,
@@ -275,3 +277,25 @@ def test_closed_forms_match_eliminations(k):
             for idx in range(1, len(rays) + 1):
                 assert crosscheck(fan, div, idx).equal, (rays, coeffs, idx)
     assert ample >= 1 and nef >= ample
+
+
+@pytest.mark.parametrize(
+    "command,case",
+    [("toric-polygon", "toric_f1_polygon"), ("toric-crosscheck", "toric_p2_crosscheck")],
+)
+def test_toric_commands_compute_each_value_once(monkeypatch, capsys, command, case):
+    # the length check, the self-intersections, the edge lengths and the
+    # Newton polygon are each computed once per command and passed down
+    calls = []
+    for name in ("_check_lengths", "self_intersections", "_edge_lengths", "_newton"):
+        fn = getattr(toric, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(toric, name, counted)
+    doc = Path(__file__).resolve().parent.parent / "cases" / f"{case}.json"
+    assert main([command, str(doc)]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["_check_lengths", "_edge_lengths", "_newton", "self_intersections"]

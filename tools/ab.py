@@ -16,11 +16,13 @@ faster from cached bytecode, so both sides must import from source.
 `--workload` and `--seed` may repeat; every combination is measured.  The
 output file keeps both sides' result lines for every pair, and for every
 end-to-end metric the pairs the head wins, the median and quartiles of each
-side, the median gain (positive is better) and the base's interquartile
-range over its median, and under `layers` each side's traced runs (`runs`)
+side, the median gain (positive is better), the base's interquartile
+range over its median and a verdict (see `verdict`, with the metric's
+`bound` from BENCHMARK.json), and under `layers` each side's traced runs (`runs`)
 with the median of each metric over them (`metrics`), their summed
 `attempted` and `failed` counts and whether all were `correct`;
-stdout gets one line per workload, seed and metric with those figures, one
+stdout gets one line per workload, seed and metric with those figures and
+the verdict, one
 line per workload and seed with each side's `src_lines` (the source line
 count the run reports), and one `base -> head` line per per-layer metric.
 Entries already in the file for other workload/seed combinations are kept.
@@ -89,15 +91,42 @@ def traced_median(runs: list[dict]) -> dict:
     }
 
 
-def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
+# a gain needs at least this many pairs, and the head winning this share
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
+def verdict(s: dict, head_all_better: bool) -> str:
+    """`gain` when the head wins at least WIN_SHARE of at least MIN_PAIRS
+    pairs and its median gain exceeds the base's IQR/median; `worse` when its
+    median is worse than the base's by more than the metric's `bound`;
+    `unresolved` when the base's IQR/median is wider than the bound (or
+    there are fewer than MIN_PAIRS pairs) and not every head run is better
+    than every base run; otherwise `same`."""
+    bound = s["bound"]
+    if (
+        s["pairs"] >= MIN_PAIRS
+        and s["head_wins"] >= WIN_SHARE * s["pairs"]
+        and s["median_gain"] > s["base_iqr_over_median"]
+    ):
+        return "gain"
+    if s["median_gain"] < -bound:
+        return "worse"
+    if (s["base_iqr_over_median"] > bound or s["pairs"] < MIN_PAIRS) and not head_all_better:
+        return "unresolved"
+    return "same"
+
+
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     out = {}
-    for name, better in directions.items():
+    for name, m in metrics.items():
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         head = [p["head"]["metrics"][name]["value"] for p in pairs]
-        sign = 1 if better == "higher" else -1
+        sign = 1 if m["better"] == "higher" else -1
         b, h = spread(base), spread(head)
-        out[name] = {
-            "better": better,
+        s = out[name] = {
+            "better": m["better"],
+            "bound": m["bound"],
             "head_wins": sum(sign * (y - x) > 0 for x, y in zip(base, head)),
             "pairs": len(pairs),
             "base": b,
@@ -105,10 +134,11 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
             "median_gain": sign * (h["median"] / b["median"] - 1),
             "base_iqr_over_median": (b["q3"] - b["q1"]) / b["median"],
         }
+        s["verdict"] = verdict(s, min(sign * y for y in head) > max(sign * x for x in base))
     return out
 
 
-def measure(base: Path, head: Path, workload: str, seed: int, seconds: float, n: int, directions):
+def measure(base: Path, head: Path, workload: str, seed: int, seconds: float, n: int, metrics):
     pairs, info = [], {}
     for i in range(n):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -136,7 +166,7 @@ def measure(base: Path, head: Path, workload: str, seed: int, seconds: float, n:
         "seconds": seconds,
         "info": info,
         "pairs": pairs,
-        "summary": summarize(pairs, directions),
+        "summary": summarize(pairs, metrics),
         "layers": layers,
     }
 
@@ -158,13 +188,13 @@ def main(argv=None) -> int:
         for path in (base, head):
             check_checkout(path)
         spec = json.loads((head / "BENCHMARK.json").read_text())
-        directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        metrics = {m["name"]: m for m in spec["end_to_end"]}
         doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
         doc.update(base=str(base), head=str(head))
         entries = {(e["workload"], e["seed"]): e for e in doc.get("runs", [])}
         for workload in args.workload:
             for seed in args.seed:
-                entry = measure(base, head, workload, seed, args.seconds, args.pairs, directions)
+                entry = measure(base, head, workload, seed, args.seconds, args.pairs, metrics)
                 entries[workload, seed] = entry
                 doc["runs"] = list(entries.values())
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
@@ -182,7 +212,8 @@ def main(argv=None) -> int:
             print(
                 f"{e['workload']} seed {e['seed']} {name}: median {s['base']['median']:.4g} -> "
                 f"{s['head']['median']:.4g} ({s['median_gain']:+.1%}), head wins "
-                f"{s['head_wins']}/{s['pairs']}, base IQR/median {s['base_iqr_over_median']:.3f}"
+                f"{s['head_wins']}/{s['pairs']}, base IQR/median {s['base_iqr_over_median']:.3f}, "
+                f"bound {s['bound']:g}: {s['verdict']}"
             )
         if layers:
             base_m, head_m = (layers[side]["metrics"] for side in ("base", "head"))
