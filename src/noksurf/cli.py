@@ -72,15 +72,15 @@ def _profile_payload(profile) -> dict:
 
 def _polygon_payload(model, doc) -> tuple[dict, object]:
     divisor = docio.parse_divisor(doc, model)
-    target, spec = docio.parse_flag(doc, model)
+    flag = docio.parse_flag(doc, model)
     candidates = docio.parse_candidates(doc, model)
-    profile = walk_ray(model, divisor, target, candidates)
-    alpha, beta = alpha_beta(model, profile, spec)
+    profile = walk_ray(model, divisor, flag, candidates)
+    alpha, beta = alpha_beta(model, profile)
     polygon = build_polygon(alpha, beta)
-    slopes = side_slopes(model, profile, spec, alpha, beta)
-    predictions = predict_interior_vertices(model, profile, spec)
+    slopes = side_slopes(model, profile, alpha, beta)
+    predictions = predict_interior_vertices(model, profile)
     right = rightmost_count(model, profile)
-    bounds = vertex_bound_check(model, polygon, profile, spec)
+    bounds = vertex_bound_check(model, polygon, profile)
     # by the area law twice the area is vol(D); the shoelace certifies it
     area2 = profile.volume
     shoelace = polygon_area2(polygon)
@@ -186,9 +186,9 @@ def cmd_zariski(doc, args):
 def cmd_ray_profile(doc, args):
     model = docio.parse_surface(doc)
     divisor = docio.parse_divisor(doc, model)
-    target, _spec = docio.parse_flag(doc, model)
+    flag = docio.parse_flag(doc, model)
     candidates = docio.parse_candidates(doc, model)
-    profile = walk_ray(model, divisor, target, candidates)
+    profile = walk_ray(model, divisor, flag, candidates)
     return {"profile": _profile_payload(profile)}, None
 
 
@@ -261,8 +261,8 @@ def cmd_scan_vertex_counts(doc, args):
                 "v": r.target,
                 "config": list(r.config),
                 "placement": r.placement,
-                "flag_class": [fmt(x) for x in r.flag_class.coords],
-                "local_mult": dict(r.flag_spec.local_mult),
+                "flag_class": [fmt(x) for x in r.profile.flag.cls.coords],
+                "local_mult": dict(r.profile.flag.local_mult),
                 "mu": fmt(r.profile.mu),
                 "vertices": [docio.fmt_point(p) for p in r.polygon.vertices],
                 "vertex_count": len(r.polygon.vertices),

@@ -15,8 +15,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InputError, InternalError
 from .lattice import CurveRecord, DivisorClass, SurfaceModel, rational_string
-from .polygon import FlagSpec
 from .qext import format_exact
+from .raywalk import FlagSpec
 from .toric import ToricDivisor, ToricFan
 
 SCHEMA_VERSION = 1
@@ -137,8 +137,9 @@ def parse_divisor(doc: dict, model: SurfaceModel) -> DivisorClass:
     return DivisorClass(_rationals(vec, "divisor"))
 
 
-def parse_flag(doc: dict, model: SurfaceModel):
-    """Returns (flag target for walking, FlagSpec)."""
+def parse_flag(doc: dict, model: SurfaceModel) -> FlagSpec:
+    """The document's flag, its shape checked here with paths and its
+    curve and multiplicities by the FlagSpec it is built into."""
     flag = _expect(doc, "flag", "document")
     if not isinstance(flag, dict):
         raise InputError("flag: must be an object")
@@ -159,9 +160,7 @@ def parse_flag(doc: dict, model: SurfaceModel):
     for label, m in raw.items():
         model.curve(label)
         local[label] = parse_int(m, f"flag.local_mult[{label!r}]")
-    spec = FlagSpec(target, local)
-    spec.validate(model)
-    return target, spec
+    return FlagSpec(model, target, local)
 
 
 def parse_candidates(doc: dict, model: SurfaceModel) -> list[str]:

@@ -24,9 +24,9 @@ from .lattice import (
     is_negative_definite,
     pair,
 )
-from .polygon import FlagSpec, OkPolygon, alpha_beta, build_polygon, mv, mv_of_components
+from .polygon import OkPolygon, alpha_beta, build_polygon, mv, mv_of_components
 from .qext import QExt
-from .raywalk import RayProfile, walk_ray
+from .raywalk import FlagSpec, RayProfile, walk_ray
 from .zariski import residual_pairings, solve_support
 
 
@@ -262,11 +262,9 @@ class RealizedFlag:
     target: int
     config: tuple[str, ...]
     placement: str  # "first-curve" | "generic-point" | "second-curve"
-    flag_class: DivisorClass
-    flag_spec: FlagSpec
     certificate: OrderedFlagCertificate
-    scale: int  # flag_class = scale * certificate.flag_class
-    profile: RayProfile
+    scale: int  # profile.flag.cls = scale * certificate.flag_class
+    profile: RayProfile  # walked with the realized flag
     polygon: OkPolygon
 
     def verified(self) -> bool:
@@ -351,10 +349,9 @@ def realize_vertex_count(
         local = {config[1]: 1}
     else:
         local = {}
-    spec = FlagSpec(flag_class, local)
-
-    profile = walk_ray(model, divisor, flag_class, model.labels())
-    polygon = build_polygon(*alpha_beta(model, profile, spec))
+    flag = FlagSpec(model, flag_class, local)
+    profile = walk_ray(model, divisor, flag, model.labels())
+    polygon = build_polygon(*alpha_beta(model, profile))
     if len(polygon.vertices) != v:
         raise TheoremViolation(
             f"realization produced {len(polygon.vertices)} vertices instead of {v} "
@@ -364,8 +361,6 @@ def realize_vertex_count(
         target=v,
         config=tuple(config),
         placement=placement,
-        flag_class=flag_class,
-        flag_spec=spec,
         certificate=certificate,
         scale=scale,
         profile=profile,

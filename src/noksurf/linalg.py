@@ -196,11 +196,22 @@ def inertia(q) -> tuple[int, int, int]:
     """Sylvester inertia (n_plus, n_minus, n_zero) by symmetric elimination.
 
     An integer matrix is copied, a rational one scaled by one positive lcm.
-    Diagonal pivots are used where available, (k, k) first; otherwise a
-    row+column addition manufactures one (char 0, so 2*m[i][j] != 0).  The
-    trailing block is always prev times the Schur complement, prev being
-    the last pivot eliminated with, so each pivot of the congruence has the
-    sign of m[k][k] * prev.
+    Diagonal pivots are used where available, (k, k) first.  The trailing
+    block is always prev times the Schur complement of what was eliminated,
+    prev being the last pivot, so each pivot has the sign of m[k][k] * prev;
+    while that complement S is symmetric, the pivots count its inertia
+    (Haynsworth: a pivot and its Schur complement add up).
+
+    When S has a zero diagonal, row j is added to row i for the first
+    nonzero t = S[i][j], i < j, in row order: one side of a congruence only,
+    so S turns unsymmetric for one step.  The pivot at i is S[j][i] = t, and
+    the next step pivots at j: the rows of S before i are zero, and so are
+    S[i][r] = S[r][i] for i < r < j, so after the pivot at i the diagonal is
+    zero up to j, where it is -t.  Those two pivots leave
+    S[r][c] - (S[r][i] S[j][c] + S[r][j] S[i][c])/t, the Schur complement of
+    the principal block [[0, t], [t, 0]] at i, j, which is symmetric again,
+    and their signs, one of each, are that block's inertia.  The row order
+    matters: with another nonzero S[i][j], the next pivot may not be j.
     """
     n = len(require_symmetric(q))
     if all(set(map(type, row)) <= {int} for row in q):
@@ -222,8 +233,6 @@ def inertia(q) -> tuple[int, int, int]:
                 break
             i, j = spot
             m[i] = [x + y for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] += row[j]
             piv = i
         if piv != k:
             m[k], m[piv] = m[piv], m[k]

@@ -21,39 +21,9 @@ from .lattice import (
     is_model_ample,
     is_negative_definite,
     pair,
-    pair_curve,
 )
 from .qext import QExt, as_exact
-from .raywalk import RayProfile, resolve_flag
-
-
-@dataclass(frozen=True)
-class FlagSpec:
-    """Flag data: the curve C (label or class) and the local intersection
-    multiplicities (C_j . C)_p of the declared curves at the flag point."""
-
-    flag: object
-    local_mult: dict[str, int]
-
-    def validate(self, model: SurfaceModel):
-        """Check the multiplicities against the model; returns the flag
-        resolved to (label or None, class)."""
-        label, cls = resolve_flag(model, self.flag)
-        for l, m in self.local_mult.items():
-            if l == label:
-                raise InputError("local multiplicities must not include the flag curve")
-            model.curve(l)  # an unknown label is reported before a bad multiplicity
-            if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-                raise InputError(f"local multiplicity of {l!r} must be a nonnegative integer")
-            total = pair_curve(model, cls, l)
-            if m > total:
-                raise InputError(
-                    f"local multiplicity of {l!r} exceeds its total intersection {total}"
-                )
-        return label, cls
-
-    def mult(self, label: str) -> int:
-        return self.local_mult.get(label, 0)
+from .raywalk import RayProfile
 
 
 @dataclass(frozen=True)
@@ -119,20 +89,18 @@ def _value(n0, n1, den, t):
     )
 
 
-def alpha_beta(model: SurfaceModel, profile: RayProfile, flag: FlagSpec):
-    """Boundary functions of the polygon: alpha below, beta above.
+def alpha_beta(model: SurfaceModel, profile: RayProfile):
+    """Boundary functions of the polygon: alpha below, beta above, for the
+    flag the profile was walked with.
 
     alpha(t) sums a_j(t) * (C_j.C)_p over the moving support; beta(t) is
     alpha(t) + P_t.C.  The equivalent expansion
     beta(t) = D.C - t C^2 - (N_t.C - alpha(t)) is an identity of the same
     data and is exercised by the test suite as a consistency check.
     """
-    label, cls = flag.validate(model)
-    if label != profile.flag_label or cls != profile.flag_class:
-        raise InputError("flag does not match the one the profile was walked with")
-    for seg in profile.segments:
-        if label is not None and label in seg.support:
-            raise ModelError("flag curve appears in the moving support")
+    flag = profile.flag
+    if any(flag.label in seg.support for seg in profile.segments):
+        raise ModelError("flag curve appears in the moving support")
 
     # alpha = (A0 + A1*t)/e and beta = (B0 + B1*t)/(e*w) on each chamber,
     # from the chamber's integers
@@ -308,15 +276,15 @@ class InteriorPrediction:
 
 
 def predict_interior_vertices(
-    model: SurfaceModel, profile: RayProfile, flag: FlagSpec
+    model: SurfaceModel, profile: RayProfile
 ) -> list[InteriorPrediction]:
     """Predicted interior vertices at each wall, from the dual graph alone.
 
     A wall contributes a lower vertex iff a connected component of the
     post-wall support contains an entering curve and meets the flag point;
     an upper vertex iff such a component meets C away from the flag point.
-    `flag` is the one alpha_beta accepted for the profile.
     """
+    flag = profile.flag
     out = []
     for seg_prev, seg in zip(profile.segments, profile.segments[1:]):
         t_star = seg.t_lo
@@ -348,7 +316,7 @@ def rightmost_count(model: SurfaceModel, profile: RayProfile) -> RightmostReport
     """1 when [C] lies in the span of [D] and the terminal support, else 2
     for a certified-ample flag; uncertified cases fall back to the observed
     count with a warning flag (certified=False).  D and C are the profile's."""
-    cls = profile.flag_class
+    cls = profile.flag.cls
     span = [list(profile.divisor.coords)] + [
         list(model.class_of(l).coords) for l in profile.final_support()
     ]
@@ -370,20 +338,16 @@ def rightmost_count(model: SurfaceModel, profile: RayProfile) -> RightmostReport
 
 
 def side_slopes(
-    model: SurfaceModel,
-    profile: RayProfile,
-    flag: FlagSpec,
-    alpha: PiecewiseLinear,
-    beta: PiecewiseLinear,
+    model: SurfaceModel, profile: RayProfile, alpha: PiecewiseLinear, beta: PiecewiseLinear
 ):
     """Per-segment (lower, upper) slopes from intersection numbers only.
 
     lower = sum a_j1 (C_j.C)_p;  upper = sum a_j1 ((C_j.C)_p - C_j.C) - C^2,
     in Fractions over the `Segment.coeffs` slopes a_j1 and the flag's
     pairings.  Cross-checked against the slopes of the given alpha and beta,
-    which alpha_beta built from the chambers' integer numerators.  `flag` is
-    the one alpha_beta accepted for the profile.
+    which alpha_beta built from the chambers' integer numerators.
     """
+    flag = profile.flag
     out = []
     for seg in profile.segments:
         lower = Fraction(0)
@@ -430,7 +394,7 @@ def leftmost_side_check(model: SurfaceModel, profile: RayProfile):
     """Independent value of the leftmost side length: P_0.C from the
     decomposition of D itself that the walk starts from, not from the
     chamber solve the polygon's side comes from."""
-    return pair(model, profile.decomposition.positive_part, profile.flag_class)
+    return pair(model, profile.decomposition.positive_part, profile.flag.cls)
 
 
 # -- configuration invariants ------------------------------------------------
@@ -485,10 +449,7 @@ class BoundReport:
 
 
 def vertex_bound_check(
-    model: SurfaceModel,
-    polygon: OkPolygon,
-    profile: RayProfile,
-    flag: FlagSpec,
+    model: SurfaceModel, polygon: OkPolygon, profile: RayProfile
 ) -> BoundReport:
     """Assert the vertex-count bounds against the terminal support.
 
@@ -500,8 +461,8 @@ def vertex_bound_check(
     its curves also meets C elsewhere.  The walk's last solve certified the
     support negative definite, so mv is taken from its components directly.
     """
-    support = list(profile.final_support())
-    comps = dual_graph_components(model, support)
+    flag = profile.flag
+    comps = dual_graph_components(model, list(profile.final_support()))
     report = BoundReport(
         vertex_count=len(polygon.vertices),
         mv_bound=mv_of_components(model, comps),

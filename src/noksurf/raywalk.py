@@ -23,6 +23,7 @@ from .lattice import (
     as_divisor,
     curve_pairings,
     pair,
+    pair_curve,
     sorted_labels,
 )
 from .qext import QExt, sqrt_fraction
@@ -54,8 +55,7 @@ class RayProfile:
     radicand: int  # 0 when mu is rational
     segments: tuple[Segment, ...]
     appearance: dict[str, Fraction]
-    flag_label: str | None
-    flag_class: DivisorClass
+    flag: FlagSpec
     divisor: DivisorClass
     candidates: tuple[str, ...]
     decomposition: ZariskiResult  # of D itself, from which the walk starts
@@ -92,6 +92,44 @@ def resolve_flag(model: SurfaceModel, flag) -> tuple[str | None, DivisorClass]:
     return None, cls
 
 
+@dataclass(frozen=True, init=False)
+class FlagSpec:
+    """A flag (C, p), checked against the model once, when it is built: the
+    curve C, given as a declared label or a class and resolved to its label
+    (None for an undeclared class) and class, and the local intersection
+    multiplicities (C_j . C)_p of declared curves at the flag point."""
+
+    label: str | None
+    cls: DivisorClass
+    local_mult: dict[str, int]
+
+    def __init__(self, model: SurfaceModel, flag, local_mult):
+        label, cls = resolve_flag(model, flag)
+        for l, m in local_mult.items():
+            if l == label:
+                raise InputError("local multiplicities must not include the flag curve")
+            model.curve(l)  # an unknown label is reported before a bad multiplicity
+            if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+                raise InputError(f"local multiplicity of {l!r} must be a nonnegative integer")
+            total = pair_curve(model, cls, l)
+            if m > total:
+                raise InputError(
+                    f"local multiplicity of {l!r} exceeds its total intersection {total}"
+                )
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "local_mult", dict(local_mult))
+
+    def mult(self, label: str) -> int:
+        return self.local_mult.get(label, 0)
+
+
+def _as_flag(model: SurfaceModel, flag) -> FlagSpec:
+    """A FlagSpec as it is; a bare label or class as the flag with no
+    local multiplicities."""
+    return flag if isinstance(flag, FlagSpec) else FlagSpec(model, flag, {})
+
+
 def _validated_candidates(model: SurfaceModel, candidates, flag_label) -> list[str]:
     """The distinct candidates with a declared flag curve among them, in
     declaration order."""
@@ -104,7 +142,7 @@ def _validated_candidates(model: SurfaceModel, candidates, flag_label) -> list[s
 def nu(model: SurfaceModel, divisor, flag, candidates) -> Fraction:
     """Coefficient of the flag curve in the negative part of D itself."""
     divisor = as_divisor(divisor, model.rank)
-    flag_label, _ = resolve_flag(model, flag)
+    flag_label = _as_flag(model, flag).label
     cands = _validated_candidates(model, candidates, flag_label)
     dec = zariski_decompose(model, divisor, cands)
     return dec.coefficient(flag_label) if flag_label is not None else Fraction(0)
@@ -302,13 +340,16 @@ def _divisor_side(model: SurfaceModel, divisor: DivisorClass, cands: list[str]):
 
 
 def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
-    """Full chamber walk of D - t*C from nu to mu.
+    """Full chamber walk of D - t*C from nu to mu for a FlagSpec, or for a
+    bare label or class as the flag with no local multiplicities; the
+    profile keeps the flag.
 
     The flag curve is monitored like a candidate: it must never re-enter the
     support past nu, or the input data is inconsistent.
     """
     divisor = as_divisor(divisor, model.rank)
-    flag_label, flag_class = resolve_flag(model, flag)
+    flag = _as_flag(model, flag)
+    flag_label, flag_class = flag.label, flag.cls
     cands_full = _validated_candidates(model, candidates, flag_label)
     entry_order = [l for l in cands_full if l != flag_label]
 
@@ -438,8 +479,7 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         radicand=radicand,
         segments=tuple(segments),
         appearance=appearance,
-        flag_label=flag_label,
-        flag_class=flag_class,
+        flag=flag,
         divisor=divisor,
         candidates=tuple(cands_full),
         decomposition=dec0,

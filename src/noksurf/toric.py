@@ -15,13 +15,8 @@ from math import gcd
 
 from .errors import DegenerateInput, InputError, InternalError, OracleMismatch
 from .lattice import CurveRecord, DivisorClass, SurfaceModel, gram_matrix, pair
-from .polygon import (
-    FlagSpec,
-    alpha_beta,
-    build_polygon,
-    polygon_area2,
-)
-from .raywalk import walk_ray
+from .polygon import alpha_beta, build_polygon, polygon_area2
+from .raywalk import FlagSpec, walk_ray
 
 Point = tuple[Fraction, Fraction]
 
@@ -302,11 +297,9 @@ def crosscheck(fan: ToricFan, div: ToricDivisor, flag_index: int) -> CrosscheckR
     if dsq <= 0:
         raise InputError("divisor has nonpositive self-intersection")
 
-    flag_label = f"D{flag_index}"
-    next_label = f"D{(flag_index % n) + 1}"
-    profile = walk_ray(model, d_class, flag_label, model.labels())
-    flag = FlagSpec(flag_label, {next_label: 1})
-    poly = build_polygon(*alpha_beta(model, profile, flag))
+    flag = FlagSpec(model, f"D{flag_index}", {f"D{(flag_index % n) + 1}": 1})
+    profile = walk_ray(model, d_class, flag, model.labels())
+    poly = build_polygon(*alpha_beta(model, profile))
     if any(type(x) is not Fraction for v in poly.vertices for x in v):
         raise OracleMismatch("walk polygon has irrational vertices on toric input")
     walk_pts = _rotate_to_lex_min(list(poly.vertices))

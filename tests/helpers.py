@@ -225,7 +225,7 @@ class Case:
     model: SurfaceModel
     divisor: DivisorClass
     flag: object  # label or DivisorClass
-    spec: FlagSpec
+    spec: FlagSpec  # the flag with the case's local multiplicities
     candidates: list[str]
     ample_divisor: bool
 
@@ -322,7 +322,7 @@ def make_case(rng: random.Random, index: int) -> Case:
     if rho == 1:
         model = SurfaceModel(1, [[1]], [CurveRecord("H", (1,))], (1,))
         d = DivisorClass((rng.randrange(1, 6),))
-        spec = FlagSpec("H", {})
+        spec = FlagSpec(model, "H", {})
         return Case(f"case{index}-p2", model, d, "H", spec, ["H"], True)
     return forest_case(rng, rho, index)
 
@@ -347,7 +347,7 @@ def forest_case(rng: random.Random, rho: int, index: int = 0) -> Case:
     flag_cls = model.class_of(flag) if isinstance(flag, str) else flag
     flag_label = flag if isinstance(flag, str) else None
     mults = _random_mults(rng, model, flag_cls, flag_label)
-    spec = FlagSpec(flag, mults)
+    spec = FlagSpec(model, flag, mults)
     labels = list(model.labels())
     # candidate subsets only against nef starting classes: relative bigness
     # of a non-nef class cannot be certified without its negative curves

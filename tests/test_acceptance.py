@@ -50,16 +50,15 @@ POLYGON_CASES = ["ex1_on_point", "ex1_off_point", "ex2_negative_flag", "ex3_tigh
 
 
 def _polygon(model, divisor, flag_target, mults, candidates):
-    profile = walk_ray(model, divisor, flag_target, candidates)
-    spec = FlagSpec(flag_target, mults)
-    alpha, beta = alpha_beta(model, profile, spec)
+    profile = walk_ray(model, divisor, FlagSpec(model, flag_target, mults), candidates)
+    alpha, beta = alpha_beta(model, profile)
     poly = build_polygon(alpha, beta)
-    return profile, spec, alpha, beta, poly
+    return profile, alpha, beta, poly
 
 
 def test_criterion_1_worked_example_blowup():
     d = DivisorClass((3, -1))
-    _, _, _, _, poly = _polygon(BL1, d, DivisorClass((2, -1)), {"E": 1}, ["E"])
+    *_, poly = _polygon(BL1, d, DivisorClass((2, -1)), {"E": 1}, ["E"])
     assert poly.vertices == (
         (0, 0),
         (1, 0),
@@ -67,7 +66,7 @@ def test_criterion_1_worked_example_blowup():
         (0, 5),
     )
     assert polygon_area2(poly) == 8 == pair(BL1, d, d)
-    _, _, _, _, off = _polygon(BL1, d, DivisorClass((2, -1)), {}, ["E"])
+    *_, off = _polygon(BL1, d, DivisorClass((2, -1)), {}, ["E"])
     assert off.vertices == ((0, 0), (Fraction(3, 2), 0), (1, 2), (0, 5))
     assert polygon_area2(off) == 8
     print("ACCEPTANCE 1 PASS: EX1 polygons exact, both flag points, area 4 = D^2/2")
@@ -75,7 +74,7 @@ def test_criterion_1_worked_example_blowup():
 
 def test_criterion_2_worked_example_negative_flag():
     d = DivisorClass((1, 1))
-    profile, _, _, _, poly = _polygon(BL1, d, "E", {}, ["E"])
+    profile, *_, poly = _polygon(BL1, d, "E", {}, ["E"])
     assert profile.nu == 1 and profile.mu == 2
     assert poly.vertices == ((1, 0), (2, 0), (2, 1))
     p0 = zariski_decompose(BL1, d, ["E"]).positive_part
@@ -85,7 +84,7 @@ def test_criterion_2_worked_example_negative_flag():
 
 def test_criterion_3_tight_bound_example():
     d = DivisorClass((3, -1))
-    profile, spec, _, _, poly = _polygon(BL1, d, DivisorClass((6, -3)), {"E": 1}, ["E"])
+    profile, *_, poly = _polygon(BL1, d, DivisorClass((6, -3)), {"E": 1}, ["E"])
     assert poly.vertices == (
         (0, 0),
         (Fraction(1, 3), 0),
@@ -95,7 +94,7 @@ def test_criterion_3_tight_bound_example():
     )
     assert polygon_area2(poly) == 8
     assert len(poly.vertices) == 5 == mv(BL1, ["E"]) == 2 * BL1.rank + 1
-    vertex_bound_check(BL1, poly, profile, spec)
+    vertex_bound_check(BL1, poly, profile)
     print("ACCEPTANCE 3 PASS: EX3 has 5 vertices exactly, 5 = mv({E}) = 2*rho+1, tight")
 
 
@@ -131,8 +130,8 @@ def test_criterion_4_toric_oracle_equality():
 def corpus_runs():
     out = []
     for case in CORPUS:
-        profile = walk_ray(case.model, case.divisor, case.flag, case.candidates)
-        alpha, beta = alpha_beta(case.model, profile, case.spec)
+        profile = walk_ray(case.model, case.divisor, case.spec, case.candidates)
+        alpha, beta = alpha_beta(case.model, profile)
         poly = build_polygon(alpha, beta)
         out.append((case, profile, alpha, beta, poly))
     return out
@@ -142,8 +141,8 @@ def test_criterion_5_area_law(corpus_runs):
     assert len(corpus_runs) >= 200
     for case, profile, alpha, beta, poly in corpus_runs:
         cands = list(case.candidates)
-        if profile.flag_label is not None and profile.flag_label not in cands:
-            cands.append(profile.flag_label)
+        if profile.flag.label is not None and profile.flag.label not in cands:
+            cands.append(profile.flag.label)
         p0 = zariski_decompose(case.model, case.divisor, cands).positive_part
         p0sq = pair(case.model, p0, p0)
         assert polygon_area2(poly) == p0sq
@@ -160,14 +159,14 @@ def test_criterion_6_theorem_suite(corpus_runs):
     assert len(corpus_runs) >= 200
     disagreements = 0
     for case, profile, alpha, beta, poly in corpus_runs:
-        report = vertex_bound_check(case.model, poly, profile, case.spec)
+        report = vertex_bound_check(case.model, poly, profile)
         assert report.vertex_count <= report.mv_bound <= 2 * case.model.rank + 1
         observed: dict = {}
         for (t, _s), tag in zip(poly.vertices, poly.tags):
             if tag.startswith("interior"):
                 observed.setdefault(t, set()).add(tag.split("-")[1])
         predicted = set()
-        for p in predict_interior_vertices(case.model, profile, case.spec):
+        for p in predict_interior_vertices(case.model, profile):
             predicted.add(p.t)
             got = observed.get(p.t, set())
             if p.expect_lower != ("lower" in got) or p.expect_upper != (
@@ -189,7 +188,7 @@ def test_criterion_6_theorem_suite(corpus_runs):
     )
 
 
-def _computed_numbers(model, profile, spec, alpha, beta, poly):
+def _computed_numbers(model, profile, alpha, beta, poly):
     """Every number the polygon pipeline computes for one document."""
     for seg in profile.segments:
         yield seg.t_lo, seg.t_hi, seg.f0, seg.fslope
@@ -201,21 +200,21 @@ def _computed_numbers(model, profile, spec, alpha, beta, poly):
     for side in side_lengths(poly):
         yield side.dt, side.ds
     yield (polygon_area2(poly),)
-    yield from side_slopes(model, profile, spec, alpha, beta)
+    yield from side_slopes(model, profile, alpha, beta)
 
 
 def test_one_number_convention(corpus_runs):
     """A computed value is a Fraction, or a QExt with q != 0 on a ray whose mu
     is irrational: no int, and no QExt holding a rational."""
-    runs = [(case.model, prof, case.spec, *rest) for case, prof, *rest in corpus_runs]
+    runs = [(case.model, prof, *rest) for case, prof, *rest in corpus_runs]
     for name in POLYGON_CASES:
         doc = docio.load_document(str(CASES_DIR / f"{name}.json"))
         model = docio.parse_surface(doc)
-        target, spec = docio.parse_flag(doc, model)
+        flag = docio.parse_flag(doc, model)
         divisor = docio.parse_divisor(doc, model)
-        profile = walk_ray(model, divisor, target, docio.parse_candidates(doc, model))
-        alpha, beta = alpha_beta(model, profile, spec)
-        runs.append((model, profile, spec, alpha, beta, build_polygon(alpha, beta)))
+        profile = walk_ray(model, divisor, flag, docio.parse_candidates(doc, model))
+        alpha, beta = alpha_beta(model, profile)
+        runs.append((model, profile, alpha, beta, build_polygon(alpha, beta)))
     irrational = 0
     for run in runs:
         profile = run[1]
@@ -239,8 +238,7 @@ def test_homogeneity_in_the_divisor(corpus_runs):
 
     def polygon(case, k):
         divisor = case.divisor.scale(k)
-        spec = case.spec
-        return _polygon(case.model, divisor, case.flag, spec.local_mult, case.candidates)[4]
+        return _polygon(case.model, divisor, case.flag, case.spec.local_mult, case.candidates)[3]
 
     runs = [(case, poly) for case, *_, poly in corpus_runs]
     forest = forest_corpus(seed=8008, count=3, rho=8) + forest_corpus(seed=1616, count=3, rho=16)

@@ -553,28 +553,31 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_polygon_resolves_flag_and_decomposes_d_once(monkeypatch, capsys):
-    # the flag is resolved once per spec validation plus once by the walk,
-    # and D is decomposed only by the walk (nu = 0 on this case)
+@pytest.mark.parametrize("name", ["ex1_on_point", "ex2_negative_flag", "ex3_tight"])
+def test_polygon_resolves_flag_and_decomposes_d_once(name, monkeypatch, capsys):
+    # the flag is resolved once, when the document's FlagSpec is built; the
+    # walk and the certificates take it as it is.  D is decomposed only by
+    # the walk, once more at nu > 0 (ex2_negative_flag)
     resolves = _count_calls(monkeypatch, "raywalk", "resolve_flag")
     decompositions = _count_calls(monkeypatch, "zariski", "zariski_decompose")
-    assert main(["polygon", str(CASES_DIR / "ex3_tight.json")]) == 0
-    assert len(resolves) == 3
-    assert len(decompositions) == 1
+    assert main(["polygon", str(CASES_DIR / f"{name}.json")]) == 0
+    assert len(resolves) == 1
+    assert len(decompositions) == (2 if name == "ex2_negative_flag" else 1)
 
 
-def test_polygon_validates_the_flag_twice(monkeypatch, capsys):
-    # once when the document's flag is parsed and once by alpha_beta; the
-    # certificates take the flag alpha_beta accepted
-    validate, calls = noksurf.FlagSpec.validate, []
+@pytest.mark.parametrize("name", ["ex1_on_point", "ex2_negative_flag", "ex3_tight"])
+def test_polygon_validates_the_flag_once(name, monkeypatch, capsys):
+    # the constructor is the one check of a flag, and a polygon command
+    # builds one FlagSpec, from the document
+    init, calls = noksurf.FlagSpec.__init__, []
 
-    def counted(self, model):
+    def counted(self, *args):
         calls.append(None)
-        return validate(self, model)
+        init(self, *args)
 
-    monkeypatch.setattr(noksurf.FlagSpec, "validate", counted)
-    assert main(["polygon", str(CASES_DIR / "ex3_tight.json")]) == 0
-    assert len(calls) == 2
+    monkeypatch.setattr(noksurf.FlagSpec, "__init__", counted)
+    assert main(["polygon", str(CASES_DIR / f"{name}.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_scan_walks_no_realization_twice(monkeypatch, capsys):
@@ -661,3 +664,90 @@ def test_successive_main_calls_match_fresh_runs(capsys):
         assert main(argv) == fresh.returncode, argv
         assert capsys.readouterr().out == fresh.stdout, argv
     assert build_parser() is build_parser()
+
+
+# -- the flag block's errors, with their exact messages ------------------------
+
+FLAG_DOC = {
+    "schema": 1,
+    "surface": {
+        "rank": 2,
+        "matrix": [[1, 0], [0, -1]],
+        "curves": [{"label": "E", "class": [0, 1]}, {"label": "C", "class": [1, -1]}],
+        "ample_witness": [2, -1],
+    },
+    "divisor": [3, -1],
+    "flag": {"curve": "C", "local_mult": {"E": 1}},
+}
+
+# (id, changes to FLAG_DOC, message); E.C = 1
+FLAG_FAULTS = [
+    ("flag-not-object", {"flag": 5}, "flag: must be an object"),
+    (
+        "curve-not-label-or-list",
+        {"flag": {"curve": 3}},
+        "flag.curve: must be a curve label or a class vector",
+    ),
+    ("class-wrong-length", {"flag": {"curve": [1]}}, "flag.curve: class must have 2 coordinates"),
+    ("zero-class", {"flag": {"curve": [0, 0]}}, "flag class must be nonzero"),
+    (
+        "local-mult-not-object",
+        {"flag": {"curve": "C", "local_mult": [1]}},
+        "flag.local_mult: must be an object",
+    ),
+    ("unknown-flag-label", {"flag": {"curve": "X"}}, "unknown curve label 'X'"),
+    (
+        "unknown-mult-label",
+        {"flag": {"curve": "C", "local_mult": {"X": 1}}},
+        "unknown curve label 'X'",
+    ),
+    (
+        "bool-mult",
+        {"flag": {"curve": "C", "local_mult": {"E": True}}},
+        "flag.local_mult['E']: expected an integer",
+    ),
+    (
+        "negative-mult",
+        {"flag": {"curve": "C", "local_mult": {"E": -1}}},
+        "local multiplicity of 'E' must be a nonnegative integer",
+    ),
+    (
+        "flag-curve-in-mults",
+        {"flag": {"curve": "C", "local_mult": {"C": 1}}},
+        "local multiplicities must not include the flag curve",
+    ),
+    (
+        "mult-above-total",
+        {"flag": {"curve": "C", "local_mult": {"E": 2}}},
+        "local multiplicity of 'E' exceeds its total intersection 1",
+    ),
+    (
+        "bad-mult-and-unknown-candidate",
+        {"flag": {"curve": "C", "local_mult": {"E": 2}}, "candidates": ["X"]},
+        "local multiplicity of 'E' exceeds its total intersection 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["polygon", "ray-profile", "render-svg"])
+@pytest.mark.parametrize(
+    "changes,message", [f[1:] for f in FLAG_FAULTS], ids=[f[0] for f in FLAG_FAULTS]
+)
+def test_flag_block_errors_are_pinned(command, changes, message, tmp_path, capsys):
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps({**FLAG_DOC, **changes}))
+    svg = tmp_path / "out.svg"
+    argv = [command, str(path)] + (["--svg", str(svg)] if command == "render-svg" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not svg.exists()
+
+
+def test_flag_doc_is_valid(tmp_path, capsys):
+    # FLAG_DOC itself runs, so each document above has only its own faults
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(FLAG_DOC))
+    for command in ("polygon", "ray-profile"):
+        assert main([command, str(path)]) == 0
+    assert capsys.readouterr().err == ""

@@ -129,7 +129,7 @@ def test_realize_all_counts_bl1():
         _verify_certificate(BL1, D_BL1, r.certificate, list(r.config))
         # each config curve is met at least twice by the scaled flag
         for l in r.config:
-            assert pair(BL1, r.flag_class, BL1.class_of(l)) >= 2
+            assert pair(BL1, r.profile.flag.cls, BL1.class_of(l)) >= 2
     with pytest.raises(InputError):
         realize_vertex_count(BL1, D_BL1, ["E"], 6)
     with pytest.raises(InputError):
@@ -155,11 +155,12 @@ def test_scan_chain_rho3():
     for r in results:
         assert len(r.polygon.vertices) == r.target
         _verify_certificate(CHAIN3, D_CHAIN3, r.certificate, list(r.config))
-        spec = FlagSpec(r.flag_class, dict(r.flag_spec.local_mult))
-        profile = walk_ray(CHAIN3, D_CHAIN3, r.flag_class, CHAIN3.labels())
-        poly = build_polygon(*alpha_beta(CHAIN3, profile, spec))
+        flag = r.profile.flag
+        spec = FlagSpec(CHAIN3, flag.cls, dict(flag.local_mult))
+        profile = walk_ray(CHAIN3, D_CHAIN3, spec, CHAIN3.labels())
+        poly = build_polygon(*alpha_beta(CHAIN3, profile))
         assert len(poly.vertices) == r.target
-        vertex_bound_check(CHAIN3, poly, profile, spec)
+        vertex_bound_check(CHAIN3, poly, profile)
     assert max(r.target for r in results) == 2 * CHAIN3.rank + 1 == mv(
         CHAIN3, ["C1", "C2"]
     )
@@ -175,12 +176,11 @@ def test_scan_chain_rho4():
 
 def test_scaling_invariance_of_vertex_count():
     r = realize_vertex_count(BL1, D_BL1, ["E"], 5)
-    spec = r.flag_spec
+    flag = r.profile.flag
     for m in (2, 3):
-        scaled = r.flag_class.scale(m)
-        profile = walk_ray(BL1, D_BL1, scaled, BL1.labels())
-        spec_m = FlagSpec(scaled, dict(spec.local_mult))
-        poly = build_polygon(*alpha_beta(BL1, profile, spec_m))
+        spec_m = FlagSpec(BL1, flag.cls.scale(m), dict(flag.local_mult))
+        profile = walk_ray(BL1, D_BL1, spec_m, BL1.labels())
+        poly = build_polygon(*alpha_beta(BL1, profile))
         assert len(poly.vertices) == len(r.polygon.vertices)
         # the time axis contracts by 1/m
         assert profile.mu * m == r.profile.mu
@@ -276,7 +276,7 @@ def test_scale_for_flag_matches_the_search_on_full_chain_scans():
         master = list(model.labels())
         for r in scan_vertex_counts(model, divisor, master):
             got = flagbuilder._scale_for_flag(model, r.certificate, r.config)
-            assert got == (r.scale, r.flag_class)
+            assert got == (r.scale, r.profile.flag.cls)
             assert got == _scale_by_search(model, r.certificate, r.config)
             # none of these needs the doubled multiple
             assert r.scale == lcm(*[x.denominator for x in r.certificate.flag_class])

@@ -316,6 +316,23 @@ def test_inertia_matches_oracles_at_model_ranks(n, rational):
         assert inertia(m) == sig
 
 
+_OFF_DIAGONAL = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_inertia_with_a_zero_diagonal_matches_charpoly(data):
+    # no diagonal pivot at the first step, so every matrix with a nonzero
+    # entry reaches the row addition; zeros ahead of the first nonzero entry
+    # and a later Schur complement with a zero diagonal reach it again
+    n = data.draw(st.integers(2, 8), label="n")
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = data.draw(_OFF_DIAGONAL)
+    assert inertia(m) == charpoly_inertia(m)
+
+
 def test_inertia_leaves_its_input_alone():
     m = [[0, 1, 0], [1, 0, 2], [0, 2, -1]]
     copy = [row[:] for row in m]

@@ -55,15 +55,14 @@ D1 = DivisorClass((3, -1))
 
 
 def _pipeline(model, divisor, flag_target, mults, candidates):
-    prof = walk_ray(model, divisor, flag_target, candidates)
-    spec = FlagSpec(flag_target, mults)
-    alpha, beta = alpha_beta(model, prof, spec)
+    prof = walk_ray(model, divisor, FlagSpec(model, flag_target, mults), candidates)
+    alpha, beta = alpha_beta(model, prof)
     poly = build_polygon(alpha, beta)
-    return prof, spec, alpha, beta, poly
+    return prof, alpha, beta, poly
 
 
 def test_alpha_beta_on_point():
-    prof, spec, alpha, beta, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
+    prof, alpha, beta, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
     assert alpha.breakpoints == (0, 1, Fraction(3, 2))
     assert alpha.values == (0, 0, Fraction(1, 2))
     assert beta.values == (5, 2, Fraction(1, 2))
@@ -84,7 +83,7 @@ def test_alpha_beta_on_point():
 
 
 def test_alpha_beta_off_point():
-    prof, spec, alpha, beta, poly = _pipeline(BL1, D1, "C", {}, ["E"])
+    prof, alpha, beta, poly = _pipeline(BL1, D1, "C", {}, ["E"])
     assert alpha.values == (0, 0, 0)
     assert beta.values == (5, 2, 0)
     assert beta.slopes() == (-3, -4)
@@ -98,7 +97,7 @@ def test_alpha_beta_off_point():
 
 
 def test_p2_triangle():
-    prof, spec, alpha, beta, poly = _pipeline(P2, DivisorClass((3,)), "H", {}, [])
+    prof, alpha, beta, poly = _pipeline(P2, DivisorClass((3,)), "H", {}, [])
     assert alpha.values == (0, 0)
     assert beta.values == (3, 0)
     assert poly.vertices == ((0, 0), (3, 0), (0, 3))
@@ -106,7 +105,7 @@ def test_p2_triangle():
 
 
 def test_ex2_negative_flag():
-    prof, spec, alpha, beta, poly = _pipeline(
+    prof, alpha, beta, poly = _pipeline(
         BL1, DivisorClass((1, 1)), "E", {}, ["E"]
     )
     assert prof.nu == 1 and prof.mu == 2
@@ -119,7 +118,7 @@ def test_ex2_negative_flag():
 
 def test_ex3_five_vertices():
     flag_cls = DivisorClass((6, -3))
-    prof, spec, alpha, beta, poly = _pipeline(BL1, D1, flag_cls, {"E": 1}, ["E"])
+    prof, alpha, beta, poly = _pipeline(BL1, D1, flag_cls, {"E": 1}, ["E"])
     assert prof.nu == 0 and prof.mu == Fraction(1, 2)
     assert poly.vertices == (
         (0, 0),
@@ -130,15 +129,15 @@ def test_ex3_five_vertices():
     )
     assert polygon_area2(poly) == 8
     assert len(poly.vertices) == 5 == mv(BL1, ["E"]) == 2 * BL1.rank + 1
-    report = vertex_bound_check(BL1, poly, prof, spec)
+    report = vertex_bound_check(BL1, poly, prof)
     assert report.vertex_count == report.mv_bound == 5
 
 
 def test_beta_remark_identity():
     # beta(t) = D.C - t C^2 - (N_t.C - alpha(t)) at every breakpoint
     for mults in ({"E": 1}, {}):
-        prof, spec, alpha, beta, poly = _pipeline(BL1, D1, "C", mults, ["E"])
-        cls = prof.flag_class
+        prof, alpha, beta, poly = _pipeline(BL1, D1, "C", mults, ["E"])
+        cls = prof.flag.cls
         dc = pair(BL1, D1, cls)
         csq = pair(BL1, cls, cls)
         for seg in prof.segments:
@@ -154,17 +153,17 @@ def test_beta_remark_identity():
 
 
 def test_side_slopes_examples():
-    prof, spec, alpha, beta, _ = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
-    assert side_slopes(BL1, prof, spec, alpha, beta) == [(0, -3), (1, -3)]
+    prof, alpha, beta, _ = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
+    assert side_slopes(BL1, prof, alpha, beta) == [(0, -3), (1, -3)]
     # the formulas are checked against the boundary functions they are given
     with pytest.raises(InternalError):
-        side_slopes(BL1, prof, spec, alpha, alpha)
-    prof, spec, alpha, beta, _ = _pipeline(P2, DivisorClass((3,)), "H", {}, [])
-    assert side_slopes(P2, prof, spec, alpha, beta) == [(0, -1)]
+        side_slopes(BL1, prof, alpha, alpha)
+    prof, alpha, beta, _ = _pipeline(P2, DivisorClass((3,)), "H", {}, [])
+    assert side_slopes(P2, prof, alpha, beta) == [(0, -1)]
 
 
 def test_side_lengths_and_leftmost():
-    prof, spec, alpha, beta, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
+    prof, alpha, beta, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
     sides = side_lengths(poly)
     assert [(s.dt, s.ds) for s in sides] == [
         (1, 0),
@@ -177,16 +176,16 @@ def test_side_lengths_and_leftmost():
 
 
 def test_predictions_match_observations():
-    prof, spec, *_rest, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
-    preds = predict_interior_vertices(BL1, prof, spec)
+    prof, *_rest, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
+    preds = predict_interior_vertices(BL1, prof)
     assert len(preds) == 1
     assert preds[0].t == 1 and preds[0].expect_lower and not preds[0].expect_upper
-    prof, spec, *_rest, poly = _pipeline(BL1, D1, "C", {}, ["E"])
-    preds = predict_interior_vertices(BL1, prof, spec)
+    prof, *_rest, poly = _pipeline(BL1, D1, "C", {}, ["E"])
+    preds = predict_interior_vertices(BL1, prof)
     assert preds[0].expect_upper and not preds[0].expect_lower
     # empty support: nothing to predict
-    prof, spec, *_rest, poly = _pipeline(P2, DivisorClass((2,)), "H", {}, [])
-    assert predict_interior_vertices(P2, prof, spec) == []
+    prof, *_rest, poly = _pipeline(P2, DivisorClass((2,)), "H", {}, [])
+    assert predict_interior_vertices(P2, prof) == []
 
 
 def test_rightmost_examples():
@@ -247,22 +246,6 @@ def test_mv_hodge_bound():
         mv(P2, ["H"])  # k=1 > rho-1=0
 
 
-def test_flagspec_validation():
-    with pytest.raises(InputError):
-        FlagSpec("C", {"C": 1}).validate(BL1)
-    with pytest.raises(InputError):
-        FlagSpec("C", {"E": 2}).validate(BL1)  # E.C = 1 < 2
-    with pytest.raises(InputError):
-        FlagSpec("C", {"E": -1}).validate(BL1)
-    FlagSpec("C", {"E": 1}).validate(BL1)
-
-
-def test_alpha_beta_rejects_mismatched_flag():
-    prof = walk_ray(BL1, D1, "C", ["E"])
-    with pytest.raises(InputError):
-        alpha_beta(BL1, prof, FlagSpec("E", {}))
-
-
 def test_piecewise_linear_basics():
     f = PiecewiseLinear((0, 1, 3), (0, 2, 2))
     assert f.slopes() == (2, 0)
@@ -276,10 +259,10 @@ def test_piecewise_linear_basics():
 
 
 def test_vertex_bound_check_raises_on_violation():
-    prof, spec, alpha, beta, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
+    prof, alpha, beta, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
     bad = replace(poly, tags=tuple(["interior-lower"] * len(poly.vertices)))
     with pytest.raises(TheoremViolation):
-        vertex_bound_check(BL1, bad, prof, spec)
+        vertex_bound_check(BL1, bad, prof)
 
 
 # -- build_polygon on hand-built boundary functions ---------------------------
@@ -498,7 +481,7 @@ def _tent_boundaries(seed, count):
 
 @pytest.fixture(scope="module")
 def pipeline_walks():
-    """(model, profile, flag) of the 220-case acceptance corpus, of forest
+    """(model, profile) of the 220-case acceptance corpus, of forest
     models of rank 8, 16 and 32, and of every vertex-count realization the
     flag search finds on the chains of rank 3 to 6, most of them with an
     irrational mu."""
@@ -506,19 +489,18 @@ def pipeline_walks():
     cases += [forest_case(random.Random(rho), rho) for rho in (8, 16, 32)]
     out = []
     for case in cases:
-        prof = walk_ray(case.model, case.divisor, case.flag, case.candidates)
-        out.append((case.model, prof, case.spec))
+        out.append((case.model, walk_ray(case.model, case.divisor, case.spec, case.candidates)))
     for rho in (3, 4, 5, 6):
         model, divisor = chain_model(rho)
         for r in scan_vertex_counts(model, divisor, model.labels()):
-            out.append((model, r.profile, r.flag_spec))
+            out.append((model, r.profile))
     return out
 
 
 @pytest.fixture(scope="module")
 def pipeline_boundaries(pipeline_walks):
     """alpha and beta of every pipeline walk."""
-    return [alpha_beta(model, prof, spec) for model, prof, spec in pipeline_walks]
+    return [alpha_beta(model, prof) for model, prof in pipeline_walks]
 
 
 def test_build_polygon_matches_cross_products_on_random_boundaries():
@@ -569,13 +551,12 @@ def test_build_polygon_decides_no_quadratic_arithmetic(pipeline_walks, monkeypat
     none = dict.fromkeys(counted, 0)
     irrational = [w for w in pipeline_walks if isinstance(w[1].mu, QExt)]
     assert len(irrational) >= 60
-    for model, prof, spec in irrational:
-        flag = prof.flag_label if prof.flag_label is not None else prof.flag_class
+    for model, prof in irrational:
         calls.update(none)
-        walked = walk_ray(model, prof.divisor, flag, prof.candidates)
+        walked = walk_ray(model, prof.divisor, prof.flag, prof.candidates)
         assert calls["_cmp"] == 0
         calls.update(none)
-        alpha, beta = alpha_beta(model, walked, spec)
+        alpha, beta = alpha_beta(model, walked)
         assert calls == none
         poly = build_polygon(alpha, beta)
         assert {n: calls[n] for n in arithmetic} == dict.fromkeys(arithmetic, 0)
@@ -638,10 +619,11 @@ def test_leftmost_vertical_length_matches_min_oracle(pipeline_boundaries):
         assert leftmost_vertical_length(poly) == _leftmost_side_by_min(poly)
 
 
-def _bounds_by_mv(model, polygon, profile, flag):
+def _bounds_by_mv(model, polygon, profile):
     """vertex_bound_check's report by the earlier route: the public mv,
     which certifies the support negative definite again, and a second
     components pass for the interior bounds."""
+    flag = profile.flag
     support = list(profile.final_support())
     comps = dual_graph_components(model, support)
     lower = {l for comp in comps if any(flag.mult(k) > 0 for k in comp) for l in comp}
@@ -660,19 +642,20 @@ def _bounds_by_mv(model, polygon, profile, flag):
 
 
 def test_vertex_bound_check_matches_mv_route(pipeline_walks, pipeline_boundaries):
-    for (model, prof, spec), (alpha, beta) in zip(pipeline_walks, pipeline_boundaries):
+    for (model, prof), (alpha, beta) in zip(pipeline_walks, pipeline_boundaries):
         poly = build_polygon(alpha, beta)
-        assert vertex_bound_check(model, poly, prof, spec) == _bounds_by_mv(model, poly, prof, spec)
+        assert vertex_bound_check(model, poly, prof) == _bounds_by_mv(model, poly, prof)
 
 
 # -- alpha, beta and the area against their Fraction/QExt routes ---------------
 
 
-def _alpha_beta_by_fractions(profile, flag):
+def _alpha_beta_by_fractions(profile):
     """alpha_beta's values by the earlier route: Fraction sums over each
     segment's coefficients, evaluated at the breakpoints in Fraction/QExt
     arithmetic, and the public PiecewiseLinear, which divides for its
     slopes."""
+    flag = profile.flag
     breakpoints = [profile.segments[0].t_lo]
     alpha_vals, beta_vals = [], []
     for seg in profile.segments:
@@ -708,9 +691,9 @@ def _exact(x):
 
 def test_alpha_beta_area_and_width_match_the_fraction_routes(pipeline_walks):
     irrational = 0
-    for model, prof, spec in pipeline_walks:
-        alpha, beta = alpha_beta(model, prof, spec)
-        for got, want in zip((alpha, beta), _alpha_beta_by_fractions(prof, spec)):
+    for model, prof in pipeline_walks:
+        alpha, beta = alpha_beta(model, prof)
+        for got, want in zip((alpha, beta), _alpha_beta_by_fractions(prof)):
             assert got.breakpoints == want.breakpoints
             assert got.values == want.values
             assert got.slopes() == want.slopes()

@@ -30,8 +30,8 @@ CASES = corpus(seed=90125, count=120)
 
 
 def _run(case: Case):
-    profile = walk_ray(case.model, case.divisor, case.flag, case.candidates)
-    alpha, beta = alpha_beta(case.model, profile, case.spec)
+    profile = walk_ray(case.model, case.divisor, case.spec, case.candidates)
+    alpha, beta = alpha_beta(case.model, profile)
     polygon = build_polygon(alpha, beta)
     return profile, alpha, beta, polygon
 
@@ -57,8 +57,8 @@ def test_forest_line_labels_are_distinct(rho):
 def test_area_law(pipeline_results):
     for case, profile, alpha, beta, polygon in pipeline_results:
         cands = list(case.candidates)
-        if profile.flag_label is not None and profile.flag_label not in cands:
-            cands.append(profile.flag_label)
+        if profile.flag.label is not None and profile.flag.label not in cands:
+            cands.append(profile.flag.label)
         p0 = zariski_decompose(case.model, case.divisor, cands).positive_part
         p0sq = pair(case.model, p0, p0)
         area2 = polygon_area2(polygon)
@@ -82,7 +82,7 @@ def test_boundary_shape(pipeline_results):
 
 def test_vertex_bounds(pipeline_results):
     for case, profile, alpha, beta, polygon in pipeline_results:
-        report = vertex_bound_check(case.model, polygon, profile, case.spec)
+        report = vertex_bound_check(case.model, polygon, profile)
         assert report.ok
         assert report.vertex_count <= report.mv_bound <= report.picard_bound
 
@@ -94,7 +94,7 @@ def test_interior_predictions_agree(pipeline_results):
             if tag.startswith("interior"):
                 observed.setdefault(t, set()).add(tag.split("-")[1])
         predicted_ts = set()
-        for p in predict_interior_vertices(case.model, profile, case.spec):
+        for p in predict_interior_vertices(case.model, profile):
             predicted_ts.add(p.t)
             got = observed.get(p.t, set())
             assert p.expect_lower == ("lower" in got), (case.name, p)
@@ -114,7 +114,7 @@ def test_rightmost_counts_agree(pipeline_results):
 
 def test_segment_slope_formulas(pipeline_results):
     for case, profile, alpha, beta, polygon in pipeline_results:
-        slopes = side_slopes(case.model, profile, case.spec, alpha, beta)
+        slopes = side_slopes(case.model, profile, alpha, beta)
         assert tuple(s[0] for s in slopes) == alpha.slopes()
         assert tuple(s[1] for s in slopes) == beta.slopes()
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import isqrt, lcm
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from helpers import chain_model, corpus, forest_corpus, gauss_jordan
 from noksurf import (
     CurveRecord,
     DivisorClass,
+    FlagSpec,
     InputError,
     InternalError,
     ModelError,
@@ -85,8 +87,65 @@ def test_walk_p2():
 def test_walk_flag_as_class_resolves_declared():
     by_label = walk_ray(BL1, DivisorClass((3, -1)), "C", ["E"])
     by_class = walk_ray(BL1, DivisorClass((3, -1)), DivisorClass((2, -1)), ["E"])
-    assert by_label.flag_label == by_class.flag_label == "C"
+    assert by_label.flag.label == by_class.flag.label == "C"
     assert by_label.mu == by_class.mu
+
+
+def _error(call):
+    try:
+        call()
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_flagspec_validation():
+    # the constructor checks the flag once, with the messages a document's
+    # flag block reports; E.C = 1 on BL1
+    spec = FlagSpec(BL1, "C", {"E": 1})
+    assert (spec.label, spec.cls, spec.local_mult) == ("C", BL1.class_of("C"), {"E": 1})
+    assert (spec.mult("E"), spec.mult("C")) == (1, 0)
+    assert FlagSpec(BL1, DivisorClass((2, -1)), {"E": 1}) == spec  # C's class
+    undeclared = FlagSpec(BL1, [3, -1], {})
+    assert (undeclared.label, undeclared.cls) == (None, DivisorClass((3, -1)))
+    mults = {"E": 1}
+    FlagSpec(BL1, "C", mults).local_mult["E"] = 0
+    assert mults == {"E": 1}
+    for flag, local, message in [
+        ("C", {"C": 1}, "local multiplicities must not include the flag curve"),
+        ("C", {"E": 2}, "local multiplicity of 'E' exceeds its total intersection 1"),
+        ("C", {"E": -1}, "local multiplicity of 'E' must be a nonnegative integer"),
+        ("C", {"E": True}, "local multiplicity of 'E' must be a nonnegative integer"),
+        ("C", {"E": "1"}, "local multiplicity of 'E' must be a nonnegative integer"),
+        ("C", {"X": True}, "unknown curve label 'X'"),  # before the bad multiplicity
+        ("X", {}, "unknown curve label 'X'"),
+        (DivisorClass((0, 0)), {}, "flag class must be nonzero"),
+        ([1], {}, "class has 1 coordinates, expected 2"),
+    ]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            FlagSpec(BL1, flag, local)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(lambda: corpus(seed=777001, count=220), id="corpus"),
+        pytest.param(lambda: forest_corpus(seed=8, count=6, rho=8), id="rank8"),
+    ],
+)
+def test_walk_of_a_bare_flag_is_the_walk_of_its_spec(cases):
+    # a bare label or class walks as FlagSpec(model, flag, {}) does, down to
+    # the chamber integers that profile equality leaves out
+    cases = cases()
+    walks = 0
+    for case in cases:
+        spec = FlagSpec(case.model, case.flag, {})
+        bare = _outcome(case.model, case.divisor, case.flag, case.candidates)
+        assert bare == _outcome(case.model, case.divisor, spec, case.candidates), case.name
+        if not isinstance(bare[0], type):
+            assert bare[0].flag == spec, case.name
+            walks += 1
+    assert walks == len(cases)
 
 
 def test_walk_irrational_mu():
@@ -244,7 +303,7 @@ def test_walk_monotone_support_and_positivity_on_corpus():
             assert isinstance(t, Fraction)
         # flag never in support
         for seg in prof.segments:
-            assert prof.flag_label not in seg.support
+            assert prof.flag.label not in seg.support
         # the positive part built from the carried coefficients is orthogonal
         # to the support, and the carried flag pairings are its pairings
         for seg in prof.segments:
@@ -252,10 +311,10 @@ def test_walk_monotone_support_and_positivity_on_corpus():
             for l in seg.support:
                 assert pair(case.model, p0, case.model.class_of(l)) == 0
                 assert pair(case.model, p1, case.model.class_of(l)) == 0
-            assert seg.f0 == pair(case.model, p0, prof.flag_class)
-            assert seg.fslope == pair(case.model, p1, prof.flag_class)
+            assert seg.f0 == pair(case.model, p0, prof.flag.cls)
+            assert seg.fslope == pair(case.model, p1, prof.flag.cls)
             # a fresh solve on a ray whose pairings are taken here with `pair`
-            d, f = prof.divisor, prof.flag_class
+            d, f = prof.divisor, prof.flag.cls
             classes = {l: case.model.class_of(l) for l in seg.support}
             fresh_ray = _Ray(
                 d_c=_over_lcm({l: pair(case.model, d, c) for l, c in classes.items()}),
@@ -288,7 +347,7 @@ def test_walk_monotone_support_and_positivity_on_corpus():
 def _positive_part(model, prof, seg):
     """(P_0, p1) with P_t = P_0 + t*p1 = D - t*F - sum (a0_l + a1_l*t)*C_l,
     built from the segment's coefficients with class arithmetic."""
-    p0, p1 = prof.divisor, -prof.flag_class
+    p0, p1 = prof.divisor, -prof.flag.cls
     for l, (a0, a1) in seg.coeffs.items():
         c = model.class_of(l)
         p0, p1 = p0 - c.scale(a0), p1 - c.scale(a1)
@@ -307,8 +366,8 @@ def test_profile_keeps_the_decomposition_of_d():
     for case in corpus(seed=404, count=40):
         prof = walk_ray(case.model, case.divisor, case.flag, case.candidates)
         cands = list(case.candidates)
-        if prof.flag_label is not None and prof.flag_label not in cands:
-            cands.append(prof.flag_label)
+        if prof.flag.label is not None and prof.flag.label not in cands:
+            cands.append(prof.flag.label)
         fresh = zariski_decompose(case.model, case.divisor, cands)
         kept = prof.decomposition
         assert kept.support == fresh.support, case.name
@@ -318,7 +377,7 @@ def test_profile_keeps_the_decomposition_of_d():
         assert {l: Fraction(x, den) for l, x in nums.items()} == {
             l: pair(case.model, case.divisor, case.model.class_of(l)) for l in cands
         }, case.name
-        flag_coeff = kept.coefficient(prof.flag_label) if prof.flag_label else 0
+        flag_coeff = kept.coefficient(prof.flag.label) if prof.flag.label else 0
         assert prof.nu == flag_coeff, case.name
 
 
@@ -412,7 +471,7 @@ def test_segments_match_pointwise_zariski(cases):
         for seg in prof.segments:
             t = _interior_point(seg)
             assert seg.t_lo < t < seg.t_hi
-            d_t = prof.divisor - prof.flag_class.scale(t)
+            d_t = prof.divisor - prof.flag.cls.scale(t)
             dec = zariski_decompose(model, d_t, prof.candidates)
             want = {l: _coefficient(seg, l, t) for l in seg.support}
             assert dec.coeffs == want, case.name
@@ -472,9 +531,9 @@ def test_profile_carries_the_flag_pairings(cases):
     for case in cases():
         model = case.model
         prof = walk_ray(model, case.divisor, case.flag, case.candidates)
-        f = prof.flag_class
+        f = prof.flag.cls
         assert prof.flag_square == pair(model, f, f), case.name
-        others = [l for l in prof.candidates if l != prof.flag_label]
+        others = [l for l in prof.candidates if l != prof.flag.label]
         assert set(prof.scaled_flag_pairings[1]) == set(others), case.name
         for l in others:
             assert prof.flag_pairing(l) == pair_curve(model, f, l), (case.name, l)

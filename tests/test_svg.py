@@ -22,9 +22,8 @@ BL1 = SurfaceModel(
 
 
 def _ex1_polygon():
-    prof = walk_ray(BL1, DivisorClass((3, -1)), "C", ["E"])
-    spec = FlagSpec("C", {"E": 1})
-    return build_polygon(*alpha_beta(BL1, prof, spec))
+    prof = walk_ray(BL1, DivisorClass((3, -1)), FlagSpec(BL1, "C", {"E": 1}), ["E"])
+    return build_polygon(*alpha_beta(BL1, prof))
 
 
 def test_render_svg_structure(tmp_path):
