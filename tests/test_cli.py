@@ -553,20 +553,21 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("name", ["ex1_on_point", "ex2_negative_flag", "ex3_tight"])
-def test_polygon_resolves_flag_and_decomposes_d_once(name, monkeypatch, capsys):
+def test_polygon_resolves_flag_and_decomposes_d_once(monkeypatch, capsys):
     # the flag is resolved once, when the document's FlagSpec is built; the
     # walk and the certificates take it as it is.  D is decomposed only by
     # the walk, once more at nu > 0 (ex2_negative_flag)
     resolves = _count_calls(monkeypatch, "raywalk", "resolve_flag")
     decompositions = _count_calls(monkeypatch, "zariski", "zariski_decompose")
-    assert main(["polygon", str(CASES_DIR / f"{name}.json")]) == 0
-    assert len(resolves) == 1
-    assert len(decompositions) == (2 if name == "ex2_negative_flag" else 1)
+    for name in ["ex1_on_point", "ex2_negative_flag", "ex3_tight"]:
+        resolves.clear()
+        decompositions.clear()
+        assert main(["polygon", str(CASES_DIR / f"{name}.json")]) == 0
+        assert len(resolves) == 1, name
+        assert len(decompositions) == (2 if name == "ex2_negative_flag" else 1), name
 
 
-@pytest.mark.parametrize("name", ["ex1_on_point", "ex2_negative_flag", "ex3_tight"])
-def test_polygon_validates_the_flag_once(name, monkeypatch, capsys):
+def test_polygon_validates_the_flag_once(monkeypatch, capsys):
     # the constructor is the one check of a flag, and a polygon command
     # builds one FlagSpec, from the document
     init, calls = noksurf.FlagSpec.__init__, []
@@ -576,8 +577,10 @@ def test_polygon_validates_the_flag_once(name, monkeypatch, capsys):
         init(self, *args)
 
     monkeypatch.setattr(noksurf.FlagSpec, "__init__", counted)
-    assert main(["polygon", str(CASES_DIR / f"{name}.json")]) == 0
-    assert len(calls) == 1
+    for name in ["ex1_on_point", "ex2_negative_flag", "ex3_tight"]:
+        calls.clear()
+        assert main(["polygon", str(CASES_DIR / f"{name}.json")]) == 0
+        assert len(calls) == 1, name
 
 
 def test_scan_walks_no_realization_twice(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
@@ -244,6 +245,33 @@ def test_mc_mv_examples():
 def test_mv_hodge_bound():
     with pytest.raises(InputError):
         mv(P2, ["H"])  # k=1 > rho-1=0
+
+
+def test_flagspec_validation():
+    # the constructor checks the flag once, with the messages a document's
+    # flag block reports; E.C = 1 on BL1
+    spec = FlagSpec(BL1, "C", {"E": 1})
+    assert (spec.label, spec.cls, spec.local_mult) == ("C", BL1.class_of("C"), {"E": 1})
+    assert (spec.mult("E"), spec.mult("C")) == (1, 0)
+    assert FlagSpec(BL1, DivisorClass((2, -1)), {"E": 1}) == spec  # C's class
+    undeclared = FlagSpec(BL1, [3, -1], {})
+    assert (undeclared.label, undeclared.cls) == (None, DivisorClass((3, -1)))
+    mults = {"E": 1}
+    FlagSpec(BL1, "C", mults).local_mult["E"] = 0
+    assert mults == {"E": 1}
+    for flag, local, message in [
+        ("C", {"C": 1}, "local multiplicities must not include the flag curve"),
+        ("C", {"E": 2}, "local multiplicity of 'E' exceeds its total intersection 1"),
+        ("C", {"E": -1}, "local multiplicity of 'E' must be a nonnegative integer"),
+        ("C", {"E": True}, "local multiplicity of 'E' must be a nonnegative integer"),
+        ("C", {"E": "1"}, "local multiplicity of 'E' must be a nonnegative integer"),
+        ("C", {"X": True}, "unknown curve label 'X'"),  # before the bad multiplicity
+        ("X", {}, "unknown curve label 'X'"),
+        (DivisorClass((0, 0)), {}, "flag class must be nonzero"),
+        ([1], {}, "class has 1 coordinates, expected 2"),
+    ]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            FlagSpec(BL1, flag, local)
 
 
 def test_piecewise_linear_basics():

@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 from math import isqrt, lcm
 from types import SimpleNamespace
@@ -89,41 +88,6 @@ def test_walk_flag_as_class_resolves_declared():
     by_class = walk_ray(BL1, DivisorClass((3, -1)), DivisorClass((2, -1)), ["E"])
     assert by_label.flag.label == by_class.flag.label == "C"
     assert by_label.mu == by_class.mu
-
-
-def _error(call):
-    try:
-        call()
-    except InputError as exc:
-        return str(exc)
-    return None
-
-
-def test_flagspec_validation():
-    # the constructor checks the flag once, with the messages a document's
-    # flag block reports; E.C = 1 on BL1
-    spec = FlagSpec(BL1, "C", {"E": 1})
-    assert (spec.label, spec.cls, spec.local_mult) == ("C", BL1.class_of("C"), {"E": 1})
-    assert (spec.mult("E"), spec.mult("C")) == (1, 0)
-    assert FlagSpec(BL1, DivisorClass((2, -1)), {"E": 1}) == spec  # C's class
-    undeclared = FlagSpec(BL1, [3, -1], {})
-    assert (undeclared.label, undeclared.cls) == (None, DivisorClass((3, -1)))
-    mults = {"E": 1}
-    FlagSpec(BL1, "C", mults).local_mult["E"] = 0
-    assert mults == {"E": 1}
-    for flag, local, message in [
-        ("C", {"C": 1}, "local multiplicities must not include the flag curve"),
-        ("C", {"E": 2}, "local multiplicity of 'E' exceeds its total intersection 1"),
-        ("C", {"E": -1}, "local multiplicity of 'E' must be a nonnegative integer"),
-        ("C", {"E": True}, "local multiplicity of 'E' must be a nonnegative integer"),
-        ("C", {"E": "1"}, "local multiplicity of 'E' must be a nonnegative integer"),
-        ("C", {"X": True}, "unknown curve label 'X'"),  # before the bad multiplicity
-        ("X", {}, "unknown curve label 'X'"),
-        (DivisorClass((0, 0)), {}, "flag class must be nonzero"),
-        ([1], {}, "class has 1 coordinates, expected 2"),
-    ]:
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            FlagSpec(BL1, flag, local)
 
 
 @pytest.mark.parametrize(
