@@ -1,8 +1,9 @@
 """Command line interface: `noksurf <command> <input.json> [options]`.
 
 Output is JSON on stdout by default (`--format text` for tables); every
-number is printed exactly.  Exit codes: 0 success, 2 for input or model
-errors, 3 when a certified bound or the toric oracle fails.
+number is printed exactly.  Exit codes: 0 success, 1 when an internal
+invariant fails, 2 for input or model errors, 3 when a certified bound or
+the toric oracle fails.
 """
 from __future__ import annotations
 

@@ -304,6 +304,8 @@ def realize_vertex_count(
     """
     divisor = as_divisor(divisor, model.rank)
     master = list(master_config)
+    if len(set(master)) != len(master):
+        raise InputError("configuration labels must be distinct")
     if not is_negative_definite(model, master):
         raise InputError("master configuration is not negative definite")
     # so is every prefix: one components pass each gives its mv

@@ -25,7 +25,7 @@ class SingularSystem(Exception):
 
 
 class NotNegativeDefinite(Exception):
-    """Internal signal from solve_negative_definite; callers compute the
+    """Internal signal from eliminate_negative_definite; callers compute the
     inertia to say why."""
 
 
@@ -117,25 +117,6 @@ def solve(a, b) -> list[Fraction]:
     return solve_many(a, [b])[0]
 
 
-def solve_negative_definite(gram, columns) -> tuple[int, list[list[int]]]:
-    """Certify that the symmetric `gram` is negative definite and solve
-    gram*x = b for each right-hand side in `columns`: each row with its
-    right-hand sides is scaled to integers, the matrix is eliminated
-    (`eliminate_negative_definite`) and each right-hand side replayed on it
-    (`solve_eliminated`).
-
-    Raises NotNegativeDefinite as soon as a leading minor fails Sylvester's
-    criterion.  Returns (den, numerators): den > 0 is |det| of the
-    row-scaled system and x_i = numerators[c][i] / den for column c, every
-    numerator an integer.
-    """
-    columns = [list(c) for c in columns]
-    n = len(gram)
-    m = _augmented(require_symmetric(gram), columns)
-    sides = [[row[c] for row in m] for c in range(n, n + len(columns))]
-    return solve_eliminated(eliminate_negative_definite([row[:n] for row in m]), sides)
-
-
 def eliminate_negative_definite(m: list[list[int]]) -> list[list[int]]:
     """Eliminate the square integer matrix `m` in place, without pivoting,
     checking Sylvester's criterion on the way: (-1)^k d_k > 0 for every
@@ -161,8 +142,9 @@ def solve_eliminated(m: list[list[int]], columns) -> tuple[int, list[list[int]]]
     `eliminate_negative_definite`, which is not changed: each side runs the
     update (p*x - f*y) // prev of `_eliminate` with the kept pivots and
     multipliers, as if it were one more column of the elimination, and is
-    back-substituted.  Returns (den, numerators) as `solve_negative_definite`
-    does, equal to those of eliminating the augmented matrix afresh.
+    back-substituted.  Returns (den, numerators), equal to those of
+    eliminating the augmented matrix afresh: den > 0 is |det| of `m` and
+    x_i = numerators[c][i] / den for column c, every numerator an integer.
     """
     n = len(m)
     sides = []

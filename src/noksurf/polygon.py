@@ -151,93 +151,47 @@ class OkPolygon:
     tags: tuple
 
 
-_LOWER, _UPPER = 1, 2
-_LEVEL = {_LOWER: "lower", _UPPER: "upper", _LOWER | _UPPER: "degenerate"}
-
-
-def _turn(e, d):
-    """Sign of the cross product e x d of edge directions, 1 for a left turn;
-    (1, m1) x (1, m2) = m2 - m1 and (-1, -m1) x (-1, -m2) = m1 - m2."""
-    if e[0] == d[0] == 1:
-        a, b = d[1], e[1]
-    elif e[0] == d[0] == -1:
-        a, b = e[1], d[1]
-    else:
-        a, b = e[0] * d[1], e[1] * d[0]
-    return (a > b) - (a < b)
-
-
-def _edge(a, b):
-    return (b[0] - a[0], b[1] - a[1])
-
-
 def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
-    """Assemble the region between alpha and beta into a convex tagged ccw polygon.
+    """The region between alpha and beta as a convex tagged ccw polygon.
 
-    alpha and beta share their breakpoints, as alpha_beta builds them.
-    Vertices run left to right along alpha, then right to left along beta,
-    in one pass that merges repeated points (keeping both chains' flags)
-    and drops collinear ones.  Turns come from edge directions: (1, m)
-    along a piece of alpha of slope m, (-1, -m) along beta, (0, 1) and
-    (0, -1) up the side at mu and down the side at nu.  Every edge is a
-    positive multiple of its direction, so cross(p0, p1, p2) =
-    |e1| |e2| (d1 x d2) has the sign of a rational determinant even at an
-    irrational mu; only opposite collinear directions, from a degenerate
-    input, merge by the points.  With alpha convex and beta concave, as
-    alpha_beta certifies, the seam back to the first point can only
-    repeat it; any other defect fails the strict-convexity certificate.
+    alpha and beta share their breakpoints, alpha <= beta at each of them,
+    alpha is convex and beta concave, as alpha_beta builds and certifies
+    them; the region between a convex lower and a concave upper boundary
+    (Kuronya-Lozovanu-Maclean) has its vertices exactly where a boundary
+    bends.  They run left to right along alpha at nu, at every breakpoint
+    where alpha's slope changes and at mu, then right to left along beta at
+    mu, where beta's slope changes and at nu; an end where alpha = beta is
+    one degenerate vertex.  A convex alpha under a concave beta turns
+    strictly left at each of them, and beta - alpha vanishing along a whole
+    end piece forces beta = alpha, both affine, by concavity: two vertices.
     Each vertex is tagged by its position against nu and mu (the ends of
-    alpha's domain) and by the boundary chains it lies on.
+    alpha's domain) and by the boundary it lies on.
     """
     xs = alpha.breakpoints
     if beta.breakpoints != xs:
         raise InputError("alpha and beta must share their breakpoints")
     for t, a, b in zip(xs, alpha.values, beta.values):
-        # at an irrational mu, the one order decision no direction makes
+        # at an irrational mu, the one order decision on a quadratic value
         if a > b:
             raise InternalError(f"lower boundary exceeds upper boundary at t = {t}")
-    # every point with its chain and the direction of the edge that reaches
-    # it: along alpha the piece ending at t, along beta the piece starting at t
-    lower = zip(xs, alpha.values, (None, *alpha._slopes))
-    upper = list(zip(xs, beta.values, (*beta._slopes, None)))
-    cycle = [((t, a), _LOWER, (1, m)) for t, a, m in lower]
-    cycle += [((t, b), _UPPER, (0, 1) if m is None else (-1, -m)) for t, b, m in reversed(upper)]
+    if not (alpha.is_convex() and beta.is_concave()):
+        raise InternalError("polygon is not strictly convex counterclockwise")
 
-    pts: list = []
-    chains: list[int] = []  # _LOWER | _UPPER bits per point
-    dirs: list = []  # direction of the edge from the previous point
-    for p, chain, d in cycle:
-        if pts and pts[-1] == p:
-            chains[-1] |= chain
-            continue
-        while len(pts) >= 2 and _turn(dirs[-1], d) == 0:
-            e = dirs.pop()
-            pts.pop()
-            chains.pop()
-            if e[0] * d[0] + e[1] * d[1] <= 0:  # opposite: merge by the points
-                d = _edge(pts[-1], p)
-        pts.append(p)
-        chains.append(chain)
-        dirs.append(d)
-    if len(pts) > 1 and pts[-1] == pts[0]:
-        chains[0] |= chains.pop()
-        pts.pop()
-        dirs[0] = dirs.pop()
-    else:
-        dirs[0] = (0, -1)
-
-    if len(pts) < 3:
+    n = len(xs) - 1
+    sa, sb = alpha._slopes, beta._slopes
+    ends = {0: "leftmost", n: "rightmost"}
+    touching = {i for i in (0, n) if alpha.values[i] == beta.values[i]}
+    vertices, tags = [], []
+    for i in (0, *(i for i in range(1, n) if sa[i - 1] != sa[i]), n):
+        vertices.append((xs[i], alpha.values[i]))
+        tags.append(f"{ends.get(i, 'interior')}-{'degenerate' if i in touching else 'lower'}")
+    for i in (n, *(i for i in range(n - 1, 0, -1) if sb[i - 1] != sb[i]), 0):
+        if i not in touching:
+            vertices.append((xs[i], beta.values[i]))
+            tags.append(f"{ends.get(i, 'interior')}-upper")
+    if len(vertices) < 3:
         raise InternalError("polygon degenerated to fewer than three vertices")
-    for i in range(len(pts)):
-        if _turn(dirs[i - 1], dirs[i]) <= 0:
-            raise InternalError("polygon is not strictly convex counterclockwise")
-
-    t_nu, t_mu = xs[0], xs[-1]
-    tags = []
-    for (t, _s), chain in zip(pts, chains):
-        position = "leftmost" if t == t_nu else "rightmost" if t == t_mu else "interior"
-        tags.append(f"{position}-{_LEVEL[chain]}")
-    return OkPolygon(vertices=tuple(pts), tags=tuple(tags))
+    return OkPolygon(vertices=tuple(vertices), tags=tuple(tags))
 
 
 def polygon_area2(polygon: OkPolygon):
@@ -401,6 +355,8 @@ def leftmost_side_check(model: SurfaceModel, profile: RayProfile):
 
 
 def _components(model: SurfaceModel, labels: list) -> list[list[str]]:
+    if len(set(labels)) != len(labels):
+        raise InputError("configuration labels must be distinct")
     if not is_negative_definite(model, labels):
         raise InputError(f"configuration {labels} is not negative definite")
     return dual_graph_components(model, labels)

@@ -33,16 +33,14 @@ from .zariski import ZariskiResult, residual_pairings, solve_support, zariski_de
 @dataclass(frozen=True)
 class Segment:
     """One chamber of the walk: support and affine coefficients on
-    [t_lo, t_hi], and the pairing P_t.F = f0 + t*fslope of the moving
-    positive part P_t = P_0 + t*p1 = D - t*F - sum_l (a0_l + a1_l*t)*C_l
-    with the flag class F."""
+    [t_lo, t_hi] of the moving positive part
+    P_t = P_0 + t*p1 = D - t*F - sum_l (a0_l + a1_l*t)*C_l with the flag
+    class F, and the pairing P_t.F in the chamber's integers."""
 
     t_lo: Fraction
     t_hi: Fraction | QExt
     support: tuple[str, ...]  # in order of appearance
     coeffs: dict[str, tuple[Fraction, Fraction]]  # label -> (a0, a1)
-    f0: Fraction  # P_0.F
-    fslope: Fraction  # p1.F
     # the same numbers in the walk's integers: (e, w, {l: (x0, x1)}, f0, fslope)
     # with a_l(t) = (x0 + x1*t)/e and P_t.F = (f0 + fslope*t)/(e*w)
     numerators: tuple = field(compare=False, repr=False)
@@ -463,7 +461,6 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         segments.append(
             Segment(
                 t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=_solution(ray, chamber),
-                f0=Fraction(f0, ew), fslope=Fraction(fslope, ew),
                 numerators=(e, ray.w, nums, f0, fslope),
             )
         )

@@ -232,21 +232,14 @@ def _newton(fan: ToricFan, div: ToricDivisor, lengths: list[Fraction]) -> list[P
     return _rotate_to_lex_min([(Fraction(x), Fraction(y)) for x, y in out])
 
 
-def monomial_okounkov(fan: ToricFan, div: ToricDivisor, flag_index: int) -> list[Point]:
-    """Image of the Newton polygon under the valuation at the fixed point
-    D_i meet D_{i+1}: m maps to (<m, v_i> + a_i, <m, v_{i+1}> + a_{i+1}).
-
-    The map is affine unimodular with positive determinant, so the image is
-    again counterclockwise; only the starting vertex needs renormalizing.
-    """
-    _check_lengths(fan, div)
-    return monomial_valuation(fan, div, flag_index)(newton_polygon(fan, div))
-
-
 def monomial_valuation(fan: ToricFan, div: ToricDivisor, flag_index: int):
-    """The map of monomial_okounkov, taking a Newton polygon's vertices to
-    their images; the flag index is checked here, before any polygon is
-    computed.  The divisor has one coefficient per ray."""
+    """The valuation at the fixed point D_i meet D_{i+1}, taking a Newton
+    polygon's vertices to their images: m maps to
+    (<m, v_i> + a_i, <m, v_{i+1}> + a_{i+1}).  The map is affine unimodular
+    with positive determinant, so the image is again counterclockwise; only
+    the starting vertex needs renormalizing.  The flag index is checked
+    here, before any polygon is computed.  The divisor has one coefficient
+    per ray."""
     n = len(fan)
     if not 1 <= flag_index <= n:
         raise InputError(f"flag index must be in 1..{n}")

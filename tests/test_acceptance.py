@@ -191,7 +191,8 @@ def test_criterion_6_theorem_suite(corpus_runs):
 def _computed_numbers(model, profile, alpha, beta, poly):
     """Every number the polygon pipeline computes for one document."""
     for seg in profile.segments:
-        yield seg.t_lo, seg.t_hi, seg.f0, seg.fslope
+        e, w, _, f0, fslope = seg.numerators
+        yield seg.t_lo, seg.t_hi, Fraction(f0, e * w), Fraction(fslope, e * w)
         yield from seg.coeffs.values()
     yield profile.nu, profile.mu
     yield alpha.breakpoints + alpha.values + alpha.slopes()

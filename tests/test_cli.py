@@ -754,3 +754,28 @@ def test_flag_doc_is_valid(tmp_path, capsys):
     for command in ("polygon", "ray-profile"):
         assert main([command, str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+# a repeated configuration label is named as such, not as a configuration
+# that fails to be negative definite; flag-search said so already
+REPEATED_LABELS = [
+    ("invariants", "invariants_chain", {"configs": [["C1", "C1"]]}),
+    ("invariants", "invariants_chain", {"configs": [["C1"], ["C2", "C1", "C2"]]}),
+    ("scan-vertex-counts", "scan_chain3", {"master_config": ["C1", "C1"], "target_v": 3}),
+    ("scan-vertex-counts", "scan_chain3", {"master_config": ["C1", "C1"]}),
+    ("flag-search", "flag_search_chain", {"flag_search": {"config": ["C1", "C1"]}}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,case,changes",
+    REPEATED_LABELS,
+    ids=["invariants", "invariants-later-config", "scan-target", "scan-full", "flag-search"],
+)
+def test_repeated_configuration_label_is_pinned(command, case, changes, tmp_path, capsys):
+    doc = json.loads((CASES_DIR / f"{case}.json").read_text())
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({**doc, **changes}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: configuration labels must be distinct\n")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from noksurf.linalg import (
     solve,
     solve_eliminated,
     solve_many,
-    solve_negative_definite,
 )
 
 
@@ -170,33 +170,46 @@ def test_inertia_and_definite_solve_match_oracles(m, data):
     cols = [[data.draw(_entry) for _ in range(n)] for _ in range(data.draw(st.integers(0, 2)))]
     if sig != (0, n, 0):
         with pytest.raises(NotNegativeDefinite):
-            solve_negative_definite(m, cols)
+            _definite_solve(*_over_one_denominator(m, cols))
     else:
-        den, nums = solve_negative_definite(m, cols)
+        gram, sides = _over_one_denominator(m, cols)
+        den, nums = _definite_solve(gram, sides)
         assert den > 0 and all(type(x) is int for col in nums for x in col)
         assert _over(den, nums) == gauss_jordan(m, cols)[1]
+        assert (den, nums) == _augmented_bareiss(gram, sides)
 
 
 def _over(den, nums):
     return [[Fraction(x, den) for x in col] for col in nums]
 
 
+def _over_one_denominator(gram, columns):
+    """The system gram*x = b for each b in `columns`, scaled to integers by
+    the lcm of all its denominators; the solutions do not change."""
+    den = lcm(*(Fraction(x).denominator for row in (*gram, *columns) for x in row))
+    return [[int(x * den) for x in row] for row in gram], [[int(x * den) for x in c] for c in columns]
+
+
+def _definite_solve(gram, columns):
+    """An integer negative definite system eliminated afresh and every
+    right-hand side replayed on it, as the support kernel solves."""
+    return solve_eliminated(eliminate_negative_definite([list(row) for row in gram]), columns)
+
+
 def test_solve_negative_definite_examples():
-    assert solve_negative_definite([[-2, 1], [1, -2]], [[-1, 0], [3, 3]]) == (3, [[2, 1], [-9, -9]])
-    assert _over(*solve_negative_definite([[-2, 1], [1, -2]], [[-1, 0], [3, 3]])) == [
+    assert _definite_solve([[-2, 1], [1, -2]], [[-1, 0], [3, 3]]) == (3, [[2, 1], [-9, -9]])
+    assert _over(*_definite_solve([[-2, 1], [1, -2]], [[-1, 0], [3, 3]])) == [
         [Fraction(2, 3), Fraction(1, 3)],
         [-3, -3],
     ]
     # odd size: the determinant -4 is negative, the returned denominator is not
-    assert solve_negative_definite([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], [[1, 0, 0]]) == (
+    assert _definite_solve([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], [[1, 0, 0]]) == (
         4, [[-3, -2, -1]]
     )
-    assert solve_negative_definite([], [[]]) == (1, [[]])
+    assert _definite_solve([], [[]]) == (1, [[]])
     for bad in ([[-1, 2], [2, -3]], [[-1, -1], [-1, -1]], [[0, 1], [1, 0]], [[1]]):
         with pytest.raises(NotNegativeDefinite):
-            solve_negative_definite(bad, [[1] * len(bad)])
-    with pytest.raises(InputError):
-        solve_negative_definite([[-1, 1], [0, -1]], [])
+            _definite_solve(bad, [[1] * len(bad)])
 
 
 def _augmented_bareiss(gram, columns):
@@ -256,7 +269,7 @@ def test_replayed_solves_equal_fresh_ones(gram, data):
     for _ in range(3):
         cols = [[data.draw(_INT) for _ in range(n)] for _ in range(data.draw(st.integers(0, 3)))]
         got = solve_eliminated(m, cols)
-        assert got == solve_negative_definite(gram, cols) == _augmented_bareiss(gram, cols)
+        assert got == _definite_solve(gram, cols) == _augmented_bareiss(gram, cols)
         assert m == kept
 
 

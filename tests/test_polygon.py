@@ -34,7 +34,6 @@ from noksurf import (
     vertex_bound_check,
     walk_ray,
 )
-from noksurf import polygon as polygon_module
 from noksurf.flagbuilder import scan_vertex_counts
 from noksurf.polygon import OkPolygon
 
@@ -595,11 +594,15 @@ def test_build_polygon_decides_no_quadratic_arithmetic(pipeline_walks, monkeypat
         assert calls == none
 
 
+SHAPE_ERROR = ("InternalError", "polygon is not strictly convex counterclockwise")
+
+
 def test_build_polygon_matches_cross_products_on_degenerate_boundaries():
-    # slopes in any order: the outcomes include reflex vertices, collapsed
-    # polygons and collinear edges of opposite directions
+    # slopes in any order: where alpha is convex and beta concave, the
+    # outcomes are polygons and collapsed ones, as the point pass finds
+    # them; every other shape is refused before any vertex is taken
     rng = random.Random(17)
-    seen = set()
+    seen = {"polygon": 0, "polygon degenerated to fewer than three vertices": 0, "refused": 0}
     for _ in range(400):
         xs = (0, *sorted({Fraction(rng.randrange(1, 8), 2) for _ in range(rng.randrange(4))}), 4)
         slopes = [Fraction(rng.randrange(-2, 3)) for _ in range(len(xs) - 1)]
@@ -608,26 +611,37 @@ def test_build_polygon_matches_cross_products_on_degenerate_boundaries():
         lift = max(_at(alpha, t) - _at(beta, t) for t in xs)
         beta = PiecewiseLinear(xs, tuple(v + lift for v in beta.values))
         outcome = _outcome(build_polygon, alpha, beta)
-        assert outcome == _outcome(_cross_product_polygon, alpha, beta)
-        seen.add("polygon" if isinstance(outcome, OkPolygon) else outcome[1])
-    assert seen == {
-        "polygon",
-        "polygon is not strictly convex counterclockwise",
-        "polygon degenerated to fewer than three vertices",
-    }
+        if alpha.is_convex() and beta.is_concave():
+            assert outcome == _outcome(_cross_product_polygon, alpha, beta)
+            seen["polygon" if isinstance(outcome, OkPolygon) else outcome[1]] += 1
+        else:
+            assert outcome == SHAPE_ERROR
+            seen["refused"] += 1
+    assert min(seen.values()) > 0, seen
 
 
-def test_build_polygon_merges_opposite_directions_from_the_points(monkeypatch):
-    # beta meets alpha along the last piece, so the lower edge into (2, 1)
-    # and the upper edge out of it run in opposite directions along one line
-    edges = []
-    edge = polygon_module._edge
-    monkeypatch.setattr(polygon_module, "_edge", lambda a, b: edges.append((a, b)) or edge(a, b))
+def test_build_polygon_refuses_a_beta_that_is_not_concave():
+    # beta meets alpha along the last piece and bends up there (slopes -2,
+    # 1): the old chain pass merged the opposite edges into a triangle
     alpha, beta = _pl((0, 1, 2), 0, (0, 1)), _pl((0, 1, 2), 2, (-2, 1))
-    poly = build_polygon(alpha, beta)
-    assert edges
-    assert poly == _cross_product_polygon(alpha, beta)
-    assert poly.vertices == ((0, 0), (1, 0), (0, 2))
+    assert _outcome(build_polygon, alpha, beta) == SHAPE_ERROR
+
+
+def test_build_polygon_matches_hull_oracle_with_irrational_mu():
+    boundaries = list(_random_boundaries(11, 300, radicands=(2, 3, 5)))
+    boundaries += list(_tent_boundaries(13, 40))
+    for alpha, beta in boundaries:
+        poly = build_polygon(alpha, beta)
+        assert (poly.vertices, poly.tags) == _hull_oracle(alpha, beta)
+
+
+def test_build_polygon_matches_hull_oracle_on_the_pipeline(pipeline_boundaries):
+    irrational = 0
+    for alpha, beta in pipeline_boundaries:
+        poly = build_polygon(alpha, beta)
+        assert (poly.vertices, poly.tags) == _hull_oracle(alpha, beta)
+        irrational += isinstance(alpha.breakpoints[-1], QExt)
+    assert irrational >= 40
 
 
 def _leftmost_side_by_min(polygon):
@@ -689,7 +703,8 @@ def _alpha_beta_by_fractions(profile):
     for seg in profile.segments:
         a0 = sum((seg.coeffs[l][0] * flag.mult(l) for l in seg.support), Fraction(0))
         a1 = sum((seg.coeffs[l][1] * flag.mult(l) for l in seg.support), Fraction(0))
-        b0, b1 = a0 + seg.f0, a1 + seg.fslope
+        e, w, _, f0, fslope = seg.numerators
+        b0, b1 = a0 + Fraction(f0, e * w), a1 + Fraction(fslope, e * w)
         if not alpha_vals:
             alpha_vals.append(a0 + a1 * seg.t_lo)
             beta_vals.append(b0 + b1 * seg.t_lo)
@@ -731,7 +746,8 @@ def test_alpha_beta_area_and_width_match_the_fraction_routes(pipeline_walks):
         assert type(area2) is Fraction
         assert area2 == _shoelace_by_qext(poly) == prof.volume
         last = prof.segments[-1]
-        width = last.f0 + prof.mu * last.fslope
+        e, w, _, f0, fslope = last.numerators
+        width = Fraction(f0, e * w) + prof.mu * Fraction(fslope, e * w)
         assert rightmost_count(model, prof).observed == (1 if width == 0 else 2)
         irrational += isinstance(prof.mu, QExt)
     assert irrational >= 60

@@ -275,8 +275,9 @@ def test_walk_monotone_support_and_positivity_on_corpus():
             for l in seg.support:
                 assert pair(case.model, p0, case.model.class_of(l)) == 0
                 assert pair(case.model, p1, case.model.class_of(l)) == 0
-            assert seg.f0 == pair(case.model, p0, prof.flag.cls)
-            assert seg.fslope == pair(case.model, p1, prof.flag.cls)
+            e, w, _, f0, fslope = seg.numerators
+            assert Fraction(f0, e * w) == pair(case.model, p0, prof.flag.cls)
+            assert Fraction(fslope, e * w) == pair(case.model, p1, prof.flag.cls)
             # a fresh solve on a ray whose pairings are taken here with `pair`
             d, f = prof.divisor, prof.flag.cls
             classes = {l: case.model.class_of(l) for l in seg.support}

@@ -14,7 +14,7 @@ from noksurf.toric import (
     combinatorial_edge_lengths,
     crosscheck,
     fan_to_model,
-    monomial_okounkov,
+    monomial_valuation,
     newton_polygon,
     self_intersections,
 )
@@ -155,17 +155,23 @@ def test_newton_polygon_point_and_edge_lengths():
     assert combinatorial_edge_lengths(F1, ToricDivisor((0, 0, 1, 2))) == [2, 1, 2, 3]
 
 
+def _monomial_okounkov(fan, div, flag_index):
+    """The Newton polygon under the monomial valuation, as `toric-polygon`
+    computes it."""
+    return monomial_valuation(fan, div, flag_index)(newton_polygon(fan, div))
+
+
 def test_monomial_okounkov_p2():
     div = ToricDivisor((0, 0, 3))
-    assert monomial_okounkov(P2, div, 1) == [(0, 0), (3, 0), (0, 3)]
-    assert monomial_okounkov(P2, div, 3) == [(0, 0), (3, 0), (0, 3)]
-    point = monomial_okounkov(P2, ToricDivisor((0, 0, 0)), 2)
+    assert _monomial_okounkov(P2, div, 1) == [(0, 0), (3, 0), (0, 3)]
+    assert _monomial_okounkov(P2, div, 3) == [(0, 0), (3, 0), (0, 3)]
+    point = _monomial_okounkov(P2, ToricDivisor((0, 0, 0)), 2)
     assert point == [(0, 0)]
 
 
 def test_monomial_okounkov_bad_index():
     with pytest.raises(InputError):
-        monomial_okounkov(P2, ToricDivisor((0, 0, 1)), 0)
+        _monomial_okounkov(P2, ToricDivisor((0, 0, 1)), 0)
 
 
 def test_crosscheck_batteries():
