@@ -317,8 +317,8 @@ def _one_grid(alpha, beta):
 
 
 def _hull_oracle(alpha, beta):
-    """Vertices and tags of the region between alpha and beta without the
-    library's chain pass: the candidates are both graphs at every breakpoint
+    """Vertices and tags of the region between alpha and beta without
+    reading slopes: the candidates are both graphs at every breakpoint
     of either function, a candidate is a vertex unless it lies between two
     others, and the vertices are sorted counterclockwise by cross products
     around the lowest leftmost one."""
@@ -440,8 +440,10 @@ def _cross(o, a, b):
 
 
 def _cross_product_polygon(alpha, beta):
-    """The chain pass of build_polygon with every turn decided by a cross
-    product of points, which computes in Q(sqrt(d)) at an irrational mu."""
+    """The region between alpha and beta by one pass over both graphs that
+    merges repeated points and drops collinear ones, with every turn decided
+    by a cross product of points, which computes in Q(sqrt(d)) at an
+    irrational mu."""
     assert alpha.breakpoints == beta.breakpoints
     rows = list(zip(alpha.breakpoints, alpha.values, beta.values))
     for t, a, b in rows:
