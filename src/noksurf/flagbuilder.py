@@ -8,7 +8,6 @@ whose polygon has exactly the requested number of vertices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -24,14 +23,14 @@ from .lattice import (
     is_negative_definite,
     pair,
 )
-from .polygon import OkPolygon, alpha_beta, build_polygon, mv, mv_of_components
+from .polygon import alpha_beta, build_polygon, mv, mv_of_components
 from .qext import QExt
 from .raywalk import FlagSpec, RayProfile, walk_ray
+from .record import Record
 from .zariski import residual_pairings, solve_support
 
 
-@dataclass(frozen=True)
-class OrderedFlagCertificate:
+class OrderedFlagCertificate(Record):
     """An ample class whose ray meets the configuration in strict order.
 
     `flag_class` is used directly as the class of the flag curve; that an
@@ -40,11 +39,21 @@ class OrderedFlagCertificate:
     recorded here rather than verified, since lattice data cannot decide it.
     """
 
-    flag_class: DivisorClass
-    coefficients: dict[str, Fraction]
-    appearance: tuple[tuple[str, Fraction], ...]
-    mu: Fraction | QExt
-    independent: bool
+    __slots__ = ("flag_class", "coefficients", "appearance", "mu", "independent")
+
+    def __init__(
+        self,
+        flag_class: DivisorClass,
+        coefficients: dict[str, Fraction],
+        appearance: tuple[tuple[str, Fraction], ...],
+        mu: Fraction | QExt,
+        independent: bool,
+    ):
+        object.__setattr__(self, "flag_class", flag_class)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "appearance", appearance)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "independent", independent)
 
 
 def _walk_matches(
@@ -74,8 +83,8 @@ def _walk_matches(
 
 
 def _sample_times(times: list[Fraction], top: Fraction) -> list[Fraction]:
-    """0, midpoints between consecutive wall times, and one above the last."""
-    out = [Fraction(0)]
+    """Midpoints between consecutive wall times, and one above the last."""
+    out = []
     for a, b in zip(times, times[1:]):
         out.append((a + b) / 2)
     if times:
@@ -183,7 +192,10 @@ def _probe(model, flag_class, config, prev_times, d_pairs) -> bool:
     Certified from D's curve_pairings `d_pairs` and A's: the decomposition
     is unique, so positive coefficients on the expected support and a
     remainder nef on every curve make it the decomposition.  A sample whose
-    certificate fails rejects the trial, as a walk that raises does.
+    certificate fails rejects the trial, as a walk that raises does.  There
+    is no sample at s = 0: its certificate is that D pairs nonnegatively
+    with every curve, which the search's entry check that D is model-ample
+    has decided.
     """
     dd, dn = d_pairs
     ad, an = curve_pairings(model, flag_class, model._index)
@@ -257,15 +269,14 @@ def _perturb_independent(model, divisor, base, config, budget):
 # -- realization --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealizedFlag:
-    target: int
-    config: tuple[str, ...]
-    placement: str  # "first-curve" | "generic-point" | "second-curve"
-    certificate: OrderedFlagCertificate
-    scale: int  # profile.flag.cls = scale * certificate.flag_class
-    profile: RayProfile  # walked with the realized flag
-    polygon: OkPolygon
+class RealizedFlag(Record):
+    """A flag realizing `target` vertices: the sub-configuration `config`,
+    the `placement` of the flag point ("first-curve", "generic-point" or
+    "second-curve"), the `certificate`, the `scale` with
+    profile.flag.cls = scale * certificate.flag_class, the `profile`
+    walked with the realized flag, and its `polygon`."""
+
+    __slots__ = ("target", "config", "placement", "certificate", "scale", "profile", "polygon")
 
     def verified(self) -> bool:
         """The realization's walk is the certificate's walk rescaled: the

@@ -8,13 +8,13 @@ declarations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
 
 from . import linalg
 from .errors import InputError
+from .record import Record
 
 inertia = linalg.inertia  # exact Sylvester inertia of a symmetric matrix
 
@@ -44,11 +44,11 @@ def _coord(x):
         raise InputError(f"coordinate {x!r:.60} is not a number") from None
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """A class in NS(S) with rational coordinates, kept as Fractions."""
 
-    coords: tuple
+    __slots__ = ("coords", "_ints")
+    _compared = ("coords",)
 
     def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(_coord(x) for x in coords))
@@ -90,8 +90,8 @@ class DivisorClass:
         return all(x == 0 for x in self.coords)
 
     def _scaled(self):
-        """(integer numerators, one positive common denominator), kept as a
-        non-field attribute on first use."""
+        """(integer numerators, one positive common denominator), kept in
+        the _ints slot on first use."""
         try:
             return self._ints
         except AttributeError:
@@ -108,18 +108,25 @@ def as_divisor(v, rank: int | None = None) -> DivisorClass:
     return d
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    label: str
-    cls: tuple[int, ...]
+class CurveRecord(Record):
+    """A declared curve: its label and its integer class."""
+
+    __slots__ = ("label", "cls")
+
+    def __init__(self, label: str, cls: tuple[int, ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "cls", cls)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
-    curves: tuple[CurveRecord, ...]
-    ample_witness: tuple[Fraction, ...]
+class SurfaceModel(Record):
+    """Lattice data: the fields rank, gram, curves and ample_witness, and
+    integer tables built from them."""
+
+    __slots__ = (
+        "rank", "gram", "curves", "ample_witness", "_rows", "_duals", "_sparse", "_having",
+        "_products", "_classes", "_eliminations", "_divisor_sides", "_index", "_witness",
+    )
+    _compared = __slots__[:4]  # the fields
 
     def __init__(self, rank, gram, curves, ample_witness, *, _typed=False):
         """`_typed`: docio has checked, with their document paths, that every
@@ -138,7 +145,7 @@ class SurfaceModel:
                 f"intersection form has inertia {sig}, expected (1, {rank - 1}, 0)"
             )
         # Integer tables, in time linear in the document; not fields, so
-        # eq/hash/repr ignore them.  _rows[i]: nonzero (j, G_ij); _sparse[l]:
+        # ==, hash and repr ignore them.  _rows[i]: nonzero (j, G_ij); _sparse[l]:
         # nonzero (j, c_l_j); _duals[l]: nonzero (i, (G.c_l)_i), the sum of
         # c_l_j * _rows[j]; _having[j]: (k, c_k_j) for every curve k with a
         # nonzero coordinate j; _index[l]: declaration order.  _products[l]
@@ -183,12 +190,13 @@ class SurfaceModel:
         w = DivisorClass(ample_witness)
         if len(w) != rank:
             raise InputError("ample witness has wrong length")
-        vars(self).update(  # frozen: the fields are set once, here
+        for name, value in dict(
             rank=rank, gram=g, curves=tuple(recs), ample_witness=w.coords,
             _rows=rows, _duals=duals, _sparse=sparse, _having=having,
             _products={}, _classes={}, _eliminations={}, _divisor_sides={},
             _index=index, _witness=w,
-        )
+        ).items():
+            object.__setattr__(self, name, value)
         if pair(self, w, w) <= 0:
             raise InputError("ample witness has nonpositive self-intersection")
         _, w_c = curve_pairings(self, w, self._index)

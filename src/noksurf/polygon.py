@@ -9,7 +9,6 @@ all lie among nu, the wall times, and mu.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -24,21 +23,20 @@ from .lattice import (
 )
 from .qext import QExt, as_exact
 from .raywalk import RayProfile
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Record):
     """Continuous piecewise affine function given by breakpoint/value pairs;
     the public constructor checks them and computes the slope of every
     piece once."""
 
-    breakpoints: tuple
-    values: tuple
-    _slopes: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("breakpoints", "values", "_slopes")
+    _compared = __slots__[:2]  # all but _slopes
 
-    def __post_init__(self):
-        xs = tuple(as_exact(x) for x in self.breakpoints)
-        ys = tuple(as_exact(y) for y in self.values)
+    def __init__(self, breakpoints: tuple, values: tuple):
+        xs = tuple(as_exact(x) for x in breakpoints)
+        ys = tuple(as_exact(y) for y in values)
         if len(xs) != len(ys) or len(xs) < 2:
             raise InputError("need matching breakpoints and values, at least two")
         slopes = []
@@ -140,15 +138,14 @@ def alpha_beta(model: SurfaceModel, profile: RayProfile):
 # -- polygon ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OkPolygon:
+class OkPolygon(Record):
     """Counterclockwise vertex cycle with boundary provenance per vertex.
 
-    Each tag is {leftmost|interior|rightmost}-{lower|upper|degenerate}.
+    The vertices are (t, s) pairs with exact coordinates, and each tag is
+    {leftmost|interior|rightmost}-{lower|upper|degenerate}.
     """
 
-    vertices: tuple  # of (t, s) pairs, exact coordinates
-    tags: tuple
+    __slots__ = ("vertices", "tags")
 
 
 def build_polygon(alpha: PiecewiseLinear, beta: PiecewiseLinear) -> OkPolygon:
@@ -221,12 +218,8 @@ def polygon_area2(polygon: OkPolygon):
 # -- predictions and counts --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InteriorPrediction:
-    t: Fraction
-    entering: tuple[str, ...]
-    expect_lower: bool
-    expect_upper: bool
+class InteriorPrediction(Record):
+    __slots__ = ("t", "entering", "expect_lower", "expect_upper")
 
 
 def predict_interior_vertices(
@@ -258,12 +251,8 @@ def predict_interior_vertices(
     return out
 
 
-@dataclass(frozen=True)
-class RightmostReport:
-    count: int
-    certified: bool
-    observed: int
-    flag_in_span: bool
+class RightmostReport(Record):
+    __slots__ = ("count", "certified", "observed", "flag_in_span")
 
 
 def rightmost_count(model: SurfaceModel, profile: RayProfile) -> RightmostReport:
@@ -319,12 +308,14 @@ def side_slopes(
     return out
 
 
-@dataclass(frozen=True)
-class Side:
-    start: tuple
-    end: tuple
-    dt: object
-    ds: object
+class Side(Record):
+    __slots__ = ("start", "end", "dt", "ds")
+
+    def __init__(self, start: tuple, end: tuple, dt, ds):  # one per side of a polygon
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "ds", ds)
 
 
 def side_lengths(polygon: OkPolygon) -> list[Side]:
@@ -354,10 +345,14 @@ def leftmost_side_check(model: SurfaceModel, profile: RayProfile):
 # -- configuration invariants ------------------------------------------------
 
 
-def _components(model: SurfaceModel, labels: list) -> list[list[str]]:
+def _distinct(labels: list) -> list:
     if len(set(labels)) != len(labels):
         raise InputError("configuration labels must be distinct")
-    if not is_negative_definite(model, labels):
+    return labels
+
+
+def _components(model: SurfaceModel, labels: list) -> list[list[str]]:
+    if not is_negative_definite(model, _distinct(labels)):
         raise InputError(f"configuration {labels} is not negative definite")
     return dual_graph_components(model, labels)
 
@@ -369,7 +364,7 @@ def mc(model: SurfaceModel, config) -> int:
 
 def mv(model: SurfaceModel, config) -> int:
     """Vertex-count invariant of a negative definite configuration."""
-    labels = list(config)
+    labels = _distinct(list(config))  # a repeat is named before the bound
     k = len(labels)
     if k > model.rank - 1:
         raise InputError(
@@ -385,15 +380,11 @@ def mv_of_components(model: SurfaceModel, comps) -> int:
     return k + max(map(len, comps), default=0) + (4 if k < model.rank - 1 else 3)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    vertex_count: int
-    mv_bound: int
-    picard_bound: int
-    interior_lower: int
-    interior_lower_bound: int
-    interior_upper: int
-    interior_upper_bound: int
+class BoundReport(Record):
+    __slots__ = (
+        "vertex_count", "mv_bound", "picard_bound", "interior_lower", "interior_lower_bound",
+        "interior_upper", "interior_upper_bound",
+    )
 
     @property
     def ok(self) -> bool:

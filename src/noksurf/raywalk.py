@@ -12,7 +12,6 @@ single quadratic extension).
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -27,40 +26,74 @@ from .lattice import (
     sorted_labels,
 )
 from .qext import QExt, sqrt_fraction
+from .record import Record
 from .zariski import ZariskiResult, residual_pairings, solve_support, zariski_decompose
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """One chamber of the walk: support and affine coefficients on
     [t_lo, t_hi] of the moving positive part
     P_t = P_0 + t*p1 = D - t*F - sum_l (a0_l + a1_l*t)*C_l with the flag
     class F, and the pairing P_t.F in the chamber's integers."""
 
-    t_lo: Fraction
-    t_hi: Fraction | QExt
-    support: tuple[str, ...]  # in order of appearance
-    coeffs: dict[str, tuple[Fraction, Fraction]]  # label -> (a0, a1)
-    # the same numbers in the walk's integers: (e, w, {l: (x0, x1)}, f0, fslope)
-    # with a_l(t) = (x0 + x1*t)/e and P_t.F = (f0 + fslope*t)/(e*w)
-    numerators: tuple = field(compare=False, repr=False)
+    __slots__ = ("t_lo", "t_hi", "support", "coeffs", "numerators")
+    _compared = __slots__[:4]  # all but numerators
+
+    def __init__(
+        self,
+        t_lo: Fraction,
+        t_hi: Fraction | QExt,
+        support: tuple[str, ...],  # in order of appearance
+        coeffs: dict[str, tuple[Fraction, Fraction]],  # label -> (a0, a1)
+        # the same numbers in the walk's integers: (e, w, {l: (x0, x1)}, f0,
+        # fslope) with a_l(t) = (x0 + x1*t)/e and P_t.F = (f0 + fslope*t)/(e*w)
+        numerators: tuple,
+    ):
+        object.__setattr__(self, "t_lo", t_lo)
+        object.__setattr__(self, "t_hi", t_hi)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "numerators", numerators)
 
 
-@dataclass(frozen=True)
-class RayProfile:
-    nu: Fraction
-    mu: Fraction | QExt
-    radicand: int  # 0 when mu is rational
-    segments: tuple[Segment, ...]
-    appearance: dict[str, Fraction]
-    flag: FlagSpec
-    divisor: DivisorClass
-    candidates: tuple[str, ...]
-    decomposition: ZariskiResult  # of D itself, from which the walk starts
-    flag_square: Fraction  # F^2
-    volume: Fraction  # vol(D) = P_D^2 = P_nu^2, twice the polygon's area
-    # (w, {l: w*F.C_l}) for every candidate but the flag curve, in integers
-    scaled_flag_pairings: tuple[int, dict[str, int]] = field(compare=False, repr=False)
+class RayProfile(Record):
+    """The walk of D - t*F from nu to mu: its chambers, the curves' entry
+    times, and the numbers the polygon and its certificates read."""
+
+    __slots__ = (
+        "nu", "mu", "radicand", "segments", "appearance", "flag", "divisor", "candidates",
+        "decomposition", "flag_square", "volume", "scaled_flag_pairings",
+    )
+    _compared = __slots__[:-1]  # all but scaled_flag_pairings
+
+    def __init__(
+        self,
+        nu: Fraction,
+        mu: Fraction | QExt,
+        radicand: int,  # 0 when mu is rational
+        segments: tuple[Segment, ...],
+        appearance: dict[str, Fraction],
+        flag: FlagSpec,
+        divisor: DivisorClass,
+        candidates: tuple[str, ...],
+        decomposition: ZariskiResult,  # of D itself, from which the walk starts
+        flag_square: Fraction,  # F^2
+        volume: Fraction,  # vol(D) = P_D^2 = P_nu^2, twice the polygon's area
+        # (w, {l: w*F.C_l}) for every candidate but the flag curve, in integers
+        scaled_flag_pairings: tuple[int, dict[str, int]],
+    ):
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "radicand", radicand)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "appearance", appearance)
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "flag_square", flag_square)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "scaled_flag_pairings", scaled_flag_pairings)
 
     def flag_pairing(self, label: str) -> Fraction:
         """F.C_l, as the walk paired it, for a candidate other than the flag curve."""
@@ -90,16 +123,13 @@ def resolve_flag(model: SurfaceModel, flag) -> tuple[str | None, DivisorClass]:
     return None, cls
 
 
-@dataclass(frozen=True, init=False)
-class FlagSpec:
+class FlagSpec(Record):
     """A flag (C, p), checked against the model once, when it is built: the
     curve C, given as a declared label or a class and resolved to its label
     (None for an undeclared class) and class, and the local intersection
     multiplicities (C_j . C)_p of declared curves at the flag point."""
 
-    label: str | None
-    cls: DivisorClass
-    local_mult: dict[str, int]
+    __slots__ = ("label", "cls", "local_mult")
 
     def __init__(self, model: SurfaceModel, flag, local_mult):
         label, cls = resolve_flag(model, flag)

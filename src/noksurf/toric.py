@@ -9,7 +9,6 @@ agree vertex for vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +16,7 @@ from .errors import DegenerateInput, InputError, InternalError, OracleMismatch
 from .lattice import CurveRecord, DivisorClass, SurfaceModel, gram_matrix, pair
 from .polygon import alpha_beta, build_polygon, polygon_area2
 from .raywalk import FlagSpec, walk_ray
+from .record import Record
 
 Point = tuple[Fraction, Fraction]
 
@@ -25,11 +25,10 @@ def _det(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-@dataclass(frozen=True)
-class ToricFan:
+class ToricFan(Record):
     """Complete smooth fan: primitive rays, counterclockwise, unimodular steps."""
 
-    rays: tuple[tuple[int, int], ...]
+    __slots__ = ("rays",)
 
     def __init__(self, rays):
         rr = tuple((x, y) for x, y in rays)
@@ -64,9 +63,10 @@ class ToricFan:
         return self.rays[(i - 1) % len(self.rays)]
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
-    coeffs: tuple[int, ...]
+class ToricDivisor(Record):
+    """A torus-invariant divisor: integer coefficients, one per ray."""
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -256,13 +256,8 @@ def monomial_valuation(fan: ToricFan, div: ToricDivisor, flag_index: int):
     return image
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    equal: bool
-    walk_vertices: tuple[Point, ...]
-    monomial_vertices: tuple[Point, ...]
-    area2: Fraction
-    divisor_square: Fraction
+class CrosscheckReport(Record):
+    __slots__ = ("equal", "walk_vertices", "monomial_vertices", "area2", "divisor_square")
 
 
 def crosscheck(fan: ToricFan, div: ToricDivisor, flag_index: int) -> CrosscheckReport:

@@ -9,7 +9,6 @@ without affecting correctness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -26,18 +25,30 @@ from .lattice import (
     subtract_curves,
     support_elimination,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ZariskiResult:
+class ZariskiResult(Record):
     """Certified decomposition: support, positive coefficients, nef remainder,
     and the pairings D.C_l with every candidate it was solved from, kept as
-    `scaled_pairings` = (den, {l: den*D.C_l}) in integers."""
+    `scaled_pairings` = (den, {l: den*D.C_l}) in integers.  Two results are
+    equal when their supports are."""
 
-    support: tuple[str, ...]
-    coeffs: dict[str, Fraction] = field(compare=False)
-    positive_part: DivisorClass = field(compare=False)
-    scaled_pairings: tuple[int, dict[str, int]] = field(compare=False, repr=False)
+    __slots__ = ("support", "coeffs", "positive_part", "scaled_pairings")
+    _compared = ("support",)
+    _shown = __slots__[:3]
+
+    def __init__(
+        self,
+        support: tuple[str, ...],
+        coeffs: dict[str, Fraction],
+        positive_part: DivisorClass,
+        scaled_pairings: tuple[int, dict[str, int]],
+    ):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "positive_part", positive_part)
+        object.__setattr__(self, "scaled_pairings", scaled_pairings)
 
     def coefficient(self, label: str) -> Fraction:
         return self.coeffs.get(label, Fraction(0))

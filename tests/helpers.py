@@ -11,6 +11,7 @@ points), so every classified theorem must hold on it.
 """
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -438,3 +439,10 @@ def forest_corpus(seed: int, count: int, rho: int) -> list[Case]:
     """`count` forest cases, all of rank rho (corpus() stops at rank 4)."""
     rng = random.Random(seed)
     return [forest_case(rng, rho, i) for i in range(count)]
+
+
+def rebuilt(record, **changes):
+    """A copy of `record` built through its constructor, whose parameters
+    are the record's fields, with the fields in `changes` replaced."""
+    params = inspect.signature(type(record)).parameters
+    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in params})

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from noksurf.cli import build_parser, main
 from noksurf.errors import InternalError
 from noksurf.docio import parse_surface
 
-from helpers import case_document, forest_case
+from helpers import case_document, forest_case, rebuilt
 
 CASES_DIR = Path(__file__).resolve().parent.parent / "cases"
 
@@ -208,7 +207,7 @@ def test_area_certificate_fires(patched, message, monkeypatch, capsys):
 
         def walk_off_by_one(*args):
             prof = walk(*args)
-            return replace(prof, volume=prof.volume + 1)
+            return rebuilt(prof, volume=prof.volume + 1)
 
         monkeypatch.setattr(cli, "walk_ray", walk_off_by_one)
     assert main(["polygon", str(CASES_DIR / "ex1_on_point.json")]) == 1
@@ -514,8 +513,6 @@ def test_scan_single_target_v(tmp_path, capsys):
 
 
 def test_scan_verified_fails_when_certificate_disagrees(tmp_path, capsys, monkeypatch):
-    import dataclasses
-
     import noksurf.flagbuilder as flagbuilder
 
     search = flagbuilder.find_ordered_ample_class
@@ -523,7 +520,7 @@ def test_scan_verified_fails_when_certificate_disagrees(tmp_path, capsys, monkey
     def off_by_one(*args, **kwargs):
         cert = search(*args, **kwargs)
         (label, t), *rest = cert.appearance
-        return dataclasses.replace(cert, appearance=((label, t + 1), *rest))
+        return rebuilt(cert, appearance=((label, t + 1), *rest))
 
     monkeypatch.setattr(flagbuilder, "find_ordered_ample_class", off_by_one)
     doc = json.loads((CASES_DIR / "scan_chain3.json").read_text())
@@ -763,6 +760,7 @@ REPEATED_LABELS = [
     ("invariants", "invariants_chain", {"configs": [["C1"], ["C2", "C1", "C2"]]}),
     ("scan-vertex-counts", "scan_chain3", {"master_config": ["C1", "C1"], "target_v": 3}),
     ("scan-vertex-counts", "scan_chain3", {"master_config": ["C1", "C1"]}),
+    ("scan-vertex-counts", "scan_chain3", {"master_config": ["C1", "C2", "C1"]}),
     ("flag-search", "flag_search_chain", {"flag_search": {"config": ["C1", "C1"]}}),
 ]
 
@@ -770,7 +768,10 @@ REPEATED_LABELS = [
 @pytest.mark.parametrize(
     "command,case,changes",
     REPEATED_LABELS,
-    ids=["invariants", "invariants-later-config", "scan-target", "scan-full", "flag-search"],
+    ids=[
+        "invariants", "invariants-later-config", "scan-target", "scan-full", "scan-full-too-long",
+        "flag-search",
+    ],
 )
 def test_repeated_configuration_label_is_pinned(command, case, changes, tmp_path, capsys):
     doc = json.loads((CASES_DIR / f"{case}.json").read_text())

@@ -189,7 +189,8 @@ def test_scaling_invariance_of_vertex_count():
 def _decomposing_probe(model, divisor, flag_class, config, prev_times):
     """The probe without certificates: one full decomposition of D - s*A at
     0, at each midpoint of consecutive times and halfway from the last time
-    to 1, whose support must be the curves of `config` already crossed."""
+    to 1, whose support must be the curves of `config` already crossed.  The
+    probe itself skips 0, where every nef D passes, as each D here is."""
     samples = [Fraction(0)] + [(a + b) / 2 for a, b in zip(prev_times, prev_times[1:])]
     if prev_times:
         samples.append((prev_times[-1] + 1) / 2)

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -287,8 +286,12 @@ def test_piecewise_linear_basics():
 
 def test_vertex_bound_check_raises_on_violation():
     prof, alpha, beta, poly = _pipeline(BL1, D1, "C", {"E": 1}, ["E"])
-    bad = replace(poly, tags=tuple(["interior-lower"] * len(poly.vertices)))
-    with pytest.raises(TheoremViolation):
+    bad = OkPolygon(poly.vertices, tuple(["interior-lower"] * len(poly.vertices)))
+    message = (
+        "vertex bounds violated: BoundReport(vertex_count=4, mv_bound=5, picard_bound=5, "
+        "interior_lower=4, interior_lower_bound=1, interior_upper=0, interior_upper_bound=0)"
+    )
+    with pytest.raises(TheoremViolation, match=f"^{re.escape(message)}$"):
         vertex_bound_check(BL1, bad, prof)
 
 

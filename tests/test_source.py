@@ -49,3 +49,27 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports of a module."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    # the records derive from record.Record; dataclasses would load inspect
+    # and exec generated methods in every cold command
+    source = "import os.path\nfrom dataclasses import field\nfrom . import linalg\n"
+    assert imported_modules(source) == {"os", "dataclasses"}
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
