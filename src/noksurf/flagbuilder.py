@@ -18,13 +18,13 @@ from .lattice import (
     SurfaceModel,
     as_divisor,
     curve_pairings,
+    curve_products,
     dual_graph_components,
     is_model_ample,
     is_negative_definite,
     pair,
 )
-from .polygon import alpha_beta, build_polygon, mv, mv_of_components
-from .qext import QExt
+from .polygon import _distinct, alpha_beta, build_polygon, mv, mv_of_components
 from .raywalk import FlagSpec, RayProfile, walk_ray
 from .record import Record
 from .zariski import residual_pairings, solve_support
@@ -40,20 +40,6 @@ class OrderedFlagCertificate(Record):
     """
 
     __slots__ = ("flag_class", "coefficients", "appearance", "mu", "independent")
-
-    def __init__(
-        self,
-        flag_class: DivisorClass,
-        coefficients: dict[str, Fraction],
-        appearance: tuple[tuple[str, Fraction], ...],
-        mu: Fraction | QExt,
-        independent: bool,
-    ):
-        object.__setattr__(self, "flag_class", flag_class)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "appearance", appearance)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "independent", independent)
 
 
 def _walk_matches(
@@ -84,22 +70,17 @@ def _walk_matches(
 
 def _sample_times(times: list[Fraction], top: Fraction) -> list[Fraction]:
     """Midpoints between consecutive wall times, and one above the last."""
-    out = []
-    for a, b in zip(times, times[1:]):
-        out.append((a + b) / 2)
-    if times:
-        out.append((times[-1] + top) / 2)
-    return out
+    return [(a + b) / 2 for a, b in zip(times, [*times[1:], top])]
 
 
 def _upper_bound_positive_range(model, base, label) -> Fraction:
     """Rational upper bound for sup{c > 0 : base - c*C_label is model-ample}."""
     bd, bn = curve_pairings(model, base, model._index)
-    cd, cn = curve_pairings(model, model.class_of(label), model._index)
-    bounds = [Fraction(bn[l] * cd, bd * x) for l, x in cn.items() if x > 0]
+    products = curve_products(model, label)
+    bounds = [Fraction(bn[l], bd * x) for l, x in products.items() if x > 0]
     bsq = pair(model, base, base)
     cross = Fraction(bn[label], bd)
-    csq = Fraction(cn[label], cd)
+    csq = products.get(label, 0)
     if csq < 0:
         # rational overestimate of the positive root of bsq - 2c*cross + c^2*csq
         disc = cross * cross - csq * bsq
@@ -125,9 +106,7 @@ def find_ordered_ample_class(
     and then by a complete walk, is preserved.
     """
     divisor = as_divisor(divisor, model.rank)
-    config = list(ordered_config)
-    if len(set(config)) != len(config):
-        raise InputError("configuration labels must be distinct")
+    config = _distinct(list(ordered_config))
     if not is_model_ample(model, divisor):
         raise InputError("divisor is not model-ample")
     if not is_negative_definite(model, config):
@@ -233,9 +212,7 @@ def _perturb_independent(model, divisor, base, config, budget):
     The perturbing class must pair nonnegatively with every declared curve,
     or it would drag extraneous walls into the ray.
     """
-    in_span = linalg.span_test(
-        [divisor.coords] + [model.class_of(l).coords for l in config]
-    )
+    in_span = linalg.span_test([divisor.coords, *(model.curve(l).cls for l in config)])
     # e_i.C_l = (G.c_l)_i: +e_i pairs nonnegatively with every curve unless
     # some (G.c_l)_i < 0, and -e_i unless some (G.c_l)_i > 0
     pos, neg = [False] * model.rank, [False] * model.rank
@@ -314,9 +291,7 @@ def realize_vertex_count(
     curve when the connected part is larger), dropping exactly one vertex.
     """
     divisor = as_divisor(divisor, model.rank)
-    master = list(master_config)
-    if len(set(master)) != len(master):
-        raise InputError("configuration labels must be distinct")
+    master = _distinct(list(master_config))
     if not is_negative_definite(model, master):
         raise InputError("master configuration is not negative definite")
     # so is every prefix: one components pass each gives its mv
@@ -335,34 +310,24 @@ def realize_vertex_count(
         )
 
     if v in prefix_mv:
-        j, mode = prefix_mv.index(v), "exact"
+        j = prefix_mv.index(v)
+        placement, point = ("first-curve", master[:1]) if j else ("generic-point", [])
+        independent = j < model.rank - 1
     elif v + 1 in prefix_mv:
-        j, mode = prefix_mv.index(v + 1), "minus-one"
+        j = prefix_mv.index(v + 1)
+        if any(len(c) > 1 for c in comps[j]):
+            placement, point = "second-curve", master[1:2]
+        else:
+            placement, point = "generic-point", []
+        # the empty prefix with a flag in the span of D: one rightmost vertex
+        independent = 0 < j < model.rank - 1
     else:
         raise InputError(f"no sub-configuration realizes {v} vertices")
     config = master[:j]
-    if mode == "exact":
-        want_independent = j < model.rank - 1
-        placement = "first-curve" if config else "generic-point"
-    else:
-        if j == 0:
-            want_independent = False
-            placement = "generic-point"
-        else:
-            want_independent = j < model.rank - 1
-            placement = "second-curve" if any(len(c) > 1 for c in comps[j]) else "generic-point"
 
-    certificate = find_ordered_ample_class(
-        model, divisor, config, want_independent, budget
-    )
+    certificate = find_ordered_ample_class(model, divisor, config, independent, budget)
     scale, flag_class = _scale_for_flag(model, certificate, config)
-    if placement == "first-curve":
-        local = {config[0]: 1}
-    elif placement == "second-curve":
-        local = {config[1]: 1}
-    else:
-        local = {}
-    flag = FlagSpec(model, flag_class, local)
+    flag = FlagSpec(model, flag_class, dict.fromkeys(point, 1))
     profile = walk_ray(model, divisor, flag, model.labels())
     polygon = build_polygon(*alpha_beta(model, profile))
     if len(polygon.vertices) != v:

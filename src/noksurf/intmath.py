@@ -18,10 +18,13 @@ _RHO_BUDGET = 1 << 21
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SMALL_PRIMES: list[int] = []
-for _n in range(2, 1000):
-    if all(_n % _p for _p in _SMALL_PRIMES if _p * _p <= _n):
-        _SMALL_PRIMES.append(_n)
+# the primes below 1000, by the sieve of Eratosthenes
+_sieve = bytearray([1]) * 1000
+_sieve[:2] = b"\0\0"
+for _p in range(2, 32):  # 31 < sqrt(1000) < 32
+    if _sieve[_p]:
+        _sieve[_p * _p :: _p] = bytes(len(range(_p * _p, 1000, _p)))
+_SMALL_PRIMES = [_n for _n in range(1000) if _sieve[_n]]
 
 
 def is_prime(n: int) -> bool:

@@ -120,13 +120,10 @@ class CurveRecord(Record):
 
 class SurfaceModel(Record):
     """Lattice data: the fields rank, gram, curves and ample_witness, and
-    integer tables built from them."""
+    integer tables built from them.  The one record with a __dict__: its
+    fields and tables are set with one update of it."""
 
-    __slots__ = (
-        "rank", "gram", "curves", "ample_witness", "_rows", "_duals", "_sparse", "_having",
-        "_products", "_classes", "_eliminations", "_divisor_sides", "_index", "_witness",
-    )
-    _compared = __slots__[:4]  # the fields
+    _compared = ("rank", "gram", "curves", "ample_witness")
 
     def __init__(self, rank, gram, curves, ample_witness, *, _typed=False):
         """`_typed`: docio has checked, with their document paths, that every
@@ -149,11 +146,11 @@ class SurfaceModel(Record):
         # nonzero (j, c_l_j); _duals[l]: nonzero (i, (G.c_l)_i), the sum of
         # c_l_j * _rows[j]; _having[j]: (k, c_k_j) for every curve k with a
         # nonzero coordinate j; _index[l]: declaration order.  _products[l]
-        # ({k: C_k.C_l} over the nonzero products, see curve_products),
-        # _classes[l] (see class_of) and _eliminations[labels] (see
-        # support_elimination) are built on first use, and so is raywalk's
-        # _divisor_sides (see raywalk._divisor_side).  One pass per curve
-        # checks it and fills every table.
+        # ({k: C_k.C_l} over the nonzero products, see curve_products) and
+        # _eliminations[labels] (see support_elimination) are built on
+        # first use, and so is raywalk's _divisor_sides (see
+        # raywalk._divisor_side).  One pass per curve checks it and fills
+        # every table.
         rows = tuple(tuple(compress(enumerate(row), row)) for row in g)
         recs = []
         index = {}
@@ -190,13 +187,11 @@ class SurfaceModel(Record):
         w = DivisorClass(ample_witness)
         if len(w) != rank:
             raise InputError("ample witness has wrong length")
-        for name, value in dict(
+        vars(self).update(
             rank=rank, gram=g, curves=tuple(recs), ample_witness=w.coords,
             _rows=rows, _duals=duals, _sparse=sparse, _having=having,
-            _products={}, _classes={}, _eliminations={}, _divisor_sides={},
-            _index=index, _witness=w,
-        ).items():
-            object.__setattr__(self, name, value)
+            _products={}, _eliminations={}, _divisor_sides={}, _index=index, _witness=w,
+        )
         if pair(self, w, w) <= 0:
             raise InputError("ample witness has nonpositive self-intersection")
         _, w_c = curve_pairings(self, w, self._index)
@@ -215,11 +210,7 @@ class SurfaceModel(Record):
         return self.curves[self.declaration_index(label)]
 
     def class_of(self, label: str) -> DivisorClass:
-        try:
-            return self._classes[label]
-        except (KeyError, TypeError):  # first use, or an unknown label
-            cls = self._classes[label] = DivisorClass(self.curve(label).cls)
-            return cls
+        return DivisorClass(self.curve(label).cls)
 
     def declaration_index(self, label: str) -> int:
         return _lookup(self._index, label)
@@ -340,33 +331,29 @@ def is_negative_definite(model: SurfaceModel, labels) -> bool:
 def dual_graph_components(model: SurfaceModel, labels) -> list[list[str]]:
     """Connected components of the positivity graph on the listed curves.
 
-    Edge between two curves iff their pairing is > 0.  Components keep the
-    model's declaration order, and are sorted by their first member.
+    Edge between two curves iff their pairing is > 0.  One traversal from
+    each curve not yet reached, in the model's declaration order, so the
+    components come sorted by their first member; each keeps that order.
     """
     labels = list(labels)
     products = {l: curve_products(model, l) for l in labels}
     if len(products) != len(labels):
         raise InputError("duplicate labels in subset")
-    order = sorted(products, key=model.declaration_index)
-    idx = {l: i for i, l in enumerate(order)}
-    parent = list(range(len(order)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in order:
-        for b, x in products[a].items():
-            if x > 0 and b in idx:
-                ra, rb = find(idx[a]), find(idx[b])
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[str]] = {}
-    for l in order:
-        groups.setdefault(find(idx[l]), []).append(l)
-    return sorted(groups.values(), key=lambda g: model.declaration_index(g[0]))
+    comps, seen = [], set()
+    for first in sorted(products, key=model.declaration_index):
+        if first in seen:
+            continue
+        seen.add(first)
+        comp, stack = [], [first]
+        while stack:
+            a = stack.pop()
+            comp.append(a)
+            for b, x in products[a].items():
+                if x > 0 and b in products and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        comps.append(sorted(comp, key=model.declaration_index))
+    return comps
 
 
 def is_model_ample(model: SurfaceModel, cls) -> bool:

@@ -231,24 +231,30 @@ def predict_interior_vertices(
     post-wall support contains an entering curve and meets the flag point;
     an upper vertex iff such a component meets C away from the flag point.
     """
-    flag = profile.flag
     out = []
     for seg_prev, seg in zip(profile.segments, profile.segments[1:]):
         t_star = seg.t_lo
         entering = tuple(l for l in seg.support if l not in seg_prev.support)
         if not entering:
             continue
-        comps = dual_graph_components(model, seg.support)
         lower = upper = False
-        for comp in comps:
-            if not any(l in entering for l in comp):
-                continue
-            if any(flag.mult(l) > 0 for l in comp):
-                lower = True
-            if any(profile.flag_pairing(l) - flag.mult(l) > 0 for l in comp):
-                upper = True
+        for comp in dual_graph_components(model, seg.support):
+            if any(l in entering for l in comp):
+                at, away = _meets_flag(profile, comp)
+                lower, upper = lower or at, upper or away
         out.append(InteriorPrediction(t_star, entering, lower, upper))
     return out
+
+
+def _meets_flag(profile: RayProfile, comp) -> tuple[bool, bool]:
+    """Whether a component meets C at the flag point, and whether it meets
+    C away from it: some curve with a positive local multiplicity, and some
+    with C.C_l above it."""
+    flag = profile.flag
+    return (
+        any(flag.mult(l) > 0 for l in comp),
+        any(profile.flag_pairing(l) - flag.mult(l) > 0 for l in comp),
+    )
 
 
 class RightmostReport(Record):
@@ -260,10 +266,8 @@ def rightmost_count(model: SurfaceModel, profile: RayProfile) -> RightmostReport
     for a certified-ample flag; uncertified cases fall back to the observed
     count with a warning flag (certified=False).  D and C are the profile's."""
     cls = profile.flag.cls
-    span = [list(profile.divisor.coords)] + [
-        list(model.class_of(l).coords) for l in profile.final_support()
-    ]
-    in_v = linalg.in_span(span, list(cls.coords))
+    span = [profile.divisor.coords, *(model.curve(l).cls for l in profile.final_support())]
+    in_v = linalg.in_span(span, cls.coords)
     # the width P_mu.F = (f0 + fslope*mu)/(e*w); at an irrational mu it
     # vanishes only when both integers do
     *_, f0, fslope = profile.segments[-1].numerators
@@ -408,18 +412,16 @@ def vertex_bound_check(
     its curves also meets C elsewhere.  The walk's last solve certified the
     support negative definite, so mv is taken from its components directly.
     """
-    flag = profile.flag
     comps = dual_graph_components(model, list(profile.final_support()))
+    meets = [_meets_flag(profile, c) for c in comps]
     report = BoundReport(
         vertex_count=len(polygon.vertices),
         mv_bound=mv_of_components(model, comps),
         picard_bound=2 * model.rank + 1,
         interior_lower=polygon.tags.count("interior-lower"),
-        interior_lower_bound=sum(len(c) for c in comps if any(flag.mult(l) > 0 for l in c)),
+        interior_lower_bound=sum(len(c) for c, (at, _) in zip(comps, meets) if at),
         interior_upper=polygon.tags.count("interior-upper"),
-        interior_upper_bound=sum(
-            len(c) for c in comps if any(profile.flag_pairing(l) - flag.mult(l) > 0 for l in c)
-        ),
+        interior_upper_bound=sum(len(c) for c, (_, away) in zip(comps, meets) if away),
     )
     if not report.ok:
         raise TheoremViolation(f"vertex bounds violated: {report}")

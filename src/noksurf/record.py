@@ -7,7 +7,9 @@ records of one class whose compared fields are equal, hash is the hash of
 the tuple of those fields, and repr is `Name(field=value, ...)` over the
 shown fields.  The compared fields are the slots unless the class names
 them in `_compared`, and the shown ones the compared ones unless it names
-them in `_shown`; a slot outside both is a cache or a derived value.
+them in `_shown`; a slot outside both is a cache or a derived value.  The
+one class without slots, lattice.SurfaceModel, keeps its fields and tables
+in its `__dict__` and names its fields in `_compared`.
 """
 
 

@@ -26,6 +26,7 @@ from noksurf import (
     is_model_ample,
     pair,
 )
+from noksurf.record import Record
 
 
 # -- independent oracles -------------------------------------------------------
@@ -443,6 +444,8 @@ def forest_corpus(seed: int, count: int, rho: int) -> list[Case]:
 
 def rebuilt(record, **changes):
     """A copy of `record` built through its constructor, whose parameters
-    are the record's fields, with the fields in `changes` replaced."""
-    params = inspect.signature(type(record)).parameters
-    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in params})
+    are the record's fields (its slots, for Record's own constructor), with
+    the fields in `changes` replaced."""
+    cls = type(record)
+    names = cls.__slots__ if cls.__init__ is Record.__init__ else inspect.signature(cls).parameters
+    return cls(**{name: changes.get(name, getattr(record, name)) for name in names})

@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +15,7 @@ from noksurf import (
     alpha_beta,
     build_polygon,
     is_model_ample,
+    mc,
     mv,
     pair,
     vertex_bound_check,
@@ -275,14 +276,59 @@ def test_scale_for_flag_matches_the_search_on_full_chain_scans():
     for rho in range(3, 8):
         model, divisor = chain_model(rho)
         master = list(model.labels())
+        prefix_mv = [mv(model, master[:j]) for j in range(len(master) + 1)]
         for r in scan_vertex_counts(model, divisor, master):
             got = flagbuilder._scale_for_flag(model, r.certificate, r.config)
             assert got == (r.scale, r.profile.flag.cls)
             assert got == _scale_by_search(model, r.certificate, r.config)
             # none of these needs the doubled multiple
             assert r.scale == lcm(*[x.denominator for x in r.certificate.flag_class])
+            # the rule: the prefix with invariant v and the flag point on its
+            # first curve, else the prefix with invariant v + 1 and the point
+            # moved off it, onto its second curve when two of its curves meet
+            if r.target in prefix_mv:
+                j = prefix_mv.index(r.target)
+                want = ("first-curve", {master[0]: 1}) if j else ("generic-point", {})
+                independent = j < rho - 1
+            else:
+                j = prefix_mv.index(r.target + 1)
+                meet = mc(model, master[:j]) > 1
+                want = ("second-curve", {master[1]: 1}) if meet else ("generic-point", {})
+                independent = 0 < j < rho - 1
+            assert (r.placement, r.profile.flag.local_mult) == want
+            assert r.certificate.independent == independent
+            assert len(r.config) == j
             realizations += 1
     assert realizations == 45
+
+
+def _upper_bound_by_pairing(model, base, label):
+    """_upper_bound_positive_range with the curve's class paired with every
+    declared curve."""
+    bd, bn = curve_pairings(model, base, model._index)
+    cd, cn = curve_pairings(model, DivisorClass(model.curve(label).cls), model._index)
+    bounds = [Fraction(bn[l] * cd, bd * x) for l, x in cn.items() if x > 0]
+    bsq = pair(model, base, base)
+    cross = Fraction(bn[label], bd)
+    csq = Fraction(cn[label], cd)
+    if csq < 0:
+        disc = cross * cross - csq * bsq
+        n, d = disc.numerator, disc.denominator
+        r = isqrt(n * d)
+        bounds.append((Fraction(r if r * r == n * d else r + 1, d) - cross) / (-csq))
+    return min(bounds) if bounds else Fraction(1)
+
+
+@pytest.mark.parametrize("rho", range(3, 8))
+def test_upper_bound_positive_range_matches_the_pairing_route(rho):
+    model, divisor = chain_model(rho)
+    labels = model.labels()
+    first = DivisorClass(model.curve(labels[0]).cls)
+    for base in (divisor, DivisorClass(model.ample_witness), divisor.scale(2) - first):
+        for label in labels:
+            got = flagbuilder._upper_bound_positive_range(model, base, label)
+            assert got == _upper_bound_by_pairing(model, base, label)
+            assert type(got) is Fraction
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,17 @@ from math import isqrt
 import pytest
 
 from noksurf import InputError
-from noksurf.intmath import factor, is_prime, squarefree_part
+from noksurf.intmath import _SMALL_PRIMES, factor, is_prime, squarefree_part
 
 
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41}
     for n in range(-3, 43):
         assert is_prime(n) == (n in primes)
+
+
+def test_small_primes_are_the_primes_below_1000():
+    assert _SMALL_PRIMES == [n for n in range(2, 1000) if is_prime(n)]
 
 
 def test_is_prime_carmichael_and_big():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import forest_case, random_unimodular
+from helpers import chain_model, forest_case, random_unimodular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,6 +155,9 @@ def test_dual_graph_components():
     assert dual_graph_components(BL2, ["E1", "E2"]) == [["E1"], ["E2"]]
     assert dual_graph_components(CHAIN, ["C1", "C2"]) == [["C1", "C2"]]
     assert dual_graph_components(CHAIN, []) == []
+    chain, _ = chain_model(4)  # C1 - C2 - C3
+    assert dual_graph_components(chain, ["C3", "C1", "C2"]) == [["C1", "C2", "C3"]]
+    assert dual_graph_components(chain, ["C3", "C1"]) == [["C1"], ["C3"]]
 
 
 def test_is_model_ample():
@@ -248,20 +251,26 @@ def test_tables_match_double_sum(data):
         table = curve_products(model, b)
         assert 0 not in table.values()
         assert table == {a: products[k][i] for k, a in enumerate(labels) if products[k][i]}
-    # components of the graph with an edge where the double sum is positive
-    comps, seen = [], set()
-    for i in range(len(labels)):
-        if i in seen:
-            continue
-        comp, stack = set(), [i]
-        while stack:
-            k = stack.pop()
-            if k not in comp:
-                comp.add(k)
-                stack.extend(j for j in range(len(labels)) if j != k and products[k][j] > 0)
-        seen |= comp
-        comps.append([labels[k] for k in sorted(comp)])
-    assert dual_graph_components(model, labels) == comps
+    # components of the graph on the curves numbered in `keep`, with an edge
+    # where the double sum is positive
+    def components(keep):
+        comps, seen = [], set()
+        for i in sorted(keep):
+            if i in seen:
+                continue
+            comp, stack = set(), [i]
+            while stack:
+                k = stack.pop()
+                if k not in comp:
+                    comp.add(k)
+                    stack.extend(j for j in keep if j != k and products[k][j] > 0)
+            seen |= comp
+            comps.append([labels[k] for k in sorted(comp)])
+        return comps
+
+    assert dual_graph_components(model, labels) == components(range(len(labels)))
+    keep = rng.sample(range(len(labels)), rng.randint(0, len(labels)))  # in shuffled order
+    assert dual_graph_components(model, [labels[k] for k in keep]) == components(keep)
 
 
 @pytest.mark.parametrize("label", ["nope", ["E"]])
@@ -309,12 +318,11 @@ def test_lazy_tables_match_dense_double_sum(rho):
     assert list(model._products) == labels
 
 
-def test_class_of_is_built_once():
+def test_class_of_is_the_declared_class_in_fractions():
     m = SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], (2, -1))
     cls = m.class_of("E")
     assert cls == DivisorClass((0, 1))
     assert all(type(x) is Fraction for x in cls.coords)
-    assert m.class_of("E") is cls
 
 
 def test_arithmetic_results_stay_exact():
