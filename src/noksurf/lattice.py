@@ -45,21 +45,15 @@ def _coord(x):
 
 
 class DivisorClass(Record):
-    """A class in NS(S) with rational coordinates, kept as Fractions."""
+    """A class in NS(S) with rational coordinates, kept as Fractions.
+    `_of(coords)` takes a tuple of Fractions, such as an arithmetic result,
+    unchecked; `_ints` stays unset until `_scaled` fills it."""
 
     __slots__ = ("coords", "_ints")
     _compared = ("coords",)
 
     def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(_coord(x) for x in coords))
-
-    @classmethod
-    def _of(cls, coords: tuple) -> DivisorClass:
-        """A class from a tuple of Fractions, such as an arithmetic result:
-        skips the coordinate checks of __init__."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "coords", coords)
-        return out
 
     def __len__(self):
         return len(self.coords)
@@ -109,13 +103,9 @@ def as_divisor(v, rank: int | None = None) -> DivisorClass:
 
 
 class CurveRecord(Record):
-    """A declared curve: its label and its integer class."""
+    """A declared curve: its label and its integer class, a tuple of ints."""
 
     __slots__ = ("label", "cls")
-
-    def __init__(self, label: str, cls: tuple[int, ...]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "cls", cls)
 
 
 class SurfaceModel(Record):

@@ -29,7 +29,8 @@ from .record import Record
 class PiecewiseLinear(Record):
     """Continuous piecewise affine function given by breakpoint/value pairs;
     the public constructor checks them and computes the slope of every
-    piece once."""
+    piece once.  `_of(breakpoints, values, slopes)` takes all three from a
+    caller that has certified them, as alpha_beta's walk has."""
 
     __slots__ = ("breakpoints", "values", "_slopes")
     _compared = __slots__[:2]  # all but _slopes
@@ -47,17 +48,6 @@ class PiecewiseLinear(Record):
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "values", ys)
         object.__setattr__(self, "_slopes", tuple(slopes))
-
-    @classmethod
-    def _of(cls, breakpoints: tuple, values: tuple, slopes: tuple):
-        """A function whose exact, strictly increasing breakpoints, values
-        and slopes its caller has certified, as alpha_beta's walk has;
-        skips the checks and the division of __init__."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "breakpoints", breakpoints)
-        object.__setattr__(out, "values", values)
-        object.__setattr__(out, "_slopes", slopes)
-        return out
 
     def slopes(self) -> tuple:
         return self._slopes
@@ -313,13 +303,9 @@ def side_slopes(
 
 
 class Side(Record):
-    __slots__ = ("start", "end", "dt", "ds")
+    """One side of a polygon: its start and end vertices and exact steps."""
 
-    def __init__(self, start: tuple, end: tuple, dt, ds):  # one per side of a polygon
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "ds", ds)
+    __slots__ = ("start", "end", "dt", "ds")
 
 
 def side_lengths(polygon: OkPolygon) -> list[Side]:

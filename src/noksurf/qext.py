@@ -74,6 +74,8 @@ class QExt:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("QExt is immutable")
 
+    __delattr__ = __setattr__
+
     # -- coercion ----------------------------------------------------------
 
     @staticmethod

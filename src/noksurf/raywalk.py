@@ -27,73 +27,35 @@ from .lattice import (
 )
 from .qext import QExt, sqrt_fraction
 from .record import Record
-from .zariski import ZariskiResult, residual_pairings, solve_support, zariski_decompose
+from .zariski import residual_pairings, solve_support, zariski_decompose
 
 
 class Segment(Record):
     """One chamber of the walk: support and affine coefficients on
     [t_lo, t_hi] of the moving positive part
     P_t = P_0 + t*p1 = D - t*F - sum_l (a0_l + a1_l*t)*C_l with the flag
-    class F, and the pairing P_t.F in the chamber's integers."""
+    class F, and the pairing P_t.F in the chamber's integers.  `support` is
+    in order of appearance and `coeffs` maps each label to (a0, a1);
+    `numerators` = (e, w, {l: (x0, x1)}, f0, fslope) are the same numbers
+    in integers: a_l(t) = (x0 + x1*t)/e and P_t.F = (f0 + fslope*t)/(e*w)."""
 
     __slots__ = ("t_lo", "t_hi", "support", "coeffs", "numerators")
     _compared = __slots__[:4]  # all but numerators
 
-    def __init__(
-        self,
-        t_lo: Fraction,
-        t_hi: Fraction | QExt,
-        support: tuple[str, ...],  # in order of appearance
-        coeffs: dict[str, tuple[Fraction, Fraction]],  # label -> (a0, a1)
-        # the same numbers in the walk's integers: (e, w, {l: (x0, x1)}, f0,
-        # fslope) with a_l(t) = (x0 + x1*t)/e and P_t.F = (f0 + fslope*t)/(e*w)
-        numerators: tuple,
-    ):
-        object.__setattr__(self, "t_lo", t_lo)
-        object.__setattr__(self, "t_hi", t_hi)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "numerators", numerators)
-
 
 class RayProfile(Record):
     """The walk of D - t*F from nu to mu: its chambers, the curves' entry
-    times, and the numbers the polygon and its certificates read."""
+    times, and the numbers the polygon and its certificates read.  `radicand`
+    is 0 when mu is rational; `decomposition` is that of D itself, where the
+    walk starts; `flag_square` is F^2 and `volume` is vol(D) = P_D^2 =
+    P_nu^2, twice the polygon's area; `scaled_flag_pairings` is
+    (w, {l: w*F.C_l}) in integers, for every candidate but the flag curve."""
 
     __slots__ = (
         "nu", "mu", "radicand", "segments", "appearance", "flag", "divisor", "candidates",
         "decomposition", "flag_square", "volume", "scaled_flag_pairings",
     )
     _compared = __slots__[:-1]  # all but scaled_flag_pairings
-
-    def __init__(
-        self,
-        nu: Fraction,
-        mu: Fraction | QExt,
-        radicand: int,  # 0 when mu is rational
-        segments: tuple[Segment, ...],
-        appearance: dict[str, Fraction],
-        flag: FlagSpec,
-        divisor: DivisorClass,
-        candidates: tuple[str, ...],
-        decomposition: ZariskiResult,  # of D itself, from which the walk starts
-        flag_square: Fraction,  # F^2
-        volume: Fraction,  # vol(D) = P_D^2 = P_nu^2, twice the polygon's area
-        # (w, {l: w*F.C_l}) for every candidate but the flag curve, in integers
-        scaled_flag_pairings: tuple[int, dict[str, int]],
-    ):
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "radicand", radicand)
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "appearance", appearance)
-        object.__setattr__(self, "flag", flag)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "flag_square", flag_square)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "scaled_flag_pairings", scaled_flag_pairings)
 
     def flag_pairing(self, label: str) -> Fraction:
         """F.C_l, as the walk paired it, for a candidate other than the flag curve."""

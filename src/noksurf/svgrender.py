@@ -5,6 +5,8 @@ printed at 12 significant digits and never read back.
 """
 from __future__ import annotations
 
+import math
+
 from .errors import InputError
 from .polygon import OkPolygon
 from .qext import format_exact
@@ -29,7 +31,10 @@ def render_svg(
         raise InputError("cannot render an empty polygon")
     if width < 1:
         raise InputError(f"width must be at least 1 pixel, got {width}")
-    pts = [(float(t), float(s)) for t, s in polygon.vertices]
+    try:
+        pts = [(float(t), float(s)) for t, s in polygon.vertices]
+    except OverflowError:  # fails the finiteness check below
+        pts = [(math.inf, math.inf)]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     xmin, xmax = min(xs), max(xs)
@@ -44,6 +49,9 @@ def render_svg(
     height = max(int(round(width * 0.75)), 40)
     sx = width / (xmax - xmin)
     sy = height / (ymax - ymin)
+    # a finite extent and scale keep every pixel finite
+    if not all(map(math.isfinite, (xmax - xmin, ymax - ymin, sx, sy))):
+        raise InputError("cannot draw a polygon whose coordinates do not fit a float")
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (x - xmin) * sx, (ymax - y) * sy
@@ -57,8 +65,6 @@ def render_svg(
     ]
 
     if grid:
-        import math
-
         # lattice lines, thinned to integer multiples when the span is large
         step_x = max(1, math.ceil((xmax - xmin) / 32))
         step_y = max(1, math.ceil((ymax - ymin) / 32))

@@ -14,7 +14,6 @@ from fractions import Fraction
 from . import linalg
 from .errors import ModelError
 from .lattice import (
-    DivisorClass,
     SurfaceModel,
     as_divisor,
     curve_pairings,
@@ -37,18 +36,6 @@ class ZariskiResult(Record):
     __slots__ = ("support", "coeffs", "positive_part", "scaled_pairings")
     _compared = ("support",)
     _shown = __slots__[:3]
-
-    def __init__(
-        self,
-        support: tuple[str, ...],
-        coeffs: dict[str, Fraction],
-        positive_part: DivisorClass,
-        scaled_pairings: tuple[int, dict[str, int]],
-    ):
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "positive_part", positive_part)
-        object.__setattr__(self, "scaled_pairings", scaled_pairings)
 
     def coefficient(self, label: str) -> Fraction:
         return self.coeffs.get(label, Fraction(0))

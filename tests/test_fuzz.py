@@ -15,7 +15,9 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from xml.dom import minidom
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,43 @@ def test_mutated_document_exits_cleanly(tmp_path, mutation):
 @fuzz_settings(10)
 def test_mutated_rank16_document_exits_cleanly(tmp_path, mutation):
     _exits_cleanly(tmp_path, mutation)
+
+
+@st.composite
+def scaled_svg_documents(draw):
+    """A case with a polygon, its divisor scaled by m * 10**e: tiny, about
+    1, or about the largest float, where a coordinate or the padded extent
+    overflows."""
+    stem = draw(st.sampled_from(["p2_cubic", "ex1_on_point", "ex3_tight"]))
+    e = draw(st.one_of(st.integers(-330, -300), st.integers(-3, 3), st.integers(300, 312)))
+    scale = Fraction(draw(st.integers(1, 99))) * Fraction(10) ** e
+    doc = json.loads((CASES_DIR / f"{stem}.json").read_text())
+    doc["divisor"] = [str(scale * Fraction(x)) for x in doc["divisor"]]
+    return json.dumps(doc), draw(st.sampled_from([[], ["--no-grid"]]))
+
+
+@given(scaled_svg_documents())
+@fuzz_settings(12)
+def test_render_svg_of_a_scaled_polygon_exits_cleanly(tmp_path, scaled):
+    text, flags = scaled
+    doc, svg = tmp_path / "scaled.json", tmp_path / "scaled.svg"
+    doc.write_text(text)
+    svg.unlink(missing_ok=True)
+    res = subprocess.run(
+        [sys.executable, "-m", "noksurf.cli", "render-svg", str(doc), "--svg", str(svg), *flags],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert res.returncode in (0, 2), (text, res.stderr[-2000:])
+    assert "Traceback" not in res.stderr, (text, res.stderr[-2000:])
+    if res.returncode:
+        assert res.stdout == "" and not svg.exists()
+    else:
+        markup = svg.read_text()
+        assert "inf" not in markup and "nan" not in markup, text
+        minidom.parseString(markup)
 
 
 def _exits_cleanly(tmp_path, mutation):

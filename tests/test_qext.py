@@ -37,6 +37,18 @@ def test_sqrt_fraction():
         sqrt_fraction(Fraction(-1))
 
 
+def test_fields_cannot_be_deleted_or_assigned():
+    r = sqrt_fraction(2)
+    for field in ("p", "q", "d"):
+        value = getattr(r, field)
+        with pytest.raises(AttributeError):
+            delattr(r, field)
+        with pytest.raises(AttributeError):
+            setattr(r, field, value)
+        assert getattr(r, field) is value
+    assert (r.p, r.q, r.d) == (0, 1, 2) and r * r == 2
+
+
 def test_mixed_radicands_rejected():
     a = QExt(0, 1, 2)
     b = QExt(0, 1, 3)

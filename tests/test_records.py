@@ -32,6 +32,7 @@ from noksurf import (
     walk_ray,
 )
 from noksurf.flagbuilder import realize_vertex_count
+from noksurf.record import Record
 from noksurf.toric import ToricDivisor, ToricFan, crosscheck
 
 from helpers import rebuilt
@@ -139,6 +140,46 @@ def test_every_record_compares_hashes_and_prints_its_fields(records, name):
         f"{f}={getattr(rec, f)!r}" for f in FIELDS[name] if f not in UNSHOWN.get(name, ())
     )
     assert repr(rec) == f"{name}({shown})"
+
+
+# the records whose constructor only stores their fields, in slot order
+FIELD_ONLY = [
+    "CurveRecord", "Segment", "RayProfile", "ZariskiResult", "Side", "OkPolygon",
+    "InteriorPrediction", "RightmostReport", "BoundReport", "CrosscheckReport",
+    "OrderedFlagCertificate", "RealizedFlag",
+]
+
+
+@pytest.mark.parametrize("name", FIELD_ONLY)
+def test_field_only_constructors_take_each_field_once(records, name):
+    rec = records[name]
+    cls, names = type(rec), FIELDS[name]
+    values = [getattr(rec, f) for f in names]
+    fields = dict(zip(names, values))
+    assert cls(*values) == rec
+    assert cls(**fields) == rec
+    for i in range(len(names) + 1):
+        built = cls(*values[:i], **dict(zip(names[i:], values[i:])))
+        assert built == rec
+        assert all(getattr(built, f) is v for f, v in fields.items())
+    for args, kwargs in [
+        (values[:-1], {}),  # a missing field
+        ((), {**fields, "other": 1}),  # an unknown keyword
+        (values[:1], fields),  # the first field both ways
+        ([*values, None], {}),  # one positional value too many
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_field_only_records_share_one_constructor_and_one_of(records):
+    for name in FIELD_ONLY:
+        assert "__init__" not in vars(type(records[name])), name
+    for cls in (DivisorClass, PiecewiseLinear):
+        assert cls._of.__func__ is Record._of.__func__
+    dc = DivisorClass._of((Fraction(1, 2),))
+    assert dc.coords == (Fraction(1, 2),) and not hasattr(dc, "_ints")
+    assert dc._scaled() == ((1,), 2) and dc._ints == ((1,), 2)
 
 
 def test_reprs_are_pinned(records):

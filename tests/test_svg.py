@@ -1,4 +1,8 @@
+import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
 
 from noksurf import (
     CurveRecord,
@@ -9,9 +13,13 @@ from noksurf import (
     build_polygon,
     walk_ray,
 )
+from noksurf.cli import main
 from noksurf.svgrender import render_svg
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
+P2_CUBIC = json.loads(
+    (Path(__file__).resolve().parent.parent / "cases" / "p2_cubic.json").read_text()
+)
 
 BL1 = SurfaceModel(
     2,
@@ -52,3 +60,40 @@ def test_render_svg_no_grid_and_width():
     root = ET.fromstring(markup)
     assert root.attrib["width"] == "200"
     assert root.findall(".//svg:line", NS) == []
+
+
+# the triangle of D = d*H on P^2 has vertices (0, 0), (d, 0) and (0, d)
+UNDRAWABLE = [
+    ("coordinate-overflows", 10**400, []),  # float() raises
+    ("padded-extent-overflows", 17 * 10**307, []),  # the grid would floor inf
+    ("padded-extent-overflows-no-grid", 17 * 10**307, ["--no-grid"]),  # drew nan
+]
+
+
+@pytest.mark.parametrize("command", ["render-svg", "polygon"])
+@pytest.mark.parametrize("d,flags", [u[1:] for u in UNDRAWABLE], ids=[u[0] for u in UNDRAWABLE])
+def test_polygon_beyond_the_float_range_exits_2(tmp_path, capsys, command, d, flags):
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({**P2_CUBIC, "divisor": [d]}))
+    svg = tmp_path / "out.svg"
+    assert main([command, str(doc), "--svg", str(svg), *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "error: cannot draw a polygon whose coordinates do not fit a float\n",
+    )
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-grid"]])
+def test_polygon_at_the_float_range_renders(tmp_path, capsys, flags):
+    doc = tmp_path / "large.json"
+    doc.write_text(json.dumps({**P2_CUBIC, "divisor": [10**308]}))
+    svg = tmp_path / "out.svg"
+    assert main(["render-svg", str(doc), "--svg", str(svg), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    markup = svg.read_text()
+    assert "inf" not in markup and "nan" not in markup
+    root = ET.fromstring(markup)
+    assert len(root.findall(".//svg:circle", NS)) == 3
+    assert bool(root.findall(".//svg:line", NS)) == (flags == [])
