@@ -2,9 +2,9 @@
 
 Two layers: find_ordered_ample_class produces an ample class A such that the
 ray D - t*A crosses the walls of a given negative configuration one curve at
-a time, in the requested order, with a certificate replayed by a full walk;
-realize_vertex_count picks a sub-configuration and a flag point placement
-whose polygon has exactly the requested number of vertices.
+a time, in the requested order, with a certificate replayed by the walk's
+chamber steps; realize_vertex_count picks a sub-configuration and a flag
+point placement whose polygon has exactly the requested number of vertices.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg
-from .errors import FactorBudgetExhausted, InputError, ModelError, SearchFailure, TheoremViolation
+from .errors import InputError, ModelError, SearchFailure, TheoremViolation
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -25,7 +25,7 @@ from .lattice import (
     pair,
 )
 from .polygon import _distinct, alpha_beta, build_polygon, mv, mv_of_components
-from .raywalk import FlagSpec, RayProfile, walk_ray
+from .raywalk import FlagSpec, _chamber_steps, _mu, _sign, walk_ray
 from .record import Record
 from .zariski import residual_pairings, solve_support
 
@@ -42,30 +42,30 @@ class OrderedFlagCertificate(Record):
     __slots__ = ("flag_class", "coefficients", "appearance", "mu", "independent")
 
 
-def _walk_matches(
-    model: SurfaceModel, divisor, flag_class, config: list[str]
-) -> RayProfile | None:
-    """Replay the ray and accept only the exact ordered chamber story.  A
-    walk that exhausts the factoring budget ends the search: the next trial
-    would spend it again."""
+def _walk_matches(model: SurfaceModel, divisor, flag_class, config: list[str]):
+    """Replay the ray's chamber steps in integers and accept only the ordered
+    story: the configuration's curves enter one at a time, in order, after
+    t = 0 and before mu, and are the support at mu.  Returns (appearance,
+    mu) or None.  Only an accepted replay takes mu's square-free part, so
+    only its mu or the realization walk can raise FactorBudgetExhausted in a
+    search, and that ends the search."""
     try:
-        profile = walk_ray(model, divisor, flag_class, model.labels())
-    except FactorBudgetExhausted:
-        raise
+        steps = _chamber_steps(model, divisor, flag_class, model.labels())
+        *_, t_nu, _, ray, support = next(steps)
+        appearance = dict.fromkeys(support, t_nu)
+        for t_lo, end, _, support, _, *last in steps:
+            appearance.update(dict.fromkeys(support[len(appearance) :], t_lo))
     except (InputError, ModelError):
         return None
-    times = [profile.appearance.get(l) for l in config]
-    if None in times or len(profile.appearance) != len(config):
+    times = [appearance.get(l) for l in config]
+    # the support only grows, so the appeared curves are the final support
+    if len(appearance) != len(config) or None in times:
         return None
-    if any(t <= 0 for t in times):
+    if any(a >= b for a, b in zip([0, *times], times)):
         return None
-    if any(a >= b for a, b in zip(times, times[1:])):
-        return None
-    if times and not times[-1] < profile.mu:
-        return None
-    if set(profile.final_support()) != set(config):
-        return None
-    return profile
+    if times and _sign(-times[-1].numerator, times[-1].denominator, end) <= 0:
+        return None  # the last curve must enter before mu, the last step's end
+    return appearance, _mu(ray, *last)
 
 
 def _sample_times(times: list[Fraction], top: Fraction) -> list[Fraction]:
@@ -120,7 +120,7 @@ def find_ordered_ample_class(
     current = divisor
     times: list[Fraction] = []
     coefficients: dict[str, Fraction] = {}
-    profile = None  # walk of the last accepted trial, whose prefix is all of config
+    replay = None  # (appearance, mu) of the last accepted trial, whose prefix is all of config
     for j, label in enumerate(config):
         cls = model.class_of(label)
         guess = _upper_bound_positive_range(model, current, label) / 2
@@ -130,9 +130,9 @@ def find_ordered_ample_class(
             if is_model_ample(model, trial) and _probe(
                 model, trial, config[: j + 1], times, d_pairs
             ):
-                profile = _walk_matches(model, divisor, trial, config[: j + 1])
-                if profile is not None:
-                    accepted = (trial, profile)
+                replay = _walk_matches(model, divisor, trial, config[: j + 1])
+                if replay is not None:
+                    accepted = (trial, replay)
                     break
             guess = guess / 2
         if accepted is None:
@@ -140,26 +140,25 @@ def find_ordered_ample_class(
                 f"halving budget exhausted at curve {label!r}; last verified "
                 f"prefix {config[:j]} with coefficients {coefficients}"
             )
-        current, profile = accepted
+        current, replay = accepted
         coefficients[label] = guess
-        times = [profile.appearance[l] for l in config[: j + 1]]
+        times = [replay[0][l] for l in config[: j + 1]]
 
     independent = False
     if want_independent:
-        current, profile = _perturb_independent(
-            model, divisor, current, config, budget
-        )
+        current, replay = _perturb_independent(model, divisor, current, config, budget)
         independent = True
-    elif profile is None:
-        profile = _walk_matches(model, divisor, current, config)
-        if profile is None:
+    elif replay is None:
+        replay = _walk_matches(model, divisor, current, config)
+        if replay is None:
             raise SearchFailure("final verification walk rejected the class")
 
+    appearance, mu = replay
     return OrderedFlagCertificate(
         flag_class=current,
         coefficients=dict(coefficients),
-        appearance=tuple((l, profile.appearance[l]) for l in config),
-        mu=profile.mu,
+        appearance=tuple((l, appearance[l]) for l in config),
+        mu=mu,
         independent=independent,
     )
 
@@ -236,9 +235,9 @@ def _perturb_independent(model, divisor, base, config, budget):
         for _ in range(budget):
             trial = base + b.scale(eps)
             if is_model_ample(model, trial) and not in_span(trial.coords):
-                profile = _walk_matches(model, divisor, trial, config)
-                if profile is not None:
-                    return trial, profile
+                replay = _walk_matches(model, divisor, trial, config)
+                if replay is not None:
+                    return trial, replay
             eps = eps / 2
     raise SearchFailure("independent perturbation budget exhausted")
 

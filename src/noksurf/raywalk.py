@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import InputError, InternalError, ModelError
 from .lattice import (
@@ -329,13 +329,16 @@ def _divisor_side(model: SurfaceModel, divisor: DivisorClass, cands: list[str]):
     return side
 
 
-def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
-    """Full chamber walk of D - t*C from nu to mu for a FlagSpec, or for a
-    bare label or class as the flag with no local multiplicities; the
-    profile keeps the flag.
+def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
+    """The chamber walk of `walk_ray`, decided in integers, with every check.
 
-    The flag curve is monitored like a candidate: it must never re-enter the
-    support past nu, or the input data is inconsistent.
+    It yields the prologue (divisor, flag, candidates, dec0, nu, volume, ray,
+    support at nu), then per chamber (t_lo, end, exits, support, chamber, e,
+    f0, fslope, p0sq), with `chamber` the `_segment_system` result on
+    `support` and e = s*w.  A chamber ends at a wall or, in the last step
+    (exits true), at mu, as a Fraction or as the integers (a, b, disc) of
+    `_sign`.  The flag curve is monitored like a candidate: it must never
+    re-enter the support past nu, or the input data is inconsistent.
     """
     divisor = as_divisor(divisor, model.rank)
     flag = _as_flag(model, flag)
@@ -368,15 +371,12 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         pair(model, flag_class, flag_class),
     )
     support = sorted(dec_nu.support, key=model.declaration_index)
-    appearance: dict[str, Fraction] = dict.fromkeys(support, t_nu)
+    yield divisor, flag, cands_full, dec0, t_nu, volume, ray, support
     chamber = _segment_system(model, ray, support)
     outside = _outside_pairings(model, ray, entry_order, support, chamber)
 
-    segments: list[Segment] = []
     t_cur = t_nu
-    mu = None
-    radicand = 0
-    for _ in range(len(entry_order) + 2):
+    for passes in range(len(entry_order) + 2):
         # the first pass enlarges at nu, where a wall may sit; each later
         # pass at the wall the previous segment ended on
         new_support, new_chamber = _enlarge_support(model, ray, support, t_cur, outside, chamber)
@@ -386,10 +386,8 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             for l in support:
                 if _at(*nums[l], t_cur) * s2 != _at(*nums2[l], t_cur) * s:
                     raise InternalError(f"coefficient of {l!r} jumps across the wall")
-            for l in new_support[len(support) :]:
-                appearance[l] = t_cur
             outside = _outside_pairings(model, ray, entry_order, new_support, new_chamber)
-        elif segments:
+        elif passes:
             raise InternalError("wall event produced no support growth")
         support, chamber = new_support, new_chamber
 
@@ -408,28 +406,25 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
             fslope -= x1 * fj
             p0sq -= x0 * ray.d_c[j]
 
-        # exit of the big cone, decided in integers; only on exit is mu taken,
-        # in closed form over ew, so the radicand factored is in lowest terms
+        # exit of the big cone, decided in integers: P_t^2 = q(t)/(e*w) with
+        # q = p0sq - 2*f0*t - fslope*t^2, whose first root is rational exactly
+        # when disc = f0^2 + fslope*p0sq is a square
         cn, cd = t_cur.numerator, t_cur.denominator
         if p0sq * cd * cd - 2 * f0 * cn * cd - fslope * cn * cn <= 0:
             raise InternalError("positive part lost its positivity inside a segment")
         exits = _exit_first(p0sq, -f0, -fslope, t_cur, next_event)
         if exits is None:
             raise ModelError("ray never exits big cone in model")
-        ew = e * ray.w
-        # `end` is the segment end for the sign tests: t_hi when rational,
-        # else mu = (f0 - sqrt(disc))/-fslope as the integers of _sign
         if exits:
-            mu = end = t_hi = _exit_root(
-                Fraction(p0sq, ew), Fraction(-f0, ew), Fraction(-fslope, ew)
-            )
-            if isinstance(mu, QExt):
-                radicand = mu.d
-                end = (f0, -fslope, f0 * f0 + fslope * p0sq)
+            disc = f0 * f0 + fslope * p0sq
+            r = isqrt(disc)
+            end = (f0, -fslope, disc)  # an irrational mu, as the integers of _sign
+            if r * r == disc:
+                end = Fraction(f0 - r, -fslope) if fslope else Fraction(p0sq, 2 * f0)
             if _sign(-cn, cd, end) <= 0:
                 raise InternalError("the sign tests found an exit with no root")
         else:
-            end = t_hi = next_event
+            end = next_event
 
         # flag monitor: its pairing must stay nonnegative up to the segment end
         fval = _at(f0, fslope, t_cur)
@@ -450,31 +445,37 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
         if missed is not None:
             raise InternalError(f"missed a wall for {missed!r}")
 
-        segments.append(
-            Segment(
-                t_lo=t_cur, t_hi=t_hi, support=tuple(support), coeffs=_solution(ray, chamber),
-                numerators=(e, ray.w, nums, f0, fslope),
-            )
-        )
-        if mu is not None:
-            break
-        t_cur = t_hi
-    else:
-        raise InternalError("walk did not terminate")
+        yield t_cur, end, exits, support, chamber, e, f0, fslope, p0sq
+        if exits:
+            return
+        t_cur = end
+    raise InternalError("walk did not terminate")
 
-    return RayProfile(
-        nu=t_nu,
-        mu=mu,
-        radicand=radicand,
-        segments=tuple(segments),
-        appearance=appearance,
-        flag=flag,
-        divisor=divisor,
-        candidates=tuple(cands_full),
-        decomposition=dec0,
-        flag_square=Fraction(ray.ff, ray.w),
-        volume=volume,
-        scaled_flag_pairings=(ray.w, ray.f_c),
+
+def _mu(ray, e, f0, fslope, p0sq):
+    """mu from the last step's integers, in closed form over e*w, so the
+    radicand factored is in lowest terms."""
+    ew = e * ray.w
+    return _exit_root(Fraction(p0sq, ew), Fraction(-f0, ew), Fraction(-fslope, ew))
+
+
+def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
+    """Full chamber walk of D - t*C from nu to mu for a FlagSpec, or for a
+    bare label or class as the flag with no local multiplicities; the
+    profile keeps the flag.  The records are built from `_chamber_steps`,
+    whose last chamber ends at mu."""
+    steps = _chamber_steps(model, divisor, flag, candidates)
+    divisor, flag, cands_full, dec0, t_nu, volume, ray, support = next(steps)
+    appearance: dict[str, Fraction] = dict.fromkeys(support, t_nu)
+    segments: list[Segment] = []
+    for t_cur, end, exits, support, chamber, e, f0, fslope, p0sq in steps:
+        appearance.update(dict.fromkeys(support[len(appearance) :], t_cur))
+        t_hi = _mu(ray, e, f0, fslope, p0sq) if exits else end
+        coeffs, numerators = _solution(ray, chamber), (e, ray.w, chamber[1], f0, fslope)
+        segments.append(Segment._of(t_cur, t_hi, tuple(support), coeffs, numerators))
+    return RayProfile._of(
+        t_nu, t_hi, t_hi.d if type(t_hi) is QExt else 0, tuple(segments), appearance, flag,
+        divisor, tuple(cands_full), dec0, Fraction(ray.ff, ray.w), volume, (ray.w, ray.f_c),
     )
 
 

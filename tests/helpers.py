@@ -202,6 +202,22 @@ def _between_any(p, others) -> bool:
     return False
 
 
+def story_matches(profile, config) -> bool:
+    """The flag search's ordered chamber story, read off a walk's profile:
+    the configuration's curves appear after t = 0 in strictly increasing
+    order, nothing else appears, the last appears before mu, and the support
+    at mu is the configuration (the predicate the replay decides in
+    integers)."""
+    times = [profile.appearance.get(l) for l in config]
+    if None in times or len(profile.appearance) != len(config):
+        return False
+    if any(t <= 0 for t in times) or any(a >= b for a, b in zip(times, times[1:])):
+        return False
+    if times and not times[-1] < profile.mu:
+        return False
+    return set(profile.final_support()) == set(config)
+
+
 def random_unimodular(rng: random.Random, n: int):
     """Product of elementary integer row operations; determinant +-1."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noksurf
-from noksurf import cli, docio, zariski_decompose
+from noksurf import cli, docio, qext, zariski_decompose
 from noksurf.cli import build_parser, main
-from noksurf.errors import InternalError
+from noksurf.errors import FactorBudgetExhausted, InternalError
 from noksurf.docio import parse_surface
 
 from helpers import case_document, forest_case, rebuilt
@@ -129,6 +129,26 @@ def test_flag_search_spends_one_factoring_budget(tmp_path):
     )
     assert res.returncode == 2
     assert res.stderr.startswith("error: cannot factor ")
+
+
+@pytest.mark.parametrize(
+    "command,name", [("flag-search", "flag_search_chain"), ("scan-vertex-counts", "scan_chain3")]
+)
+def test_exhausted_factoring_budget_ends_the_search_with_exit_2(command, name, monkeypatch, capsys):
+    # the replays take no square-free part until one accepts; its mu, or the
+    # realization walk, meets the budget first and ends the command
+    calls = []
+
+    def exhausted(n):
+        calls.append(n)
+        raise FactorBudgetExhausted(f"cannot factor {n} to make it square-free within 0 steps")
+
+    monkeypatch.setattr(qext, "squarefree_part", exhausted)
+    assert main([command, str(CASES_DIR / f"{name}.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot factor {calls[0]} to make it square-free within 0 steps\n"
+    assert len(calls) == 1
 
 
 def test_schema_field_required(tmp_path, capsys):
@@ -582,8 +602,9 @@ def test_polygon_validates_the_flag_once(monkeypatch, capsys):
 
 def test_scan_walks_no_realization_twice(monkeypatch, capsys):
     # one walk per trial the probes accept and one per realization; no
-    # replay of the search's last trial or of the realization
-    walks = _count_calls(monkeypatch, "raywalk", "walk_ray")
+    # replay of the search's last trial or of the realization.  Every walk,
+    # a replay's or walk_ray's, runs the chamber steps once
+    walks = _count_calls(monkeypatch, "raywalk", "_chamber_steps")
     assert main(["scan-vertex-counts", str(CASES_DIR / "scan_chain3.json")]) == 0
     assert len(walks) <= 13
 
@@ -601,9 +622,10 @@ def test_probe_certificates_replace_decompositions(
     command, name, ample_checks, walks, decompositions, monkeypatch, capsys
 ):
     # the certified probes keep every trial and every walk, and decompose
-    # nothing: only the walks decompose
+    # nothing: only the walks decompose.  Walks are counted by their chamber
+    # steps, which a replay runs without walk_ray
     checks = _count_calls(monkeypatch, "lattice", "is_model_ample")
-    walked = _count_calls(monkeypatch, "raywalk", "walk_ray")
+    walked = _count_calls(monkeypatch, "raywalk", "_chamber_steps")
     decomposed = _count_calls(monkeypatch, "zariski", "zariski_decompose")
     assert main([command, str(CASES_DIR / f"{name}.json")]) == 0
     assert (len(checks), len(walked)) == (ample_checks, walks)

@@ -11,6 +11,8 @@ from noksurf import (
     DivisorClass,
     FlagSpec,
     InputError,
+    ModelError,
+    NoksurfError,
     SurfaceModel,
     alpha_beta,
     build_polygon,
@@ -32,7 +34,7 @@ from noksurf.flagbuilder import (
     scan_vertex_counts,
 )
 
-from helpers import chain_model
+from helpers import chain_model, story_matches
 
 BL1 = SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], (2, -1))
 D_BL1 = DivisorClass((3, -1))
@@ -375,3 +377,72 @@ def test_search_decomposes_d_once_and_eliminates_each_support_once(monkeypatch, 
     assert len(grams) == len(set(grams)) == len(model._eliminations)
     assert set(grams) >= {tuple(config)}
     assert inertias == []
+
+
+def _replayed_trials(monkeypatch):
+    """(model, divisor, flag class, config) of every replay of the full chain
+    scans at ranks 3-7 and of the flag search in cases/flag_search_chain.json."""
+    replay, trials = flagbuilder._walk_matches, []
+
+    def recorded(model, divisor, flag_class, config):
+        trials.append((model, divisor, flag_class, list(config)))
+        return replay(model, divisor, flag_class, config)
+
+    monkeypatch.setattr(flagbuilder, "_walk_matches", recorded)
+    for rho in range(3, 8):
+        model, divisor = chain_model(rho)
+        scan_vertex_counts(model, divisor, list(model.labels()))
+    cases = Path(__file__).resolve().parent.parent / "cases"
+    assert main(["flag-search", str(cases / "flag_search_chain.json")]) == 0
+    monkeypatch.undo()
+    return trials
+
+
+def test_replay_accepts_exactly_the_stories_the_profile_oracle_accepts(monkeypatch, capsys):
+    # the replay decides the search's story from the chamber steps in
+    # integers; the oracle reads it off the profile walk_ray builds.  Each
+    # trial is also walked from D + 2*C1, where C1 is in the negative part at
+    # t = 0, and each walk is asked for the trial's configuration, its
+    # reverse and the order the walk saw, so that every rejection is reached
+    trials = []
+    for model, divisor, flag_class, config in _replayed_trials(monkeypatch):
+        shifted = divisor + model.class_of(model.labels()[0]).scale(2)
+        trials += [(model, divisor, flag_class, config), (model, shifted, flag_class, config)]
+    # classes whose walks raise: not big along the ray, zero, of the wrong rank
+    for rho in range(3, 8):
+        model, divisor = chain_model(rho)
+        config = list(model.labels())
+        for flag_class in [
+            DivisorClass([-x for x in model.ample_witness]),
+            DivisorClass([-x for x in divisor.coords]),
+            DivisorClass([0] * rho),
+            DivisorClass([1] * (rho + 1)),
+        ]:
+            trials.append((model, divisor, flag_class, config))
+    verdicts = {"accepted": 0, "rejected": 0, "raised": 0}
+    for model, divisor, flag_class, config in trials:
+        try:
+            profile = walk_ray(model, divisor, flag_class, model.labels())
+        except NoksurfError as exc:
+            verdicts["raised"] += 1
+            want = type(exc), str(exc)
+            with pytest.raises(NoksurfError) as steps_error:
+                list(raywalk._chamber_steps(model, divisor, flag_class, model.labels()))
+            assert (type(steps_error.value), str(steps_error.value)) == want
+            if isinstance(exc, (InputError, ModelError)):
+                assert flagbuilder._walk_matches(model, divisor, flag_class, config) is None
+            else:
+                with pytest.raises(NoksurfError) as replay_error:
+                    flagbuilder._walk_matches(model, divisor, flag_class, config)
+                assert (type(replay_error.value), str(replay_error.value)) == want
+            continue
+        seen = [l for l, _ in raywalk.appearance_times(profile)]
+        for story in (config, config[::-1], seen):
+            got = flagbuilder._walk_matches(model, divisor, flag_class, story)
+            if story_matches(profile, story):
+                verdicts["accepted"] += 1
+                assert got == (profile.appearance, profile.mu)
+            else:
+                verdicts["rejected"] += 1
+                assert got is None
+    assert verdicts["accepted"] > 300 and verdicts["rejected"] > 600 and verdicts["raised"] >= 20, verdicts

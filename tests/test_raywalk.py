@@ -29,6 +29,7 @@ from noksurf.lattice import pair_curve
 from noksurf.qext import sqrt_fraction
 from noksurf.raywalk import (
     _at,
+    _chamber_steps,
     _earliest_wall,
     _exit_first,
     _exit_root,
@@ -690,21 +691,43 @@ def test_walks_on_one_model_equal_cold_walks(cases):
     assert walks > 4 * len(cases)
 
 
+def _steps(model, divisor, flag, candidates):
+    """The chamber steps of a walk, with the prologue's decomposition and
+    ray as the integers they keep, and the error that ended them, if any."""
+    out, error = [], None
+    try:
+        out.extend(_chamber_steps(model, divisor, flag, candidates))
+    except NoksurfError as exc:
+        error = type(exc), str(exc)
+    if out:
+        *head, dec, t_nu, volume, ray, support = out[0]
+        kept = (dec, dec.coeffs, dec.positive_part, dec.scaled_pairings)
+        out[0] = (*head, kept, t_nu, volume, vars(ray), support)
+    return out, error
+
+
 def test_flag_search_walks_equal_cold_walks(monkeypatch):
-    # every walk of a full scan on the chain models, ranks 3-7, against the
-    # same walk on a fresh model
+    # every walk of a full scan on the chain models, ranks 3-7: the chamber
+    # steps of each replay and the profile of each realization walk, against
+    # the same call on a fresh model
     calls = []
 
-    def recorded(model, divisor, flag, candidates):
+    def replayed(model, divisor, flag, candidates):
+        calls.append((_steps, model, divisor, flag, candidates, _steps(model, divisor, flag, candidates)))
+        return _chamber_steps(model, divisor, flag, candidates)
+
+    def walked(model, divisor, flag, candidates):
         out = _outcome(model, divisor, flag, candidates)
-        calls.append((model, divisor, flag, candidates, out))
+        calls.append((_outcome, model, divisor, flag, candidates, out))
         # a walk that failed is run again to raise its own exception
         return walk_ray(model, divisor, flag, candidates) if isinstance(out[0], type) else out[0]
 
-    monkeypatch.setattr(flagbuilder, "walk_ray", recorded)
+    monkeypatch.setattr(flagbuilder, "_chamber_steps", replayed)
+    monkeypatch.setattr(flagbuilder, "walk_ray", walked)
     for rho in range(3, 8):
         model, divisor = chain_model(rho)
         flagbuilder.scan_vertex_counts(model, divisor, list(model.labels()))
     assert len(calls) > 200
-    for model, divisor, flag, candidates, warm in calls:
-        assert warm == _outcome(_fresh(model), divisor, flag, candidates)
+    assert {call[0] for call in calls} == {_steps, _outcome}
+    for outcome, model, divisor, flag, candidates, warm in calls:
+        assert warm == outcome(_fresh(model), divisor, flag, candidates)
