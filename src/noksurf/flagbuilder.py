@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg
-from .errors import InputError, ModelError, SearchFailure, TheoremViolation
+from .errors import InputError, InternalError, ModelError, SearchFailure, TheoremViolation
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -23,9 +23,10 @@ from .lattice import (
     is_model_ample,
     is_negative_definite,
     pair,
+    subtract_curves,
 )
 from .polygon import _distinct, alpha_beta, build_polygon, mv, mv_of_components
-from .raywalk import FlagSpec, _chamber_steps, _mu, _sign, walk_ray
+from .raywalk import FlagSpec, _chamber_steps, _mu, walk_ray
 from .record import Record
 from .zariski import residual_pairings, solve_support
 
@@ -46,14 +47,13 @@ def _walk_matches(model: SurfaceModel, divisor, flag_class, config: list[str]):
     """Replay the ray's chamber steps in integers and accept only the ordered
     story: the configuration's curves enter one at a time, in order, after
     t = 0 and before mu, and are the support at mu.  Returns (appearance,
-    mu) or None.  Only an accepted replay takes mu's square-free part, so
-    only its mu or the realization walk can raise FactorBudgetExhausted in a
-    search, and that ends the search."""
+    last), with last = (ray, e, f0, fslope, p0sq) the integers raywalk._mu
+    takes mu from, or None."""
     try:
         steps = _chamber_steps(model, divisor, flag_class, model.labels())
         *_, t_nu, _, ray, support = next(steps)
         appearance = dict.fromkeys(support, t_nu)
-        for t_lo, end, _, support, _, *last in steps:
+        for t_lo, _, _, support, _, *last in steps:
             appearance.update(dict.fromkeys(support[len(appearance) :], t_lo))
     except (InputError, ModelError):
         return None
@@ -63,32 +63,40 @@ def _walk_matches(model: SurfaceModel, divisor, flag_class, config: list[str]):
         return None
     if any(a >= b for a, b in zip([0, *times], times)):
         return None
-    if times and _sign(-times[-1].numerator, times[-1].denominator, end) <= 0:
-        return None  # the last curve must enter before mu, the last step's end
-    return appearance, _mu(ray, *last)
-
-
-def _sample_times(times: list[Fraction], top: Fraction) -> list[Fraction]:
-    """Midpoints between consecutive wall times, and one above the last."""
-    return [(a + b) / 2 for a, b in zip(times, [*times[1:], top])]
+    # every curve enters before mu with no test: it enters at the start of a
+    # chamber step, and _chamber_steps checks that each step ends after it starts
+    return appearance, (ray, *last)
 
 
 def _upper_bound_positive_range(model, base, label) -> Fraction:
-    """Rational upper bound for sup{c > 0 : base - c*C_label is model-ample}."""
-    bd, bn = curve_pairings(model, base, model._index)
+    """Upper bound for sup{c > 0 : base - c*C_label is model-ample}, from base's pairings."""
+    bd, bn, bsq = base
     products = curve_products(model, label)
     bounds = [Fraction(bn[l], bd * x) for l, x in products.items() if x > 0]
-    bsq = pair(model, base, base)
     cross = Fraction(bn[label], bd)
     csq = products.get(label, 0)
     if csq < 0:
         # rational overestimate of the positive root of bsq - 2c*cross + c^2*csq
-        disc = cross * cross - csq * bsq
+        disc = Fraction(bn[label] ** 2 - csq * bsq, bd * bd)
         n, d = disc.numerator, disc.denominator
         r = isqrt(n * d)
         root_ub = Fraction(r if r * r == n * d else r + 1, d)
         bounds.append((root_ub - cross) / (-csq))
     return min(bounds) if bounds else Fraction(1)
+
+
+def _trial(base, products, label, guess):
+    """(den*q, {l: den*q*A.C_l}, (den*q)^2*A^2) for A = base - (p/q)*C_label
+    from the base's (den, ...) and the row {k: C_k.C_label}, and whether A is
+    model-ample: the base is, so only A^2 and the A.C_k can turn nonpositive."""
+    den, nums, sq = base
+    p, q = guess.numerator, guess.denominator
+    pd = p * den
+    an = {l: x * q for l, x in nums.items()}
+    for l, x in products.items():
+        an[l] -= pd * x
+    sq = (sq * q - 2 * pd * nums[label]) * q + pd * pd * products.get(label, 0)
+    return (den * q, an, sq), sq > 0 and all(an[l] > 0 for l in products)
 
 
 def find_ordered_ample_class(
@@ -116,31 +124,35 @@ def find_ordered_ample_class(
             "an independent flag class needs strictly fewer curves than rank-1"
         )
 
-    d_pairs = curve_pairings(model, divisor, model._index)
+    den, nums = curve_pairings(model, divisor, model._index)
+    base = d = den, nums, (pair(model, divisor, divisor) * den * den).numerator
     current = divisor
     times: list[Fraction] = []
     coefficients: dict[str, Fraction] = {}
-    replay = None  # (appearance, mu) of the last accepted trial, whose prefix is all of config
+    replay = None  # (appearance, last) of the last accepted trial, whose prefix is all of config
     for j, label in enumerate(config):
-        cls = model.class_of(label)
-        guess = _upper_bound_positive_range(model, current, label) / 2
-        accepted = None
+        products = curve_products(model, label)
+        guess = _upper_bound_positive_range(model, base, label) / 2
+        # (s, the curves already crossed at s): midpoints between consecutive
+        # wall times, and halfway from the last one to 1
+        tops = [(a + b) / 2 for a, b in zip(times, [*times[1:], Fraction(1)])]
+        samples = [(s, [l for l, t in zip(config, times) if t <= s]) for s in tops]
         for _ in range(budget):
-            trial = current - cls.scale(guess)
-            if is_model_ample(model, trial) and _probe(
-                model, trial, config[: j + 1], times, d_pairs
-            ):
-                replay = _walk_matches(model, divisor, trial, config[: j + 1])
+            trial, ample = _trial(base, products, label, guess)
+            if ample and _probe(model, trial, samples, d):
+                cls = subtract_curves(model, current, [(label, guess.numerator)], guess.denominator)
+                replay = _walk_matches(model, divisor, cls, config[: j + 1])
                 if replay is not None:
-                    accepted = (trial, replay)
                     break
             guess = guess / 2
-        if accepted is None:
+        else:
             raise SearchFailure(
                 f"halving budget exhausted at curve {label!r}; last verified "
                 f"prefix {config[:j]} with coefficients {coefficients}"
             )
-        current, replay = accepted
+        current, (den, nums, sq) = cls, trial
+        f = den // current._scaled()[1]  # the built class's denominator divides den
+        base = den // f, {l: x // f for l, x in nums.items()}, sq // (f * f)
         coefficients[label] = guess
         times = [replay[0][l] for l in config[: j + 1]]
 
@@ -153,32 +165,31 @@ def find_ordered_ample_class(
         if replay is None:
             raise SearchFailure("final verification walk rejected the class")
 
-    appearance, mu = replay
+    appearance, last = replay
     return OrderedFlagCertificate(
         flag_class=current,
         coefficients=dict(coefficients),
         appearance=tuple((l, appearance[l]) for l in config),
-        mu=mu,
+        mu=_mu(*last),
         independent=independent,
     )
 
 
-def _probe(model, flag_class, config, prev_times, d_pairs) -> bool:
-    """The decomposition of D - s*A at each sample time s must have the
-    expected prefix as its support.
+def _probe(model, trial, samples, d) -> bool:
+    """The decomposition of D - s*A must have the expected support at each
+    of the step's `samples` (s, support).
 
-    Certified from D's curve_pairings `d_pairs` and A's: the decomposition
-    is unique, so positive coefficients on the expected support and a
-    remainder nef on every curve make it the decomposition.  A sample whose
-    certificate fails rejects the trial, as a walk that raises does.  There
-    is no sample at s = 0: its certificate is that D pairs nonnegatively
-    with every curve, which the search's entry check that D is model-ample
-    has decided.
+    Certified from the pairings (den, {l: den*X.C_l}, ...) of D, `d`, and of
+    A, `trial`: the decomposition is unique, so positive coefficients on
+    the expected support and a remainder nef on every curve make it the
+    decomposition.  A sample whose certificate fails rejects the trial, as
+    a walk that raises does.  There is no sample at s = 0: its certificate
+    is that D pairs nonnegatively with every curve, which the search's
+    entry check that D is model-ample has decided.
     """
-    dd, dn = d_pairs
-    ad, an = curve_pairings(model, flag_class, model._index)
-    for s in _sample_times(prev_times, Fraction(1)):
-        expect = [l for l, t in zip(config, prev_times) if t <= s]
+    dd, dn, _ = d
+    ad, an, _ = trial
+    for s, expect in samples:
         # W*(D - s*A).C_l with W = dd*ad*q > 0
         p, q = s.numerator, s.denominator
         b = {l: x * ad * q - p * an[l] * dd for l, x in dn.items()}
@@ -218,26 +229,25 @@ def _perturb_independent(model, divisor, base, config, budget):
     for row in model._duals.values():
         for i, y in row:
             (pos if y > 0 else neg)[i] = True
-    options = []
-    for i in range(model.rank):
-        unit = [0] * model.rank
-        unit[i] = 1
-        if in_span(unit):  # then -unit is in the span too
-            continue
-        if not neg[i]:
-            options.append(DivisorClass(unit))
-        if not pos[i]:
-            options.append(DivisorClass([-x for x in unit]))
+    # a unit direction in the span has its opposite in the span too
+    options = [
+        (i, sign)
+        for i in range(model.rank) if not in_span([int(k == i) for k in range(model.rank)])
+        for sign, blocked in ((1, neg[i]), (-1, pos[i])) if not blocked
+    ]
     if not options:
         raise SearchFailure("no perturbation direction pairs nonnegatively with the model")
-    for b in options:
-        eps = Fraction(1)
+    # base is in the span, so base + eps*e_i is in it exactly when e_i is
+    c = base.coords
+    for i, sign in options:
+        eps = Fraction(sign)
         for _ in range(budget):
-            trial = base + b.scale(eps)
-            if is_model_ample(model, trial) and not in_span(trial.coords):
-                replay = _walk_matches(model, divisor, trial, config)
-                if replay is not None:
-                    return trial, replay
+            trial = DivisorClass._of((*c[:i], c[i] + eps, *c[i + 1 :]))
+            replay = is_model_ample(model, trial) and _walk_matches(model, divisor, trial, config)
+            if replay:
+                if in_span(trial.coords):
+                    raise InternalError("a perturbed class lies in the span it must leave")
+                return trial, replay
             eps = eps / 2
     raise SearchFailure("independent perturbation budget exhausted")
 

@@ -113,8 +113,8 @@ def test_rational_outside_the_grammar_exit_2_quickly(text, tmp_path):
 
 
 def test_flag_search_spends_one_factoring_budget(tmp_path):
-    # every trial walk of the search meets the same radicand; the first
-    # exhausted factoring budget ends the command instead of the next trial
+    # every walk of the search meets the same radicand, and only the
+    # search's final mu is factored; that exhausted budget ends the command
     doc = json.loads((CASES_DIR / "scan_chain3.json").read_text())
     doc["surface"]["curves"][0]["class"][1] = 10**30
     path = tmp_path / "bigclass.json"
@@ -135,8 +135,9 @@ def test_flag_search_spends_one_factoring_budget(tmp_path):
     "command,name", [("flag-search", "flag_search_chain"), ("scan-vertex-counts", "scan_chain3")]
 )
 def test_exhausted_factoring_budget_ends_the_search_with_exit_2(command, name, monkeypatch, capsys):
-    # the replays take no square-free part until one accepts; its mu, or the
-    # realization walk, meets the budget first and ends the command
+    # the replays take no square-free part; the search's one mu, for its
+    # certificate, or the realization walk meets the budget and ends the
+    # command
     calls = []
 
     def exhausted(n):
@@ -610,12 +611,14 @@ def test_scan_walks_no_realization_twice(monkeypatch, capsys):
 
 
 # (ample checks, walks, decompositions) when every probe sample ran a full
-# decomposition: flag-search 4, 2, 7 and scan-vertex-counts 13, 13, 20
+# decomposition: flag-search 4, 2, 7 and scan-vertex-counts 13, 13, 20.  The
+# halving trials are decided from their base's pairings since, so only the
+# entry checks and the independent perturbations call is_model_ample
 @pytest.mark.parametrize(
     "command,name,ample_checks,walks,decompositions",
     [
-        ("flag-search", "flag_search_chain", 4, 2, 7),
-        ("scan-vertex-counts", "scan_chain3", 13, 13, 20),
+        ("flag-search", "flag_search_chain", 1, 2, 7),
+        ("scan-vertex-counts", "scan_chain3", 8, 13, 20),
     ],
 )
 def test_probe_certificates_replace_decompositions(
@@ -630,6 +633,22 @@ def test_probe_certificates_replace_decompositions(
     assert main([command, str(CASES_DIR / f"{name}.json")]) == 0
     assert (len(checks), len(walked)) == (ample_checks, walks)
     assert len(decomposed) < decompositions
+
+
+@pytest.mark.parametrize(
+    "command,name,searches,realizations",
+    [("flag-search", "flag_search_chain", 1, 0), ("scan-vertex-counts", "scan_chain3", 5, 5)],
+)
+def test_a_flag_search_takes_mu_once(
+    command, name, searches, realizations, monkeypatch, capsys
+):
+    # a replay hands back mu's integers, and the search takes mu once, for
+    # its certificate; each realization walk takes its own.  Every mu here
+    # is a root of a quadratic, so each factors one radicand
+    roots = _count_calls(monkeypatch, "raywalk", "_exit_root")
+    radicands = _count_calls(monkeypatch, "intmath", "squarefree_part")
+    assert main([command, str(CASES_DIR / f"{name}.json")]) == 0
+    assert len(roots) == len(radicands) == searches + realizations
 
 
 @pytest.mark.parametrize("index", [0, -1, 4])

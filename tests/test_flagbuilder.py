@@ -63,6 +63,7 @@ CHAIN4 = SurfaceModel(
     (4, -3, -2, -1),
 )
 D_CHAIN4 = DivisorClass((5, -3, -2, -1))
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 def _verify_certificate(model, divisor, cert: OrderedFlagCertificate, config):
@@ -204,37 +205,130 @@ def _decomposing_probe(model, divisor, flag_class, config, prev_times):
     return True
 
 
-def test_probe_certificate_matches_decompositions(monkeypatch, capsys):
-    # _probe reads D only through its pairings, so the divisor for the
-    # decomposing oracle is taken from the search that runs the probe
-    search, probe, divisors, calls = flagbuilder.find_ordered_ample_class, flagbuilder._probe, [], []
+def _pairings(model, cls):
+    """(den, {l: den*cls.C_l}, den^2*cls^2) over every declared curve, as the
+    search carries the pairings of a class."""
+    den, nums = curve_pairings(model, cls, model._index)
+    return den, nums, (pair(model, cls, cls) * den * den).numerator
+
+
+def _recorded_searches(monkeypatch, run):
+    """Run `run()` with every flag search recorded: one [model, divisor,
+    certificate, trials, probes] per search, with `trials` the (base, label,
+    guess, pairings, ample) of each `_trial` call and `probes` the (args,
+    outcome) of each `_probe` call, in order."""
+    search, trial, probe, searches = (
+        flagbuilder.find_ordered_ample_class, flagbuilder._trial, flagbuilder._probe, []
+    )
 
     def searching(model, divisor, *args, **kwargs):
-        divisors.append(as_divisor(divisor, model.rank))
-        return search(model, divisor, *args, **kwargs)
+        searches.append([model, as_divisor(divisor, model.rank), None, [], []])
+        searches[-1][2] = search(model, divisor, *args, **kwargs)
+        return searches[-1][2]
 
-    def recording(*args):
-        calls.append((divisors[-1], args))
-        return probe(*args)
+    def trying(base, products, label, guess):
+        got = trial(base, products, label, guess)
+        searches[-1][3].append((base, label, guess, *got))
+        return got
+
+    def probing(*args):
+        got = probe(*args)
+        searches[-1][4].append((args, got))
+        return got
 
     for mod in (flagbuilder, cli):
         monkeypatch.setattr(mod, "find_ordered_ample_class", searching)
-    monkeypatch.setattr(flagbuilder, "_probe", recording)
-    scan_vertex_counts(CHAIN4, D_CHAIN4, ["C1", "C2", "C3"])
-    searching(CHAIN4, D_CHAIN4, ["C3", "C2"])
-    searching(CHAIN3, D_CHAIN3.scale(Fraction(1, 2)), ["C2", "C1"])
-    searching(CHAIN4, D_CHAIN4, ["C2", "C1"], True)
-    cases = Path(__file__).resolve().parent.parent / "cases"
-    assert main(["flag-search", str(cases / "flag_search_chain.json")]) == 0
-    assert main(["scan-vertex-counts", str(cases / "scan_chain3.json")]) == 0
+    monkeypatch.setattr(flagbuilder, "_trial", trying)
+    monkeypatch.setattr(flagbuilder, "_probe", probing)
+    run()
     monkeypatch.undo()
+    return searches
+
+
+def _base_classes(model, divisor, certificate):
+    """{label: the class a search's step subtracts a multiple of the label
+    from}: D less the certified multiples of the curves before it."""
+    bases, cls = {}, divisor
+    for label, g in certificate.coefficients.items():
+        bases[label] = cls
+        cls = lattice.subtract_curves(model, cls, [(label, g.numerator)], g.denominator)
+    return bases
+
+
+def _built(model, base_class, label, guess):
+    return lattice.subtract_curves(model, base_class, [(label, guess.numerator)], guess.denominator)
+
+
+def test_trial_pairings_match_the_class_the_search_builds(monkeypatch, capsys):
+    # a trial is decided from its base's pairings and built only when the
+    # probe accepts it; its pairings, square and ample verdict must be those
+    # of the class it stands for.  Each step is also tried at one, two and
+    # four times its bound, past which no multiple is ample, so that both
+    # verdicts occur; on BL1 the square alone decides past the bound
+    def run():
+        scan_vertex_counts(BL1, D_BL1, ["E"])
+        for rho in range(3, 8):
+            model, divisor = chain_model(rho)
+            scan_vertex_counts(model, divisor, list(model.labels()))
+        assert main(["flag-search", str(CASES / "flag_search_chain.json")]) == 0
+
+    verdicts = {True: 0, False: 0, "by the square": 0}
+    for model, divisor, certificate, trials, _ in _recorded_searches(monkeypatch, run):
+        bases = _base_classes(model, divisor, certificate)
+        steps = {}
+        for base, label, guess, *_ in trials:
+            # each step starts at half the bound, from the pairings of its base
+            steps.setdefault(label, (base, guess))
+            assert base == _pairings(model, bases[label])
+        for label, (base, first) in steps.items():
+            products = lattice.curve_products(model, label)
+            for guess in (2 * first, 4 * first, 8 * first):
+                trials.append((base, label, guess, *flagbuilder._trial(base, products, label, guess)))
+        for base, label, guess, (den, nums, sq), ample in trials:
+            cls = _built(model, bases[label], label, guess)
+            want_den, want = curve_pairings(model, cls, model._index)
+            assert {l: Fraction(x, den) for l, x in nums.items()} == {
+                l: Fraction(x, want_den) for l, x in want.items()
+            }
+            assert Fraction(sq, den * den) == pair(model, cls, cls)
+            assert ample == is_model_ample(model, cls)
+            verdicts[ample] += 1
+            verdicts["by the square"] += not ample and min(nums.values()) > 0
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+    assert verdicts["by the square"] > 0, verdicts
+
+
+def test_probe_certificate_matches_decompositions(monkeypatch, capsys):
+    # _probe reads D and the trial only through their pairings, so the
+    # decomposing oracle takes D from the search, the trial's class from the
+    # search's base and guess, and the wall times from the base's walk
+    def run():
+        scan_vertex_counts(CHAIN4, D_CHAIN4, ["C1", "C2", "C3"])
+        search = flagbuilder.find_ordered_ample_class  # the recorded binding
+        search(CHAIN4, D_CHAIN4, ["C3", "C2"])
+        search(CHAIN3, D_CHAIN3.scale(Fraction(1, 2)), ["C2", "C1"])
+        search(CHAIN4, D_CHAIN4, ["C2", "C1"], True)
+        assert main(["flag-search", str(CASES / "flag_search_chain.json")]) == 0
+        assert main(["scan-vertex-counts", str(CASES / "scan_chain3.json")]) == 0
+
+    calls = []
+    for model, d, certificate, trials, probes in _recorded_searches(monkeypatch, run):
+        config = list(certificate.coefficients)
+        bases = _base_classes(model, d, certificate)
+        for args, _ in probes:
+            _, label, guess, *_ = next(t for t in trials if t[3] is args[1])
+            j = config.index(label)
+            walked = walk_ray(model, d, bases[label], model.labels()).appearance if j else {}
+            times = [walked[l] for l in config[:j]]
+            calls.append((d, args, _built(model, bases[label], label, guess), config[: j + 1], times))
     # samples on E's wall: at s = 2/3, (D - s*A).E = 0 and E, expected,
     # solves to coefficient 0; at s = 0, H.E = 0 with E outside the support
-    for d, a, times in [
-        (D_BL1, DivisorClass((2, Fraction(-3, 2))), [Fraction(1, 3)]),
-        (DivisorClass((1, 0)), D_BL1, []),
+    for d, a, times, samples in [
+        (D_BL1, DivisorClass((2, Fraction(-3, 2))), [Fraction(1, 3)], [(Fraction(2, 3), ["E"])]),
+        (DivisorClass((1, 0)), D_BL1, [], []),
     ]:
-        calls.append((d, (BL1, a, ["E"], times, curve_pairings(BL1, d, ["E"]))))
+        args = (BL1, _pairings(BL1, a), samples, _pairings(BL1, d))
+        calls.append((d, args, a, ["E"], times))
 
     # every binding of zariski_decompose in the package, counted; the
     # oracle calls this module's own binding
@@ -250,13 +344,12 @@ def test_probe_certificate_matches_decompositions(monkeypatch, capsys):
                 if val is decompose:
                     monkeypatch.setattr(mod, key, counted)
     outcomes = set()
-    for d, args in calls:
+    for d, args, flag_class, config, prev_times in calls:
         decomposed.clear()
-        got = probe(*args)
+        got = flagbuilder._probe(*args)
         # the certificate alone decides, whatever the outcome
         assert not decomposed, args
-        model, flag_class, config, prev_times, _ = args
-        assert got == _decomposing_probe(model, d, flag_class, config, prev_times), args
+        assert got == _decomposing_probe(args[0], d, flag_class, config, prev_times), args
         outcomes.add(got)
     assert outcomes == {True, False}
 
@@ -328,7 +421,7 @@ def test_upper_bound_positive_range_matches_the_pairing_route(rho):
     first = DivisorClass(model.curve(labels[0]).cls)
     for base in (divisor, DivisorClass(model.ample_witness), divisor.scale(2) - first):
         for label in labels:
-            got = flagbuilder._upper_bound_positive_range(model, base, label)
+            got = flagbuilder._upper_bound_positive_range(model, _pairings(model, base), label)
             assert got == _upper_bound_by_pairing(model, base, label)
             assert type(got) is Fraction
 
@@ -392,8 +485,7 @@ def _replayed_trials(monkeypatch):
     for rho in range(3, 8):
         model, divisor = chain_model(rho)
         scan_vertex_counts(model, divisor, list(model.labels()))
-    cases = Path(__file__).resolve().parent.parent / "cases"
-    assert main(["flag-search", str(cases / "flag_search_chain.json")]) == 0
+    assert main(["flag-search", str(CASES / "flag_search_chain.json")]) == 0
     monkeypatch.undo()
     return trials
 
@@ -441,7 +533,9 @@ def test_replay_accepts_exactly_the_stories_the_profile_oracle_accepts(monkeypat
             got = flagbuilder._walk_matches(model, divisor, flag_class, story)
             if story_matches(profile, story):
                 verdicts["accepted"] += 1
-                assert got == (profile.appearance, profile.mu)
+                # the replay hands back mu's integers, and the search takes mu once
+                appearance, last = got
+                assert (appearance, raywalk._mu(*last)) == (profile.appearance, profile.mu)
             else:
                 verdicts["rejected"] += 1
                 assert got is None
