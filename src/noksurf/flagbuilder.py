@@ -22,11 +22,10 @@ from .lattice import (
     dual_graph_components,
     is_model_ample,
     is_negative_definite,
-    pair,
     subtract_curves,
 )
 from .polygon import _distinct, alpha_beta, build_polygon, mv, mv_of_components
-from .raywalk import FlagSpec, _chamber_steps, _mu, walk_ray
+from .raywalk import FlagSpec, _chamber_steps, _divisor_side, _mu, walk_ray
 from .record import Record
 from .zariski import residual_pairings, solve_support
 
@@ -47,13 +46,13 @@ def _walk_matches(model: SurfaceModel, divisor, flag_class, config: list[str]):
     """Replay the ray's chamber steps in integers and accept only the ordered
     story: the configuration's curves enter one at a time, in order, after
     t = 0 and before mu, and are the support at mu.  Returns (appearance,
-    last), with last = (ray, e, f0, fslope, p0sq) the integers raywalk._mu
-    takes mu from, or None."""
+    exit), with exit = (end, e*w) the last step's end and denominator that
+    raywalk._mu takes mu from, or None."""
     try:
         steps = _chamber_steps(model, divisor, flag_class, model.labels())
         *_, t_nu, _, ray, support = next(steps)
         appearance = dict.fromkeys(support, t_nu)
-        for t_lo, _, _, support, _, *last in steps:
+        for t_lo, end, _, support, _, e, _, _ in steps:
             appearance.update(dict.fromkeys(support[len(appearance) :], t_lo))
     except (InputError, ModelError):
         return None
@@ -65,7 +64,7 @@ def _walk_matches(model: SurfaceModel, divisor, flag_class, config: list[str]):
         return None
     # every curve enters before mu with no test: it enters at the start of a
     # chamber step, and _chamber_steps checks that each step ends after it starts
-    return appearance, (ray, *last)
+    return appearance, (end, e * ray.w)
 
 
 def _upper_bound_positive_range(model, base, label) -> Fraction:
@@ -124,12 +123,14 @@ def find_ordered_ample_class(
             "an independent flag class needs strictly fewer curves than rank-1"
         )
 
-    den, nums = curve_pairings(model, divisor, model._index)
-    base = d = den, nums, (pair(model, divisor, divisor) * den * den).numerator
+    # D's pairings and square, as the replays' walks keep them
+    dec, dd, _, _ = _divisor_side(model, divisor, model.labels())
+    den, nums = dec.scaled_pairings
+    base = d = den, nums, (dd * den * den).numerator
     current = divisor
     times: list[Fraction] = []
     coefficients: dict[str, Fraction] = {}
-    replay = None  # (appearance, last) of the last accepted trial, whose prefix is all of config
+    replay = None  # (appearance, exit) of the last accepted trial, whose prefix is all of config
     for j, label in enumerate(config):
         products = curve_products(model, label)
         guess = _upper_bound_positive_range(model, base, label) / 2
@@ -165,12 +166,12 @@ def find_ordered_ample_class(
         if replay is None:
             raise SearchFailure("final verification walk rejected the class")
 
-    appearance, last = replay
+    appearance, (end, ew) = replay
     return OrderedFlagCertificate(
         flag_class=current,
         coefficients=dict(coefficients),
         appearance=tuple((l, appearance[l]) for l in config),
-        mu=_mu(*last),
+        mu=_mu(end, ew),
         independent=independent,
     )
 

@@ -21,6 +21,7 @@ from .lattice import (
     SurfaceModel,
     as_divisor,
     curve_pairings,
+    curve_products,
     pair,
     pair_curve,
     sorted_labels,
@@ -275,20 +276,6 @@ def _enlarge_support(model, ray, support, t_star, outside, chamber):
     return kept, (s, {l: nums[l] for l in kept})
 
 
-def _exit_root(p0sq, cross, p1sq):
-    """The first root past the segment start of p0sq + 2*cross*t + p1sq*t^2,
-    once _exit_first has found that it exists: q is positive at the start,
-    so that is the smaller root of a convex q and the larger of a concave
-    one, and for p1sq = 0 the one root."""
-    if p1sq == 0:
-        return Fraction(-p0sq, 2 * cross)
-    root = sqrt_fraction(cross * cross - p1sq * p0sq)
-    if type(root) is Fraction:
-        return (-cross - root) / p1sq
-    # (-cross - r*sqrt(d))/p1sq, its components already exact and d square-free
-    return QExt._of(-cross / p1sq, -root.q / p1sq, root.d)
-
-
 def _exit_first(p0sq, cross, p1sq, t_cur, t_wall):
     """Whether q(t) = p0sq + 2*cross*t + p1sq*t^2, positive at t_cur, first
     vanishes at or before t_wall > t_cur (None: no wall), by sign tests in
@@ -334,11 +321,13 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
 
     It yields the prologue (divisor, flag, candidates, dec0, nu, volume, ray,
     support at nu), then per chamber (t_lo, end, exits, support, chamber, e,
-    f0, fslope, p0sq), with `chamber` the `_segment_system` result on
+    f0, fslope), with `chamber` the `_segment_system` result on
     `support` and e = s*w.  A chamber ends at a wall or, in the last step
-    (exits true), at mu, as a Fraction or as the integers (a, b, disc) of
-    `_sign`.  The flag curve is monitored like a candidate: it must never
-    re-enter the support past nu, or the input data is inconsistent.
+    (exits true), at mu in the closed form `_mu` takes it from: a Fraction
+    when P_t^2 is linear in t, else the integers (a, b, disc) of
+    mu = (a - sqrt(disc))/b.  The flag curve is monitored like a candidate:
+    it must never re-enter the support past nu, or the input data is
+    inconsistent.
     """
     divisor = as_divisor(divisor, model.rank)
     flag = _as_flag(model, flag)
@@ -348,16 +337,20 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
 
     dec0, dd, volume, witness_pairing = _divisor_side(model, divisor, cands_full)
     t_nu = dec0.coefficient(flag_label) if flag_label is not None else Fraction(0)
-
-    if t_nu == 0:
-        dec_nu = dec0  # D - 0*C is D itself
-    else:
-        dec_nu = zariski_decompose(model, divisor - flag_class.scale(t_nu), cands_full)
-        p_nu = dec_nu.positive_part
-        volume = pair(model, p_nu, p_nu)
-        witness_pairing = pair(model, p_nu, model._witness)
-    if flag_label is not None and flag_label in dec_nu.support:
-        raise ModelError("flag curve still in the negative part at t = nu")
+    # D - nu*C = P_D + (N_D - nu*C) is a decomposition, and the only one when
+    # no curve of N_D meets another curve negatively: the walk starts on
+    # N_D's support less the flag curve.  A model where one does is
+    # inconsistent, and D - nu*C is decomposed to report it
+    support = [l for l in dec0.support if l != flag_label]
+    if t_nu and any(
+        x < 0 for j in dec0.support for l, x in curve_products(model, j).items() if l != j
+    ):
+        dec_nu, _, volume, witness_pairing = _divisor_side(
+            model, divisor - flag_class.scale(t_nu), cands_full
+        )
+        if flag_label in dec_nu.support:
+            raise ModelError("flag curve still in the negative part at t = nu")
+        support = list(dec_nu.support)
     # P^2 > 0 holds in both halves of the light cone; the ample witness
     # pairs positively with the half that holds the big classes
     if volume <= 0 or witness_pairing <= 0:
@@ -370,7 +363,6 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
         pair(model, divisor, flag_class),
         pair(model, flag_class, flag_class),
     )
-    support = sorted(dec_nu.support, key=model.declaration_index)
     yield divisor, flag, cands_full, dec0, t_nu, volume, ray, support
     chamber = _segment_system(model, ray, support)
     outside = _outside_pairings(model, ray, entry_order, support, chamber)
@@ -416,11 +408,12 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
         if exits is None:
             raise ModelError("ray never exits big cone in model")
         if exits:
+            # mu is rational exactly when disc is a square; an irrational mu
+            # is compared as the integers of _sign
             disc = f0 * f0 + fslope * p0sq
             r = isqrt(disc)
-            end = (f0, -fslope, disc)  # an irrational mu, as the integers of _sign
-            if r * r == disc:
-                end = Fraction(f0 - r, -fslope) if fslope else Fraction(p0sq, 2 * f0)
+            mu = (f0, -fslope, disc) if fslope else Fraction(p0sq, 2 * f0)
+            end = Fraction(f0 - r, -fslope) if fslope and r * r == disc else mu
             if _sign(-cn, cd, end) <= 0:
                 raise InternalError("the sign tests found an exit with no root")
         else:
@@ -445,18 +438,24 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
         if missed is not None:
             raise InternalError(f"missed a wall for {missed!r}")
 
-        yield t_cur, end, exits, support, chamber, e, f0, fslope, p0sq
+        yield t_cur, mu if exits else end, exits, support, chamber, e, f0, fslope
         if exits:
             return
         t_cur = end
     raise InternalError("walk did not terminate")
 
 
-def _mu(ray, e, f0, fslope, p0sq):
-    """mu from the last step's integers, in closed form over e*w, so the
-    radicand factored is in lowest terms."""
-    ew = e * ray.w
-    return _exit_root(Fraction(p0sq, ew), Fraction(-f0, ew), Fraction(-fslope, ew))
+def _mu(end, ew):
+    """mu from the last step's end: that Fraction, or (a - sqrt(disc))/b from
+    its integers (a, b, disc), with sqrt(disc) = ew*sqrt(disc/ew^2) for the
+    step's e*w, so the radicand factored is in lowest terms."""
+    if type(end) is Fraction:
+        return end
+    a, b, disc = end
+    root = sqrt_fraction(Fraction(disc, ew * ew))
+    if type(root) is Fraction:
+        return (a - root * ew) / b
+    return QExt._of(Fraction(a, b), -root.q * ew / b, root.d)
 
 
 def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
@@ -468,9 +467,9 @@ def walk_ray(model: SurfaceModel, divisor, flag, candidates) -> RayProfile:
     divisor, flag, cands_full, dec0, t_nu, volume, ray, support = next(steps)
     appearance: dict[str, Fraction] = dict.fromkeys(support, t_nu)
     segments: list[Segment] = []
-    for t_cur, end, exits, support, chamber, e, f0, fslope, p0sq in steps:
+    for t_cur, end, exits, support, chamber, e, f0, fslope in steps:
         appearance.update(dict.fromkeys(support[len(appearance) :], t_cur))
-        t_hi = _mu(ray, e, f0, fslope, p0sq) if exits else end
+        t_hi = _mu(end, e * ray.w) if exits else end
         coeffs, numerators = _solution(ray, chamber), (e, ray.w, chamber[1], f0, fslope)
         segments.append(Segment._of(t_cur, t_hi, tuple(support), coeffs, numerators))
     return RayProfile._of(

@@ -32,6 +32,10 @@ def render_svg(
     if width < 1:
         raise InputError(f"width must be at least 1 pixel, got {width}")
     try:
+        float(width)
+    except OverflowError:
+        raise InputError("width must fit a float") from None
+    try:
         pts = [(float(t), float(s)) for t, s in polygon.vertices]
     except OverflowError:  # fails the finiteness check below
         pts = [(math.inf, math.inf)]
@@ -47,14 +51,14 @@ def render_svg(
     # axes scale independently onto a fixed 4:3 canvas; lattice aspect is
     # not preserved, which keeps thin tall polygons readable
     height = max(int(round(width * 0.75)), 40)
-    sx = width / (xmax - xmin)
-    sy = height / (ymax - ymin)
-    # a finite extent and scale keep every pixel finite
-    if not all(map(math.isfinite, (xmax - xmin, ymax - ymin, sx, sy))):
+    ext_x, ext_y = xmax - xmin, ymax - ymin
+    # a finite extent keeps every pixel finite: each offset is divided by
+    # the extent before it is scaled, so a tiny extent cannot overflow
+    if not (math.isfinite(ext_x) and math.isfinite(ext_y)):
         raise InputError("cannot draw a polygon whose coordinates do not fit a float")
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        return (x - xmin) * sx, (ymax - y) * sy
+        return (x - xmin) / ext_x * width, (ymax - y) / ext_y * height
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -66,8 +70,8 @@ def render_svg(
 
     if grid:
         # lattice lines, thinned to integer multiples when the span is large
-        step_x = max(1, math.ceil((xmax - xmin) / 32))
-        step_y = max(1, math.ceil((ymax - ymin) / 32))
+        step_x = max(1, math.ceil(ext_x / 32))
+        step_y = max(1, math.ceil(ext_y / 32))
         gx = math.ceil(xmin / step_x) * step_x
         while gx <= math.floor(xmax):
             px, _ = to_px(gx, 0)

@@ -75,11 +75,6 @@ class ToricDivisor(Record):
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def _check_lengths(fan: ToricFan, div: ToricDivisor):
-    if len(div.coeffs) != len(fan):
-        raise InputError("divisor has one coefficient per ray")
-
-
 def self_intersections(fan: ToricFan) -> list[int]:
     """b_i with v_{i-1} + v_{i+1} = b_i v_i; the boundary curve D_i has D_i^2 = -b_i.
 
@@ -90,15 +85,12 @@ def self_intersections(fan: ToricFan) -> list[int]:
 
 
 def combinatorial_edge_lengths(fan: ToricFan, div: ToricDivisor) -> list[Fraction]:
-    """D . D_i for every i by the boundary intersection rules alone."""
-    _check_lengths(fan, div)
-    return _edge_lengths(div.coeffs, self_intersections(fan))
-
-
-def _edge_lengths(a, b) -> list[Fraction]:
-    """D . D_i = a_{i-1} + a_{i+1} - b_i a_i from the coefficients and the
-    b_i of self_intersections."""
-    n = len(a)
+    """D . D_i = a_{i-1} + a_{i+1} - b_i a_i for every i by the boundary
+    intersection rules alone, with the b_i of self_intersections."""
+    a, n = div.coeffs, len(fan)
+    if len(a) != n:
+        raise InputError("divisor has one coefficient per ray")
+    b = self_intersections(fan)
     return [
         Fraction(a[(i - 1) % n] + a[(i + 1) % n] - b[i] * a[i]) for i in range(n)
     ]
@@ -112,11 +104,7 @@ def fan_to_model(fan: ToricFan) -> tuple[SurfaceModel, list[DivisorClass]]:
     summing one primitive segment per ray, which is strictly convex on every
     fan.
     """
-    return _fan_model(fan, self_intersections(fan))
-
-
-def _fan_model(fan: ToricFan, b: list[int]) -> tuple[SurfaceModel, list[DivisorClass]]:
-    """fan_to_model, given the fan's self_intersections `b`."""
+    b = self_intersections(fan)
     n = len(fan)
     rho = n - 2
 
@@ -187,14 +175,10 @@ def newton_polygon(fan: ToricFan, div: ToricDivisor) -> list[Point]:
 
     Requires the divisor to be nef, which is exactly nonnegativity of all
     corner-to-corner edge lengths; a negative length means the corner system
-    is infeasible.
+    is infeasible.  Every geometric edge length must equal the divisor's
+    combinatorial_edge_lengths.
     """
-    return _newton(fan, div, combinatorial_edge_lengths(fan, div))
-
-
-def _newton(fan: ToricFan, div: ToricDivisor, lengths: list[Fraction]) -> list[Point]:
-    """newton_polygon, given the divisor's combinatorial_edge_lengths, which
-    every geometric edge length must equal."""
+    lengths = combinatorial_edge_lengths(fan, div)
     n = len(fan)
     a = div.coeffs
     # corner i meets the lines <m, v> = -a_i and <m, w> = -a_{i+1}; by
@@ -270,16 +254,13 @@ def crosscheck(fan: ToricFan, div: ToricDivisor, flag_index: int) -> CrosscheckR
     transformation.  Twice the common area must equal D^2.
     """
     n = len(fan)
-    _check_lengths(fan, div)
-    b = self_intersections(fan)
-    lengths = _edge_lengths(div.coeffs, b)
-    if any(l <= 0 for l in lengths):
+    if any(l <= 0 for l in combinatorial_edge_lengths(fan, div)):
         raise InputError("divisor is not model-ample against all boundary curves")
 
     # route two first: its range check on flag_index runs before any walk
-    mono_pts = monomial_valuation(fan, div, flag_index)(_newton(fan, div, lengths))
+    mono_pts = monomial_valuation(fan, div, flag_index)(newton_polygon(fan, div))
 
-    model, classes = _fan_model(fan, b)
+    model, classes = fan_to_model(fan)
     d_class = DivisorClass(_combine(div.coeffs, classes))
     dsq = pair(model, d_class, d_class)
     if dsq <= 0:

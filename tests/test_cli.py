@@ -574,7 +574,8 @@ def _count_calls(monkeypatch, module, name):
 def test_polygon_resolves_flag_and_decomposes_d_once(monkeypatch, capsys):
     # the flag is resolved once, when the document's FlagSpec is built; the
     # walk and the certificates take it as it is.  D is decomposed only by
-    # the walk, once more at nu > 0 (ex2_negative_flag)
+    # the walk, once: at nu > 0 (ex2_negative_flag) it starts from that
+    # decomposition too
     resolves = _count_calls(monkeypatch, "raywalk", "resolve_flag")
     decompositions = _count_calls(monkeypatch, "zariski", "zariski_decompose")
     for name in ["ex1_on_point", "ex2_negative_flag", "ex3_tight"]:
@@ -582,7 +583,7 @@ def test_polygon_resolves_flag_and_decomposes_d_once(monkeypatch, capsys):
         decompositions.clear()
         assert main(["polygon", str(CASES_DIR / f"{name}.json")]) == 0
         assert len(resolves) == 1, name
-        assert len(decompositions) == (2 if name == "ex2_negative_flag" else 1), name
+        assert len(decompositions) == 1, name
 
 
 def test_polygon_validates_the_flag_once(monkeypatch, capsys):
@@ -642,10 +643,10 @@ def test_probe_certificates_replace_decompositions(
 def test_a_flag_search_takes_mu_once(
     command, name, searches, realizations, monkeypatch, capsys
 ):
-    # a replay hands back mu's integers, and the search takes mu once, for
+    # a replay hands back its exit, and the search takes mu once, for
     # its certificate; each realization walk takes its own.  Every mu here
     # is a root of a quadratic, so each factors one radicand
-    roots = _count_calls(monkeypatch, "raywalk", "_exit_root")
+    roots = _count_calls(monkeypatch, "raywalk", "_mu")
     radicands = _count_calls(monkeypatch, "intmath", "squarefree_part")
     assert main([command, str(CASES_DIR / f"{name}.json")]) == 0
     assert len(roots) == len(radicands) == searches + realizations

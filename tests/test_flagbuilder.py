@@ -533,9 +533,9 @@ def test_replay_accepts_exactly_the_stories_the_profile_oracle_accepts(monkeypat
             got = flagbuilder._walk_matches(model, divisor, flag_class, story)
             if story_matches(profile, story):
                 verdicts["accepted"] += 1
-                # the replay hands back mu's integers, and the search takes mu once
-                appearance, last = got
-                assert (appearance, raywalk._mu(*last)) == (profile.appearance, profile.mu)
+                # the replay hands back its exit, and the search takes mu once
+                appearance, last_exit = got
+                assert (appearance, raywalk._mu(*last_exit)) == (profile.appearance, profile.mu)
             else:
                 verdicts["rejected"] += 1
                 assert got is None

@@ -32,8 +32,8 @@ from noksurf.raywalk import (
     _chamber_steps,
     _earliest_wall,
     _exit_first,
-    _exit_root,
     _missed_wall,
+    _mu,
     _pairings,
     _Ray,
     _segment_system,
@@ -178,7 +178,7 @@ def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur
 def test_exit_decision_agrees_with_the_root(data):
     # the sign tests in Q say "no root", "root <= T" or "root > T" exactly
     # when the root in Q(sqrt(d)) does, double roots and roots at T included;
-    # where there is a root, the closed form is it
+    # where there is a root, the walk's exit in integers gives it as mu
     p0sq, cross, p1sq, t_cur = (data.draw(_RAT) for _ in range(4))
     if p1sq and data.draw(st.booleans()):
         p0sq = cross * cross / p1sq  # a double root at the vertex
@@ -192,7 +192,12 @@ def test_exit_decision_agrees_with_the_root(data):
     assert _exit_first(p0sq, cross, p1sq, t_cur, t_wall) == want
     assert _exit_first(p0sq, cross, p1sq, t_cur, None) == (None if root is None else True)
     if root is not None:
-        assert _exit_root(p0sq, cross, p1sq) == root
+        # q = (P0 - 2*f0*t - fslope*t^2)/ew in the walk's integers, and its exit
+        ew = lcm(p0sq.denominator, cross.denominator, p1sq.denominator)
+        p0, f0, fslope = p0sq * ew, -cross * ew, -p1sq * ew
+        p0, f0, fslope = p0.numerator, f0.numerator, fslope.numerator
+        end = (f0, -fslope, f0 * f0 + fslope * p0) if fslope else Fraction(p0, 2 * f0)
+        assert _mu(end, ew) == root
 
 
 def test_walk_takes_one_root(monkeypatch):
@@ -201,9 +206,9 @@ def test_walk_takes_one_root(monkeypatch):
 
     def counted(*args):
         calls.append(None)
-        return _exit_root(*args)
+        return _mu(*args)
 
-    monkeypatch.setattr(raywalk, "_exit_root", counted)
+    monkeypatch.setattr(raywalk, "_mu", counted)
     chambers = 0
     for case in corpus(seed=501, count=40) + forest_corpus(seed=8, count=6, rho=8):
         calls.clear()
@@ -451,6 +456,53 @@ def test_segments_match_pointwise_zariski(cases):
                 assert q == 0 if l in want else q >= 0, (case.name, l)
             segments += 1
     assert segments > len(cases)
+
+
+def test_walk_starts_at_nu_on_the_decomposition_of_d_less_the_flag():
+    # D - nu*C = P_D + (N_D - nu*C), so the walk starts at nu from D's own
+    # decomposition; the oracle runs the decomposition at nu the walk no
+    # longer runs.  Every walk with nu > 0 of the corpora, and walks of
+    # D + 2*C with the flag C, for each candidate C
+    walks = []
+    for case in (
+        corpus(seed=777001, count=220)
+        + forest_corpus(seed=8, count=6, rho=8)
+        + forest_corpus(seed=16, count=4, rho=16)
+    ):
+        walks.append((case, case.divisor, case.flag))
+        for l in case.candidates:
+            walks.append((case, case.divisor + case.model.class_of(l).scale(2), l))
+    walked = 0
+    for case, divisor, flag in walks:
+        model = case.model
+        spec = FlagSpec(model, flag, {})
+        cands = list(case.candidates)
+        if spec.label is not None and spec.label not in cands:
+            cands.append(spec.label)  # the walk decomposes against the flag curve too
+        try:
+            dec = zariski_decompose(model, divisor, cands)
+        except NoksurfError:
+            continue
+        t_nu = dec.coefficient(spec.label) if spec.label is not None else 0
+        if t_nu == 0:
+            continue
+        at_nu = zariski_decompose(model, divisor - spec.cls.scale(t_nu), cands)
+        assert at_nu.support == tuple(l for l in dec.support if l != spec.label), case.name
+        assert at_nu.positive_part == dec.positive_part, case.name
+        try:
+            prof = walk_ray(model, divisor, spec, case.candidates)
+        except NoksurfError:
+            continue
+        first = prof.segments[0]
+        assert (prof.nu, first.t_lo) == (t_nu, t_nu)
+        # the support at nu comes first; curves entering at a wall at nu
+        # follow it with coefficient 0 there
+        assert first.support[: len(at_nu.support)] == at_nu.support, case.name
+        assert {l: _coefficient(first, l, t_nu) for l in first.support} == {
+            l: at_nu.coefficient(l) for l in first.support
+        }, case.name
+        walked += 1
+    assert walked >= 40, walked
 
 
 _WALK_CORPORA = [

@@ -97,3 +97,32 @@ def test_polygon_at_the_float_range_renders(tmp_path, capsys, flags):
     root = ET.fromstring(markup)
     assert len(root.findall(".//svg:circle", NS)) == 3
     assert bool(root.findall(".//svg:line", NS)) == (flags == [])
+
+
+@pytest.mark.parametrize("command", ["render-svg", "polygon"])
+@pytest.mark.parametrize("flags", [[], ["--no-grid"]])
+def test_polygon_with_a_tiny_extent_renders(tmp_path, capsys, command, flags):
+    # every coordinate of the triangle with d = 1/10^310 is a finite
+    # (subnormal) float; width/extent would overflow, so offsets are
+    # divided by the extent before they are scaled
+    doc = tmp_path / "tiny.json"
+    doc.write_text(json.dumps({**P2_CUBIC, "divisor": ["1/1" + "0" * 310]}))
+    svg = tmp_path / "out.svg"
+    assert main([command, str(doc), "--svg", str(svg), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    markup = svg.read_text()
+    assert "inf" not in markup and "nan" not in markup
+    root = ET.fromstring(markup)
+    assert len(root.findall(".//svg:circle", NS)) == 3
+
+
+@pytest.mark.parametrize("command", ["render-svg", "polygon"])
+def test_width_beyond_the_float_range_exits_2(tmp_path, capsys, command):
+    svg = tmp_path / "out.svg"
+    doc = Path(__file__).resolve().parent.parent / "cases" / "ex1_on_point.json"
+    argv = [command, str(doc), "--svg", str(svg), "--width", "1" + "0" * 400]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not svg.exists()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import brute_halfplane_vertices, fan_corpus, shoelace2
-from noksurf import DegenerateInput, InputError, pair, toric
+from noksurf import DegenerateInput, InputError, cli, pair, toric
 from noksurf.cli import main
 from noksurf.linalg import solve, solve_many
 from noksurf.toric import (
@@ -286,22 +286,43 @@ def test_closed_forms_match_eliminations(k):
 
 
 @pytest.mark.parametrize(
-    "command,case",
-    [("toric-polygon", "toric_f1_polygon"), ("toric-crosscheck", "toric_p2_crosscheck")],
+    "command,case,steps",
+    [
+        (
+            "toric-polygon",
+            "toric_f1_polygon",
+            ["newton_polygon", "combinatorial_edge_lengths", "monomial_valuation"],
+        ),
+        (
+            "toric-crosscheck",
+            "toric_p2_crosscheck",
+            # the length check, the length > 0 check, the flag index, the
+            # Newton polygon (which takes the lengths again), then the model
+            [
+                "combinatorial_edge_lengths",
+                "monomial_valuation",
+                "newton_polygon",
+                "combinatorial_edge_lengths",
+                "fan_to_model",
+            ],
+        ),
+    ],
 )
-def test_toric_commands_compute_each_value_once(monkeypatch, capsys, command, case):
-    # the length check, the self-intersections, the edge lengths and the
-    # Newton polygon are each computed once per command and passed down
+def test_toric_commands_call_the_public_functions(monkeypatch, capsys, command, case, steps):
+    # every binding of the four public steps, in toric and in the CLI, is
+    # counted in the order it is entered
     calls = []
-    for name in ("_check_lengths", "self_intersections", "_edge_lengths", "_newton"):
+    for name in ("combinatorial_edge_lengths", "monomial_valuation", "newton_polygon", "fan_to_model"):
         fn = getattr(toric, name)
 
         def counted(*args, _name=name, _fn=fn):
             calls.append(_name)
             return _fn(*args)
 
-        monkeypatch.setattr(toric, name, counted)
+        for mod in (toric, cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
     doc = Path(__file__).resolve().parent.parent / "cases" / f"{case}.json"
     assert main([command, str(doc)]) == 0
     capsys.readouterr()
-    assert sorted(calls) == ["_check_lengths", "_edge_lengths", "_newton", "self_intersections"]
+    assert calls == steps
