@@ -30,8 +30,10 @@ class DegenerateInput(InputError):
 
 
 class FactorBudgetExhausted(InputError):
-    """An integer has no split within the factoring budget; a search that
-    meets it stops instead of spending the budget again on the next trial."""
+    """The radicand of an irrational mu has no split within the factoring
+    budget.  It is an InputError like any other, and no code tells the two
+    apart: a flag search's replays take no square root, so only the mu of a
+    walk's profile or of a search's certificate meets the budget."""
 
 
 class SearchFailure(NoksurfError):

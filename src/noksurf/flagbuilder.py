@@ -46,8 +46,9 @@ def _walk_matches(model: SurfaceModel, divisor, flag_class, config: list[str]):
     """Replay the ray's chamber steps in integers and accept only the ordered
     story: the configuration's curves enter one at a time, in order, after
     t = 0 and before mu, and are the support at mu.  Returns (appearance,
-    exit), with exit = (end, e*w) the last step's end and denominator that
-    raywalk._mu takes mu from, or None."""
+    exit), or None.  exit = (end, e*w) is the last step's end, mu itself
+    when rational and else the integers (a, b, disc) of an irrational mu,
+    with that step's denominator: raywalk._mu takes mu from it."""
     try:
         steps = _chamber_steps(model, divisor, flag_class, model.labels())
         *_, t_nu, _, ray, support = next(steps)
@@ -72,16 +73,16 @@ def _upper_bound_positive_range(model, base, label) -> Fraction:
     bd, bn, bsq = base
     products = curve_products(model, label)
     bounds = [Fraction(bn[l], bd * x) for l, x in products.items() if x > 0]
+    # every curve here lies in a negative definite configuration, so C^2 < 0:
+    # a rational overestimate of the positive root of bsq - 2c*cross + c^2*csq
     cross = Fraction(bn[label], bd)
-    csq = products.get(label, 0)
-    if csq < 0:
-        # rational overestimate of the positive root of bsq - 2c*cross + c^2*csq
-        disc = Fraction(bn[label] ** 2 - csq * bsq, bd * bd)
-        n, d = disc.numerator, disc.denominator
-        r = isqrt(n * d)
-        root_ub = Fraction(r if r * r == n * d else r + 1, d)
-        bounds.append((root_ub - cross) / (-csq))
-    return min(bounds) if bounds else Fraction(1)
+    csq = products[label]
+    disc = Fraction(bn[label] ** 2 - csq * bsq, bd * bd)
+    n, d = disc.numerator, disc.denominator
+    r = isqrt(n * d)
+    root_ub = Fraction(r if r * r == n * d else r + 1, d)
+    bounds.append((root_ub - cross) / (-csq))
+    return min(bounds)
 
 
 def _trial(base, products, label, guess):

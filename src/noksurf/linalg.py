@@ -94,22 +94,20 @@ def _back_substitute(m: list[list[int]], det: int, columns) -> tuple[int, list[l
 
 
 def solve_many(a, columns) -> list[list[Fraction]]:
-    """Solve a*x = b for each right-hand side in `columns` (exact).
+    """Solve a*x = b for each right-hand side in `columns` (exact), by
+    back-substitution on the echelon form of [a | columns].
 
-    Raises SingularSystem when the matrix is singular.
+    Raises SingularSystem when the matrix is singular: its n pivots are not
+    all in columns 0..n-1.
     """
     columns = [list(c) for c in columns]
-    m = _augmented(a, columns)
-    n = len(m)
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            raise SingularSystem
-        m[k], m[piv] = m[piv], m[k]
-        prev = _eliminate(m, k, k, prev)
+    n = len(a)
+    steps = _echelon(_augmented(a, columns))
+    if [col for col, _, _ in steps] != list(range(n)):
+        raise SingularSystem
+    m = [row for _, row, _ in steps]
     sides = [[row[c] for row in m] for c in range(n, n + len(columns))]
-    den, nums = _back_substitute(m, prev, sides)
+    den, nums = _back_substitute(m, m[-1][n - 1] if n else 1, sides)
     return [[Fraction(x, den) for x in col] for col in nums]
 
 

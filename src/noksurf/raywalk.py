@@ -136,7 +136,7 @@ def nu(model: SurfaceModel, divisor, flag, candidates) -> Fraction:
     flag_label = _as_flag(model, flag).label
     cands = _validated_candidates(model, candidates, flag_label)
     dec = zariski_decompose(model, divisor, cands)
-    return dec.coefficient(flag_label) if flag_label is not None else Fraction(0)
+    return dec.coefficient(flag_label)
 
 
 class _Ray:
@@ -324,10 +324,12 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
     f0, fslope), with `chamber` the `_segment_system` result on
     `support` and e = s*w.  A chamber ends at a wall or, in the last step
     (exits true), at mu in the closed form `_mu` takes it from: a Fraction
-    when P_t^2 is linear in t, else the integers (a, b, disc) of
-    mu = (a - sqrt(disc))/b.  The flag curve is monitored like a candidate:
-    it must never re-enter the support past nu, or the input data is
-    inconsistent.
+    when mu is rational, else the integers (a, b, disc) of
+    mu = (a - sqrt(disc))/b, disc no square.  The walk starts at nu on D's
+    own decomposition; at nu > 0 a curve of N_D that meets another declared
+    curve negatively makes the model inconsistent.  The flag curve is
+    monitored like a candidate: it must never re-enter the support past nu,
+    or the input data is inconsistent.
     """
     divisor = as_divisor(divisor, model.rank)
     flag = _as_flag(model, flag)
@@ -336,21 +338,16 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
     entry_order = [l for l in cands_full if l != flag_label]
 
     dec0, dd, volume, witness_pairing = _divisor_side(model, divisor, cands_full)
-    t_nu = dec0.coefficient(flag_label) if flag_label is not None else Fraction(0)
+    t_nu = dec0.coefficient(flag_label)
     # D - nu*C = P_D + (N_D - nu*C) is a decomposition, and the only one when
-    # no curve of N_D meets another curve negatively: the walk starts on
-    # N_D's support less the flag curve.  A model where one does is
-    # inconsistent, and D - nu*C is decomposed to report it
+    # no curve of N_D meets another curve negatively, as on every surface:
+    # the walk starts on N_D's support less the flag curve
+    if t_nu:
+        for j in dec0.support:
+            for l, x in curve_products(model, j).items():
+                if x < 0 and l != j:
+                    raise ModelError(f"curves {j!r} and {l!r} meet negatively; invalid model input")
     support = [l for l in dec0.support if l != flag_label]
-    if t_nu and any(
-        x < 0 for j in dec0.support for l, x in curve_products(model, j).items() if l != j
-    ):
-        dec_nu, _, volume, witness_pairing = _divisor_side(
-            model, divisor - flag_class.scale(t_nu), cands_full
-        )
-        if flag_label in dec_nu.support:
-            raise ModelError("flag curve still in the negative part at t = nu")
-        support = list(dec_nu.support)
     # P^2 > 0 holds in both halves of the light cone; the ample witness
     # pairs positively with the half that holds the big classes
     if volume <= 0 or witness_pairing <= 0:
@@ -410,10 +407,12 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
         if exits:
             # mu is rational exactly when disc is a square; an irrational mu
             # is compared as the integers of _sign
-            disc = f0 * f0 + fslope * p0sq
-            r = isqrt(disc)
-            mu = (f0, -fslope, disc) if fslope else Fraction(p0sq, 2 * f0)
-            end = Fraction(f0 - r, -fslope) if fslope and r * r == disc else mu
+            if fslope:
+                disc = f0 * f0 + fslope * p0sq
+                r = isqrt(disc)
+                end = Fraction(f0 - r, -fslope) if r * r == disc else (f0, -fslope, disc)
+            else:
+                end = Fraction(p0sq, 2 * f0)
             if _sign(-cn, cd, end) <= 0:
                 raise InternalError("the sign tests found an exit with no root")
         else:
@@ -438,7 +437,7 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
         if missed is not None:
             raise InternalError(f"missed a wall for {missed!r}")
 
-        yield t_cur, mu if exits else end, exits, support, chamber, e, f0, fslope
+        yield t_cur, end, exits, support, chamber, e, f0, fslope
         if exits:
             return
         t_cur = end
@@ -447,14 +446,13 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
 
 def _mu(end, ew):
     """mu from the last step's end: that Fraction, or (a - sqrt(disc))/b from
-    its integers (a, b, disc), with sqrt(disc) = ew*sqrt(disc/ew^2) for the
-    step's e*w, so the radicand factored is in lowest terms."""
+    its integers (a, b, disc), disc no square, with sqrt(disc) =
+    ew*sqrt(disc/ew^2) for the step's e*w, so the radicand factored is in
+    lowest terms."""
     if type(end) is Fraction:
         return end
     a, b, disc = end
     root = sqrt_fraction(Fraction(disc, ew * ew))
-    if type(root) is Fraction:
-        return (a - root * ew) / b
     return QExt._of(Fraction(a, b), -root.q * ew / b, root.d)
 
 

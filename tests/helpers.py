@@ -3,11 +3,13 @@
 The oracles here deliberately avoid the library's own algorithms: the
 half-plane oracle enumerates all line pairs, the inertia oracles use leading
 principal minors or the characteristic polynomial, linear systems are
-checked against a plain Fraction Gauss-Jordan, areas come from a direct
-shoelace or from integrating the boundary functions.  The corpus generator
-builds genuinely geometric models (iterated blowups in generic or
-infinitely-near position, plus lines through pairs of distinct base
-points), so every classified theorem must hold on it.
+checked against a plain Fraction Gauss-Jordan, the Zariski decomposition
+comes from Zariski's construction over that Gauss-Jordan and the raw Gram
+matrix, areas come from a direct shoelace or from integrating the boundary
+functions.  The corpus generator builds genuinely geometric models
+(iterated blowups in generic or infinitely-near position, plus lines
+through pairs of distinct base points), so every classified theorem must
+hold on it.
 """
 from __future__ import annotations
 
@@ -111,6 +113,41 @@ def gauss_jordan(rows, columns=()):
     if r != n or width != n:
         return r, None
     return r, [[m[i][width + j] for i in range(n)] for j in range(len(columns))]
+
+
+def zariski_negative_part(gram, curves, divisor) -> dict:
+    """Zariski's construction of the negative part of `divisor` against the
+    curves {label: class}, paired through the raw Gram matrix (Zariski,
+    Ann. of Math. 76 (1962); Bauer, J. Algebraic Geom. 18 (2009)): start
+    from the curves D meets negatively, solve (D - N).C_j = 0 on the
+    support with `gauss_jordan`, and grow the support by every curve that
+    D - N still meets negatively.  Returns every curve's coefficient, 0
+    off the support."""
+
+    def times_gram(x):
+        return [sum(g * y for g, y in zip(row, x) if g) for row in gram]
+
+    def dot(x, gy):
+        return Fraction(sum(a * b for a, b in zip(x, gy) if a))
+
+    g_curves = {l: times_gram(c) for l, c in curves.items()}
+    g_d = times_gram(divisor)
+    support = [l for l in curves if dot(curves[l], g_d) < 0]
+    while True:
+        _, solutions = gauss_jordan(
+            [[dot(curves[i], g_curves[j]) for j in support] for i in support],
+            [[dot(curves[j], g_d) for j in support]],
+        )
+        assert solutions is not None, f"support {support} is singular"
+        coeffs = dict(zip(support, solutions[0]))
+        assert all(x > 0 for x in coeffs.values()), coeffs
+        g_rest = [
+            x - sum(a * g_curves[l][i] for l, a in coeffs.items()) for i, x in enumerate(g_d)
+        ]
+        grow = [l for l in curves if l not in coeffs and dot(curves[l], g_rest) < 0]
+        if not grow:
+            return {l: coeffs.get(l, Fraction(0)) for l in curves}
+        support += grow
 
 
 def charpoly_inertia(q) -> tuple[int, int, int]:

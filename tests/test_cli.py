@@ -134,10 +134,21 @@ def test_flag_search_spends_one_factoring_budget(tmp_path):
 @pytest.mark.parametrize(
     "command,name", [("flag-search", "flag_search_chain"), ("scan-vertex-counts", "scan_chain3")]
 )
-def test_exhausted_factoring_budget_ends_the_search_with_exit_2(command, name, monkeypatch, capsys):
-    # the replays take no square-free part; the search's one mu, for its
-    # certificate, or the realization walk meets the budget and ends the
-    # command
+def test_exhausted_factoring_budget_ends_the_search_with_exit_2(
+    command, name, tmp_path, monkeypatch, capsys
+):
+    # the replays take no square-free part; the search's one irrational mu,
+    # for its certificate, or the realization walk meets the budget and
+    # ends the command.  The flag-search case's mu is 1, which factors
+    # nothing: one curve and an independent class give an irrational one
+    path = CASES_DIR / f"{name}.json"
+    if command == "flag-search":
+        doc = json.loads(path.read_text())
+        doc["flag_search"] = {"config": ["C1"], "independent": True}
+        path = tmp_path / "irrational_mu.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["mu"] == "31/41-3/41*sqrt(2)"
     calls = []
 
     def exhausted(n):
@@ -145,7 +156,7 @@ def test_exhausted_factoring_budget_ends_the_search_with_exit_2(command, name, m
         raise FactorBudgetExhausted(f"cannot factor {n} to make it square-free within 0 steps")
 
     monkeypatch.setattr(qext, "squarefree_part", exhausted)
-    assert main([command, str(CASES_DIR / f"{name}.json")]) == 2
+    assert main([command, str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: cannot factor {calls[0]} to make it square-free within 0 steps\n"
@@ -396,9 +407,9 @@ def test_model_error_exit_2(tmp_path, capsys):
     assert main(["polygon", str(doc)]) == 2
 
 
-# D decomposes with support {C1, C2} and nu = 16/7, but D - nu*C1 meets C0
-# negatively, and C0.C2 = -2 makes {C0, C2} indefinite: only the second
-# decomposition, at nu, finds that
+# D decomposes with support {C1, C2} and nu = 16/7, and C2.C0 = -2: no
+# surface has two distinct curves that meet negatively, and the walk's
+# start at nu from D's own decomposition reports it
 SECOND_DECOMPOSITION_AT_NU = {
     "schema": 1,
     "surface": {
@@ -425,8 +436,7 @@ def test_second_decomposition_at_nu_exit_2(command, tmp_path, capsys):
     path.write_text(json.dumps(SECOND_DECOMPOSITION_AT_NU))
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err == (
-        "error: candidate set contains non-negative-definite support: "
-        "['C0', 'C2'] has inertia (1, 1, 0)\n"
+        "error: curves 'C2' and 'C0' meet negatively; invalid model input\n"
     )
 
 
@@ -555,12 +565,13 @@ def test_scan_verified_fails_when_certificate_disagrees(tmp_path, capsys, monkey
 
 def _count_calls(monkeypatch, module, name):
     """Wrap every binding of noksurf.<module>.<name> in the loaded noksurf
-    modules; the returned list grows by one per call."""
+    modules; the returned list grows by one per call, by its positional
+    arguments."""
     fn = getattr(sys.modules[f"noksurf.{module}"], name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -636,6 +647,10 @@ def test_probe_certificates_replace_decompositions(
     assert len(decomposed) < decompositions
 
 
+# the irrational mus of each search case's command
+IRRATIONAL_MUS = {"flag_search_chain": 0, "scan_chain3": 6}
+
+
 @pytest.mark.parametrize(
     "command,name,searches,realizations",
     [("flag-search", "flag_search_chain", 1, 0), ("scan-vertex-counts", "scan_chain3", 5, 5)],
@@ -644,12 +659,15 @@ def test_a_flag_search_takes_mu_once(
     command, name, searches, realizations, monkeypatch, capsys
 ):
     # a replay hands back its exit, and the search takes mu once, for
-    # its certificate; each realization walk takes its own.  Every mu here
-    # is a root of a quadratic, so each factors one radicand
+    # its certificate; each realization walk takes its own.  A rational mu
+    # comes as the Fraction the walk decided, so only an irrational one
+    # factors its radicand: none of flag_search_chain's, 6 of scan_chain3's 10
     roots = _count_calls(monkeypatch, "raywalk", "_mu")
     radicands = _count_calls(monkeypatch, "intmath", "squarefree_part")
     assert main([command, str(CASES_DIR / f"{name}.json")]) == 0
-    assert len(roots) == len(radicands) == searches + realizations
+    assert len(roots) == searches + realizations
+    irrational = [end for end, _ in roots if type(end) is not Fraction]
+    assert len(radicands) == len(irrational) == IRRATIONAL_MUS[name]
 
 
 @pytest.mark.parametrize("index", [0, -1, 4])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_model, corpus, forest_corpus, gauss_jordan
+from helpers import chain_model, corpus, forest_corpus, gauss_jordan, zariski_negative_part
 from noksurf import (
     CurveRecord,
     DivisorClass,
@@ -24,6 +24,7 @@ from noksurf import (
     zariski_decompose,
 )
 import noksurf.flagbuilder as flagbuilder
+import noksurf.qext as qext
 import noksurf.raywalk as raywalk
 from noksurf.lattice import pair_curve
 from noksurf.qext import sqrt_fraction
@@ -192,11 +193,21 @@ def test_exit_decision_agrees_with_the_root(data):
     assert _exit_first(p0sq, cross, p1sq, t_cur, t_wall) == want
     assert _exit_first(p0sq, cross, p1sq, t_cur, None) == (None if root is None else True)
     if root is not None:
-        # q = (P0 - 2*f0*t - fslope*t^2)/ew in the walk's integers, and its exit
+        # q = (P0 - 2*f0*t - fslope*t^2)/ew in the walk's integers, and its
+        # exit as the walk yields it: a Fraction when disc is a square, else
+        # the integers (a, b, disc) that _mu takes, disc no square
         ew = lcm(p0sq.denominator, cross.denominator, p1sq.denominator)
         p0, f0, fslope = p0sq * ew, -cross * ew, -p1sq * ew
         p0, f0, fslope = p0.numerator, f0.numerator, fslope.numerator
-        end = (f0, -fslope, f0 * f0 + fslope * p0) if fslope else Fraction(p0, 2 * f0)
+        if fslope:
+            disc = f0 * f0 + fslope * p0
+            r = isqrt(disc)
+            end = Fraction(f0 - r, -fslope) if r * r == disc else (f0, -fslope, disc)
+        else:
+            end = Fraction(p0, 2 * f0)
+        assert (type(end) is Fraction) == (type(root) is Fraction)
+        if type(end) is not Fraction:
+            assert isqrt(end[2]) ** 2 != end[2]
         assert _mu(end, ew) == root
 
 
@@ -503,6 +514,101 @@ def test_walk_starts_at_nu_on_the_decomposition_of_d_less_the_flag():
         }, case.name
         walked += 1
     assert walked >= 40, walked
+
+
+def _walks_from_nu(cases):
+    """(model, D, flag, candidates) for each case, and for D + 2*C with the
+    flag C for each candidate C, which starts at nu = 2 or more."""
+    for case in cases:
+        yield case.model, case.divisor, case.flag, case.candidates
+        for l in case.candidates:
+            yield case.model, case.divisor + case.model.class_of(l).scale(2), l, case.candidates
+
+
+def test_a_walk_from_nu_decomposes_once_and_factors_only_an_irrational_mu(monkeypatch):
+    # every walk with nu > 0 decomposes D once, hands _mu a triple only for
+    # an irrational mu, with disc no square, and factors that radicand once
+    decompositions, ends, radicands = [], [], []
+
+    def recorded(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(raywalk, "zariski_decompose", recorded(decompositions, zariski_decompose))
+    monkeypatch.setattr(raywalk, "_mu", recorded(ends, _mu))
+    monkeypatch.setattr(qext, "squarefree_part", recorded(radicands, qext.squarefree_part))
+    walked = irrational = square_disc = 0
+    cases = (
+        corpus(seed=777001, count=220)
+        + forest_corpus(seed=8, count=6, rho=8)
+        + forest_corpus(seed=16, count=4, rho=16)
+    )
+    for model, divisor, flag, candidates in _walks_from_nu(cases):
+        model._divisor_sides.clear()  # D's decomposition is kept per model
+        del decompositions[:], ends[:], radicands[:]
+        prof = walk_ray(model, divisor, flag, candidates)
+        if prof.nu == 0:
+            continue
+        assert len(decompositions) == 1
+        ((end, _),) = ends
+        if type(prof.mu) is QExt:
+            assert isqrt(end[2]) ** 2 != end[2]
+            assert len(radicands) == 1
+            irrational += 1
+        else:
+            assert end == prof.mu and radicands == []
+            square_disc += prof.segments[-1].numerators[4] != 0
+        walked += 1
+    counts = walked, irrational, square_disc
+    assert walked >= 300 and irrational >= 100 and square_disc >= 100, counts
+
+
+def _chain_walks():
+    """Walks on the chain models of rank 2 to 12: D with each curve as the
+    flag, and D + 2*C with the flag C."""
+    for rho in range(2, 13):
+        model, divisor = chain_model(rho)
+        labels = list(model.labels())
+        for l in labels:
+            yield model, divisor, l, labels
+            yield model, divisor + model.class_of(l).scale(2), l, labels
+
+
+@pytest.mark.parametrize(
+    "walks",
+    [
+        pytest.param(lambda: _walks_from_nu(corpus(seed=2718, count=220)), id="corpus"),
+        pytest.param(lambda: _walks_from_nu(forest_corpus(seed=8, count=6, rho=8)), id="rank8"),
+        pytest.param(lambda: _walks_from_nu(forest_corpus(seed=16, count=4, rho=16)), id="rank16"),
+        pytest.param(_chain_walks, id="chain"),
+    ],
+)
+def test_walk_matches_zariskis_construction(walks):
+    # at nu, at a rational point inside every chamber and at every wall, the
+    # negative part of D - t*F from Zariski's construction, over Fractions
+    # and the raw Gram matrix, has every candidate's coefficient of the
+    # walk's chamber, zeros included
+    points = walls = from_nu = 0
+    for model, divisor, flag, candidates in walks():
+        prof = walk_ray(model, divisor, flag, candidates)
+        from_nu += prof.nu > 0
+        inside = set(prof.candidates)
+        curves = {rec.label: rec.cls for rec in model.curves if rec.label in inside}
+        first = prof.segments[0]
+        checks = [(prof.nu, first)]
+        for seg in prof.segments:
+            checks.append((_interior_point(seg), seg))
+            if seg is not first:
+                checks.append((seg.t_lo, seg))
+                walls += 1
+        for t, seg in checks:
+            d_t = [d - t * f for d, f in zip(prof.divisor.coords, prof.flag.cls.coords)]
+            want = {l: _coefficient(seg, l, t) if l in seg.support else 0 for l in curves}
+            assert zariski_negative_part(model.gram, curves, d_t) == want, (flag, t)
+            points += 1
+    assert points > 20 and walls > 0 and from_nu > 0, (points, walls, from_nu)
 
 
 _WALK_CORPORA = [

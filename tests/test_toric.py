@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import brute_halfplane_vertices, fan_corpus, shoelace2
+from helpers import brute_halfplane_vertices, fan_corpus, shoelace2, smooth_fan
 from noksurf import DegenerateInput, InputError, cli, pair, toric
 from noksurf.cli import main
 from noksurf.linalg import solve, solve_many
@@ -283,6 +283,48 @@ def test_closed_forms_match_eliminations(k):
             for idx in range(1, len(rays) + 1):
                 assert crosscheck(fan, div, idx).equal, (rays, coeffs, idx)
     assert ample >= 1 and nef >= ample
+
+
+def _ample_divisor(rng, rays):
+    """(coefficients, edge lengths) of an ample torus-invariant divisor drawn
+    by its edge lengths: random ones, raised on the two rays whose cone
+    holds -sum l_i*v_i so that the polygon closes, with the coefficients
+    read off its vertices (edge i runs along (v_i[1], -v_i[0]))."""
+    n = len(rays)
+    lengths = [rng.randrange(1, 4) for _ in rays]
+    r = [-sum(l * v[k] for l, v in zip(lengths, rays)) for k in (0, 1)]
+    for j in range(n):
+        u, w = rays[j], rays[(j + 1) % n]
+        alpha, beta = r[0] * w[1] - r[1] * w[0], u[0] * r[1] - u[1] * r[0]
+        if alpha >= 0 and beta >= 0:
+            lengths[j] += alpha
+            lengths[(j + 1) % n] += beta
+            break
+    coeffs, m = [], (0, 0)
+    for v, l in zip(rays, lengths):
+        coeffs.append(-(m[0] * v[0] + m[1] * v[1]))
+        m = (m[0] + l * v[1], m[1] - l * v[0])
+    assert m == (0, 0)
+    return coeffs, lengths
+
+
+@pytest.mark.parametrize("nrays", [18, 34, 66])
+def test_crosscheck_at_the_benchmark_ranks(nrays):
+    # smooth fans of rank 16, 32 and 64: the zonotope divisor and two
+    # divisors drawn by their edge lengths, which crosscheck accepts as
+    # ample, each with three flags
+    rng = random.Random(nrays)
+    rays = smooth_fan(rng, nrays)
+    fan = ToricFan(rays)
+    divisors = [[sum(max(0, v[0] * w[1] - v[1] * w[0]) for w in rays) for v in rays]]
+    for _ in range(2):
+        coeffs, lengths = _ample_divisor(rng, rays)
+        assert combinatorial_edge_lengths(fan, ToricDivisor(coeffs)) == lengths
+        divisors.append(coeffs)
+    for coeffs in divisors:
+        for idx in rng.sample(range(1, nrays + 1), 3):
+            report = crosscheck(fan, ToricDivisor(coeffs), idx)
+            assert report.equal and report.area2 == report.divisor_square, (coeffs, idx)
 
 
 @pytest.mark.parametrize(
