@@ -229,7 +229,7 @@ def cmd_flag_search(doc, args):
     if not isinstance(block, dict):
         raise InputError("flag_search: must be an object")
     config = docio.parse_labels(
-        {"config": block.get("config", [])}, model, "config"
+        {"config": block.get("config", [])}, model, "flag_search.config"
     )
     independent = block.get("independent", False)
     if not isinstance(independent, bool):

@@ -169,13 +169,15 @@ def parse_candidates(doc: dict, model: SurfaceModel) -> list[str]:
     return parse_labels(doc, model, "candidates")
 
 
-def parse_labels(doc: dict, model: SurfaceModel, key: str) -> list[str]:
-    labels = _expect(doc, key, "document")
+def parse_labels(doc: dict, model: SurfaceModel, path: str) -> list[str]:
+    """The labels at the JSON path `path`, whose last field `doc` holds."""
+    where, _, key = path.rpartition(".")
+    labels = _expect(doc, key, where or "document")
     if not isinstance(labels, list):
-        raise InputError(f"{key}: must be a list of labels")
+        raise InputError(f"{path}: must be a list of labels")
     for i, l in enumerate(labels):
         if not isinstance(l, str):
-            raise InputError(f"{key}[{i}]: must be a label")
+            raise InputError(f"{path}[{i}]: must be a label")
         model.curve(l)
     return list(labels)
 

@@ -254,7 +254,13 @@ class RightmostReport(Record):
 def rightmost_count(model: SurfaceModel, profile: RayProfile) -> RightmostReport:
     """1 when [C] lies in the span of [D] and the terminal support, else 2
     for a certified-ample flag; uncertified cases fall back to the observed
-    count with a warning flag (certified=False).  D and C are the profile's."""
+    count with a warning flag (certified=False).  D and C are the profile's.
+
+    The span test is a fresh echelon form on purpose.  On the last chamber
+    P_t and p1 lie in the Lorentzian complement of the support, with
+    P_t^2 > 0, so [C] lies in the span exactly when the exit's discriminant
+    is 0, which is exactly when the width P_mu.C is 0: a span test from the
+    walk's numbers would derive the certified count from the observed one."""
     cls = profile.flag.cls
     span = [profile.divisor.coords, *(model.curve(l).cls for l in profile.final_support())]
     in_v = linalg.in_span(span, cls.coords)

@@ -276,25 +276,20 @@ def _enlarge_support(model, ray, support, t_star, outside, chamber):
     return kept, (s, {l: nums[l] for l in kept})
 
 
-def _exit_first(p0sq, cross, p1sq, t_cur, t_wall):
-    """Whether q(t) = p0sq + 2*cross*t + p1sq*t^2, positive at t_cur, first
-    vanishes at or before t_wall > t_cur (None: no wall), by sign tests in
-    integers, invariant under one positive scale of p0sq, cross and p1sq;
-    None when q has no root beyond t_cur (for p1sq > 0: unless the vertex
-    lies ahead and the discriminant is >= 0)."""
-    cn, cd = t_cur.numerator, t_cur.denominator
-    if p1sq > 0 and (-cross * cd <= p1sq * cn or cross * cross < p1sq * p0sq):
+def _cone_exit(p0sq, f0, fslope, t_cur):
+    """The first root past t_cur of q(t) = p0sq - 2*f0*t - fslope*t^2, which
+    is positive at t_cur, in the closed form `_mu` takes: a Fraction when q
+    is linear or disc = f0^2 + fslope*p0sq is a square, else the integers
+    (f0, -fslope, disc) of (f0 - sqrt(disc))/(-fslope).  None when q has no
+    root past t_cur: q linear and not decreasing, or convex with its vertex
+    at or behind t_cur or with disc < 0."""
+    if not fslope:
+        return Fraction(p0sq, 2 * f0) if f0 > 0 else None
+    disc = f0 * f0 + fslope * p0sq
+    if fslope < 0 and (f0 * t_cur.denominator <= -fslope * t_cur.numerator or disc < 0):
         return None
-    if p1sq == 0 and cross >= 0:
-        return None
-    if t_wall is None:
-        return True
-    # past the first root q(t_wall) <= 0, or, convex, past both with the vertex
-    wn, wd = t_wall.numerator, t_wall.denominator
-    return (
-        p0sq * wd * wd + 2 * cross * wn * wd + p1sq * wn * wn <= 0
-        or (p1sq > 0 and -cross * wd < p1sq * wn)
-    )
+    r = isqrt(disc)
+    return Fraction(f0 - r, -fslope) if r * r == disc else (f0, -fslope, disc)
 
 
 def _divisor_side(model: SurfaceModel, divisor: DivisorClass, cands: list[str]):
@@ -321,10 +316,12 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
 
     It yields the prologue (divisor, flag, candidates, dec0, nu, volume, ray,
     support at nu), then per chamber (t_lo, end, exits, support, chamber, e,
-    f0, fslope), with `chamber` the `_segment_system` result on
-    `support` and e = s*w.  A chamber ends at a wall or, in the last step
-    (exits true), at mu in the closed form `_mu` takes it from: a Fraction
-    when mu is rational, else the integers (a, b, disc) of
+    f0, fslope), with `chamber` the `_segment_system` result on `support`
+    and e = s*w.  Each chamber takes the first root of P_t^2 past its start
+    once (`_cone_exit`) and compares it with the earliest wall: the chamber
+    ends at the wall when the wall comes first, else (exits true, the last
+    step) at that root, which is mu in the closed form `_mu` takes: a
+    Fraction when mu is rational, else the integers (a, b, disc) of
     mu = (a - sqrt(disc))/b, disc no square.  The walk starts at nu on D's
     own decomposition; at nu > 0 a curve of N_D that meets another declared
     curve negatively makes the model inconsistent.  The flag curve is
@@ -384,7 +381,7 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
         # coefficients over e = s*w, the flag numbers and P_0^2 over e*w
         s, nums = chamber
         e = s * ray.w
-        next_event = _earliest_wall(outside, t_cur)
+        wall = _earliest_wall(outside, t_cur)
 
         # P_0.F, p1.F and P_0^2 from the once-per-walk numbers; p0 and p1
         # are orthogonal to the support, so P_0.p1 = -P_0.F, p1^2 = -p1.F
@@ -395,28 +392,19 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
             fslope -= x1 * fj
             p0sq -= x0 * ray.d_c[j]
 
-        # exit of the big cone, decided in integers: P_t^2 = q(t)/(e*w) with
-        # q = p0sq - 2*f0*t - fslope*t^2, whose first root is rational exactly
-        # when disc = f0^2 + fslope*p0sq is a square
+        # exit of the big cone in integers: P_t^2 = q(t)/(e*w) with
+        # q = p0sq - 2*f0*t - fslope*t^2; its first root past t_cur ends the
+        # chamber when no wall comes first, and is then mu
         cn, cd = t_cur.numerator, t_cur.denominator
         if p0sq * cd * cd - 2 * f0 * cn * cd - fslope * cn * cn <= 0:
             raise InternalError("positive part lost its positivity inside a segment")
-        exits = _exit_first(p0sq, -f0, -fslope, t_cur, next_event)
-        if exits is None:
+        root = _cone_exit(p0sq, f0, fslope, t_cur)
+        if root is None:
             raise ModelError("ray never exits big cone in model")
-        if exits:
-            # mu is rational exactly when disc is a square; an irrational mu
-            # is compared as the integers of _sign
-            if fslope:
-                disc = f0 * f0 + fslope * p0sq
-                r = isqrt(disc)
-                end = Fraction(f0 - r, -fslope) if r * r == disc else (f0, -fslope, disc)
-            else:
-                end = Fraction(p0sq, 2 * f0)
-            if _sign(-cn, cd, end) <= 0:
-                raise InternalError("the sign tests found an exit with no root")
-        else:
-            end = next_event
+        if _sign(-cn, cd, root) <= 0:
+            raise InternalError("the exit of the big cone lies before the segment start")
+        exits = wall is None or _sign(wall.numerator, -wall.denominator, root) >= 0
+        end = root if exits else wall
 
         # flag monitor: its pairing must stay nonnegative up to the segment end
         fval = _at(f0, fslope, t_cur)
@@ -433,7 +421,7 @@ def _chamber_steps(model: SurfaceModel, divisor, flag, candidates):
                     f"support decreased; invalid model input (coefficient of {l!r} "
                     f"vanishes before the segment ends)"
                 )
-        missed = _missed_wall(outside, end, next_event)
+        missed = _missed_wall(outside, end, wall)
         if missed is not None:
             raise InternalError(f"missed a wall for {missed!r}")
 

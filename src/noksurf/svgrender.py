@@ -52,9 +52,10 @@ def render_svg(
     # not preserved, which keeps thin tall polygons readable
     height = max(int(round(width * 0.75)), 40)
     ext_x, ext_y = xmax - xmin, ymax - ymin
-    # a finite extent keeps every pixel finite: each offset is divided by
-    # the extent before it is scaled, so a tiny extent cannot overflow
-    if not (math.isfinite(ext_x) and math.isfinite(ext_y)):
+    # a finite, nonzero extent keeps every pixel finite: each offset is
+    # divided by the extent before it is scaled, so a tiny extent cannot
+    # overflow; far from the origin the padding can round away to 0
+    if not (0 < ext_x < math.inf and 0 < ext_y < math.inf):
         raise InputError("cannot draw a polygon whose coordinates do not fit a float")
 
     def to_px(x: float, y: float) -> tuple[float, float]:

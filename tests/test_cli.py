@@ -378,6 +378,22 @@ def test_candidate_diagnostics(candidates, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ("C1", "flag_search.config: must be a list of labels"),
+        (["C1", 3], "flag_search.config[1]: must be a label"),
+    ],
+)
+def test_flag_search_config_diagnostics(config, message, tmp_path, capsys):
+    doc = json.loads((CASES_DIR / "flag_search_chain.json").read_text())
+    doc["flag_search"]["config"] = config
+    path = tmp_path / "badconfig.json"
+    path.write_text(json.dumps(doc))
+    assert main(["flag-search", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("curves", [5, None])
 def test_curves_must_be_a_list(curves, tmp_path, capsys):
     doc = tmp_path / "badcurves.json"
@@ -438,6 +454,40 @@ def test_second_decomposition_at_nu_exit_2(command, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: curves 'C2' and 'C0' meet negatively; invalid model input\n"
     )
+
+
+# P_t^2 = q(t) with no root past nu: q convex with its vertex behind nu
+# (P_t = 1 + t on P^2's lattice), and q linear and increasing (F^2 = 0 and
+# D.F = -2 < 0, so P_t^2 = 4 + 4t)
+NO_EXIT = {
+    "convex": (
+        {"rank": 1, "matrix": [[1]], "curves": [], "ample_witness": [1]},
+        [1],
+        [-1],
+    ),
+    "linear": (
+        {
+            "rank": 2,
+            "matrix": [[1, 0], [0, -1]],
+            "curves": [{"label": "E", "class": [0, 1]}],
+            "ample_witness": [2, -1],
+        },
+        [2, 0],
+        [-1, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["ray-profile", "polygon"])
+@pytest.mark.parametrize("shape", sorted(NO_EXIT))
+def test_ray_that_never_exits_the_big_cone_exit_2(shape, command, tmp_path, capsys):
+    surface, divisor, flag = NO_EXIT[shape]
+    path = tmp_path / "noexit.json"
+    path.write_text(
+        json.dumps({"schema": 1, "surface": surface, "divisor": divisor, "flag": {"curve": flag}})
+    )
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: ray never exits big cone in model\n")
 
 
 def test_divisor_in_the_negative_light_cone_exit_2(tmp_path, capsys):

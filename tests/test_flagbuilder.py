@@ -34,7 +34,7 @@ from noksurf.flagbuilder import (
     scan_vertex_counts,
 )
 
-from helpers import chain_model, story_matches
+from helpers import chain_model, story_matches, zariski_negative_part
 
 BL1 = SurfaceModel(2, [[1, 0], [0, -1]], [CurveRecord("E", (0, 1))], (2, -1))
 D_BL1 = DivisorClass((3, -1))
@@ -343,7 +343,7 @@ def test_probe_certificate_matches_decompositions(monkeypatch, capsys):
             for key, val in list(vars(mod).items()):
                 if val is decompose:
                     monkeypatch.setattr(mod, key, counted)
-    outcomes = set()
+    outcomes, sampled = set(), 0
     for d, args, flag_class, config, prev_times in calls:
         decomposed.clear()
         got = flagbuilder._probe(*args)
@@ -351,7 +351,18 @@ def test_probe_certificate_matches_decompositions(monkeypatch, capsys):
         assert not decomposed, args
         assert got == _decomposing_probe(args[0], d, flag_class, config, prev_times), args
         outcomes.add(got)
+        if got:
+            # Zariski's construction over the raw Gram matrix, with no model
+            # table and no solve_support, finds each sample's support
+            model = args[0]
+            curves = {rec.label: rec.cls for rec in model.curves}
+            for s, expect in args[2]:
+                d_s = [x - s * a for x, a in zip(d.coords, flag_class.coords)]
+                negative = zariski_negative_part(model.gram, curves, d_s)
+                assert {l for l, x in negative.items() if x} == set(expect), (args, s)
+                sampled += 1
     assert outcomes == {True, False}
+    assert sampled >= 10, sampled
 
 
 def _scale_by_search(model, certificate, config):

@@ -5,7 +5,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from helpers import _between_any, chain_model, corpus, forest_case, integral
+from helpers import _between_any, chain_model, corpus, forest_case, forest_corpus, integral
 from noksurf import (
     BoundReport,
     CurveRecord,
@@ -218,6 +218,25 @@ def test_rightmost_uncertified_falls_back():
     prof = walk_ray(m, DivisorClass((3, -1)), "H", ["E"])
     r = rightmost_count(m, prof)
     assert (r.count, r.certified, r.observed) == (2, False, 2)
+
+
+def test_flag_in_span_exactly_when_one_rightmost_vertex_is_observed():
+    # on the last chamber P_t and p1 lie in the Lorentzian complement of the
+    # support and P_t^2 > 0, so [C] lies in span([D], support) exactly when
+    # disc = 0, which is exactly when the width P_mu.C is 0: the echelon
+    # test and the walk's width agree on every walk
+    seen = set()
+    cases = (
+        corpus(seed=2718, count=220)
+        + forest_corpus(seed=8, count=6, rho=8)
+        + forest_corpus(seed=16, count=4, rho=16)
+    )
+    for case in cases:
+        prof = walk_ray(case.model, case.divisor, case.spec, case.candidates)
+        r = rightmost_count(case.model, prof)
+        assert r.flag_in_span == (r.observed == 1), case.name
+        seen.add(r.flag_in_span)
+    assert seen == {True, False}
 
 
 def test_mc_mv_examples():

@@ -31,8 +31,8 @@ from noksurf.qext import sqrt_fraction
 from noksurf.raywalk import (
     _at,
     _chamber_steps,
+    _cone_exit,
     _earliest_wall,
-    _exit_first,
     _missed_wall,
     _mu,
     _pairings,
@@ -177,9 +177,9 @@ def _first_quadratic_root(p0sq: Fraction, cross: Fraction, p1sq: Fraction, t_cur
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_exit_decision_agrees_with_the_root(data):
-    # the sign tests in Q say "no root", "root <= T" or "root > T" exactly
-    # when the root in Q(sqrt(d)) does, double roots and roots at T included;
-    # where there is a root, the walk's exit in integers gives it as mu
+    # the closed-form root in the walk's integers is "none" exactly when the
+    # root in Q(sqrt(d)) is, compares with a wall T as "root <= T" exactly
+    # when that root does, double roots and roots at T included, and is mu
     p0sq, cross, p1sq, t_cur = (data.draw(_RAT) for _ in range(4))
     if p1sq and data.draw(st.booleans()):
         p0sq = cross * cross / p1sq  # a double root at the vertex
@@ -189,22 +189,16 @@ def test_exit_decision_agrees_with_the_root(data):
         t_wall = root
     else:
         t_wall = t_cur + data.draw(_RAT.filter(lambda x: x > 0))
-    want = None if root is None else root <= t_wall
-    assert _exit_first(p0sq, cross, p1sq, t_cur, t_wall) == want
-    assert _exit_first(p0sq, cross, p1sq, t_cur, None) == (None if root is None else True)
+    # q = (P0 - 2*f0*t - fslope*t^2)/ew in the walk's integers
+    ew = lcm(p0sq.denominator, cross.denominator, p1sq.denominator)
+    p0, f0, fslope = (x.numerator for x in (p0sq * ew, -cross * ew, -p1sq * ew))
+    end = _cone_exit(p0, f0, fslope, t_cur)
+    assert (end is None) == (root is None)
     if root is not None:
-        # q = (P0 - 2*f0*t - fslope*t^2)/ew in the walk's integers, and its
-        # exit as the walk yields it: a Fraction when disc is a square, else
-        # the integers (a, b, disc) that _mu takes, disc no square
-        ew = lcm(p0sq.denominator, cross.denominator, p1sq.denominator)
-        p0, f0, fslope = p0sq * ew, -cross * ew, -p1sq * ew
-        p0, f0, fslope = p0.numerator, f0.numerator, fslope.numerator
-        if fslope:
-            disc = f0 * f0 + fslope * p0
-            r = isqrt(disc)
-            end = Fraction(f0 - r, -fslope) if r * r == disc else (f0, -fslope, disc)
-        else:
-            end = Fraction(p0, 2 * f0)
+        exits = _sign(t_wall.numerator, -t_wall.denominator, end) >= 0
+        assert exits == (root <= t_wall)
+        # a Fraction when disc is a square, else the integers (a, b, disc)
+        # that _mu takes, disc no square
         assert (type(end) is Fraction) == (type(root) is Fraction)
         if type(end) is not Fraction:
             assert isqrt(end[2]) ** 2 != end[2]

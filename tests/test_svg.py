@@ -117,6 +117,36 @@ def test_polygon_with_a_tiny_extent_renders(tmp_path, capsys, command, flags):
 
 
 @pytest.mark.parametrize("command", ["render-svg", "polygon"])
+@pytest.mark.parametrize("flags", [[], ["--no-grid"]])
+def test_polygon_far_from_the_origin_exits_2(tmp_path, capsys, command, flags):
+    # the triangle over 10^20 <= t <= 10^20 + 1: its extent in t, padding
+    # included, rounds to 0 in floats, so no pixel can be placed
+    doc = tmp_path / "far.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "surface": {
+                    "rank": 2,
+                    "matrix": [[1, 0], [0, -1]],
+                    "curves": [{"label": "E", "class": [0, 1]}],
+                    "ample_witness": [2, -1],
+                },
+                "divisor": [1, 10**20],
+                "flag": {"curve": "E"},
+            }
+        )
+    )
+    svg = tmp_path / "out.svg"
+    assert main([command, str(doc), "--svg", str(svg), *flags]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: cannot draw a polygon whose coordinates do not fit a float\n",
+    )
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("command", ["render-svg", "polygon"])
 def test_width_beyond_the_float_range_exits_2(tmp_path, capsys, command):
     svg = tmp_path / "out.svg"
     doc = Path(__file__).resolve().parent.parent / "cases" / "ex1_on_point.json"
